@@ -6,6 +6,10 @@ structural subsets (commuter, one-sided nuclei, nucleus, center, and their
 star-fixed parts) are nullspaces of commutator/associator constraint maps and
 are computed by exact elimination.  Returned bases are in reduced row echelon
 form, the canonical subspace representative used throughout the package.
+
+Basis-triple predicates and the nucleus constraint rows use a sparse
+associator kernel that walks the multiplication table directly; the public
+``mul``/``associator`` route is kept as the reference the tests compare it to.
 """
 
 from __future__ import annotations
@@ -14,6 +18,12 @@ from . import linalg
 from .scalars import format_rational, parse_rational, simplify
 
 NUCLEUS_SIDES = ("left", "middle", "right", "full")
+# slot of the unknown x in the associator behind each nucleus row kind
+_NUCLEUS_TRIPLES = {
+    "nucleus_left": lambda x, b, c: (x, b, c),
+    "nucleus_middle": lambda x, b, c: (b, x, c),
+    "nucleus_right": lambda x, b, c: (b, c, x),
+}
 
 
 class AlgebraElement:
@@ -230,6 +240,34 @@ class StarAlgebra:
                 if self.star(self.mul(a, b)) != self.mul(self.star(b), self.star(a)):
                     raise ValueError("involution must be anti-multiplicative")
 
+    def _basis_associator(self, a, b, c):
+        """Associator of e_a, e_b, e_c as a sparse ``{k: coeff}``, from the table."""
+        sparse = self._sparse
+        out = {}
+        for m, s in sparse[a][b]:
+            for k, t in sparse[m][c]:
+                out[k] = out.get(k, 0) + s * t
+        for m, s in sparse[b][c]:
+            for k, t in sparse[a][m]:
+                out[k] = out.get(k, 0) - s * t
+        return {k: v for k, v in out.items() if v}
+
+    def _associator_witness(self, groups):
+        """First ``(indices, triples)`` whose associators do not sum to zero.
+
+        Returns the basis elements at ``indices`` followed by the sum.
+        """
+        for indices, triples in groups:
+            v = {}
+            for triple in triples:
+                for k, x in self._basis_associator(*triple).items():
+                    v[k] = v.get(k, 0) + x
+            if any(v.values()):
+                basis = self.basis()
+                total = AlgebraElement(v.get(k, 0) for k in range(self.dim))
+                return tuple(basis[i] for i in indices) + (total,)
+        return None
+
     # ------------------------------------------------------ predicate witnesses
     def commutativity_witness(self):
         basis = self.basis()
@@ -241,48 +279,39 @@ class StarAlgebra:
         return None
 
     def associativity_witness(self):
-        basis = self.basis()
-        for a in basis:
-            for b in basis:
-                for c in basis:
-                    v = self.associator(a, b, c)
-                    if not v.is_zero():
-                        return (a, b, c, v)
-        return None
+        r = range(self.dim)
+        return self._associator_witness(
+            ((a, b, c), ((a, b, c),)) for a in r for b in r for c in r
+        )
 
     def flexibility_witness(self):
         """First basis triple violating the linearized flexible law (char-0 valid)."""
-        basis = self.basis()
-        for i in range(self.dim):
-            for k in range(i, self.dim):
-                for j in range(self.dim):
-                    v = self.associator(basis[i], basis[j], basis[k]) + self.associator(
-                        basis[k], basis[j], basis[i]
-                    )
-                    if not v.is_zero():
-                        return (basis[i], basis[j], basis[k], v)
-        return None
+        n = self.dim
+        return self._associator_witness(
+            ((i, j, k), ((i, j, k), (k, j, i)))
+            for i in range(n)
+            for k in range(i, n)
+            for j in range(n)
+        )
 
     def alternativity_witness(self):
         """First basis triple violating a linearized alternative law (char-0 valid)."""
-        basis = self.basis()
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                for k in range(self.dim):
-                    v = self.associator(basis[i], basis[j], basis[k]) + self.associator(
-                        basis[j], basis[i], basis[k]
-                    )
-                    if not v.is_zero():
-                        return ("left", basis[i], basis[j], basis[k], v)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(j, self.dim):
-                    v = self.associator(basis[i], basis[j], basis[k]) + self.associator(
-                        basis[i], basis[k], basis[j]
-                    )
-                    if not v.is_zero():
-                        return ("right", basis[i], basis[j], basis[k], v)
-        return None
+        n = self.dim
+        left = self._associator_witness(
+            ((i, j, k), ((i, j, k), (j, i, k)))
+            for i in range(n)
+            for j in range(i, n)
+            for k in range(n)
+        )
+        if left is not None:
+            return ("left",) + left
+        right = self._associator_witness(
+            ((i, j, k), ((i, j, k), (i, k, j)))
+            for i in range(n)
+            for j in range(n)
+            for k in range(j, n)
+        )
+        return None if right is None else ("right",) + right
 
     def is_commutative(self):
         return self.cached("commutative", lambda: self.commutativity_witness() is None)
@@ -310,34 +339,26 @@ class StarAlgebra:
 
     def _rows(self, key):
         def build():
-            basis = self.basis()
+            n = self.dim
             if key == "commuter":
-                maps = [lambda x, b=b: self.commutator(x, b) for b in basis]
-            elif key == "nucleus_left":
-                maps = [
-                    lambda x, b=b, c=c: self.associator(x, b, c)
-                    for b in basis
-                    for c in basis
-                ]
-            elif key == "nucleus_middle":
-                maps = [
-                    lambda x, b=b, c=c: self.associator(b, x, c)
-                    for b in basis
-                    for c in basis
-                ]
-            elif key == "nucleus_right":
-                maps = [
-                    lambda x, b=b, c=c: self.associator(b, c, x)
-                    for b in basis
-                    for c in basis
-                ]
-            elif key == "star_fixed":
-                return linalg.mat_sub(
-                    self.involution.matrix, linalg.identity_matrix(self.dim)
+                basis = self.basis()
+                return self.constraint_rows(
+                    [lambda x, b=b: self.commutator(x, b) for b in basis]
                 )
-            else:
+            if key == "star_fixed":
+                return linalg.mat_sub(self.involution.matrix, linalg.identity_matrix(n))
+            if key not in _NUCLEUS_TRIPLES:
                 raise ValueError(f"unknown constraint kind {key!r}")
-            return self.constraint_rows(maps)
+            triple = _NUCLEUS_TRIPLES[key]
+            rows = []
+            for b in range(n):
+                for c in range(n):
+                    block = [[0] * n for _ in range(n)]
+                    for x in range(n):
+                        for r, v in self._basis_associator(*triple(x, b, c)).items():
+                            block[r][x] = v
+                    rows.extend(tuple(row) for row in block)
+            return tuple(rows)
 
         return self.cached(("rows", key), build)
 

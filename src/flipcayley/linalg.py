@@ -4,6 +4,9 @@ Vectors and matrix rows are sequences of ints or Fractions.  Division only
 ever happens through ``Fraction``, so every result is exact.  The canonical
 representative of a subspace is the reduced row echelon basis of its span;
 two subspaces are equal iff their canonical bases are equal tuples.
+``RowReducer`` keeps that basis as sparse tails after each pivot, with
+integral entries kept as ``int``, and rejects rows whose length is not its
+column count with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -52,49 +55,67 @@ def is_zero_matrix(matrix):
 
 
 class RowReducer:
-    """Incremental accumulator keeping a reduced row echelon basis of its input rows."""
+    """Incremental accumulator keeping a reduced row echelon basis of its input rows.
+
+    Each reduced row is stored as its pivot column plus a sparse tail
+    ``{column: value}`` holding the nonzero entries after the pivot; the
+    pivot entry is 1 and is not stored.  Tail entries go through
+    ``simplify`` when a row is stored, so integral values stay ``int``.
+    Reduction walks only the nonzero entries of the input and of the tails.
+    Every row passed in must have exactly ``ncols`` entries; any other
+    length raises ``ValueError``.
+    """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self._rows = []    # fully reduced, pivot entries equal to 1
-        self._pivots = []  # pivot column of each row, strictly increasing
+        self._tails = {}  # pivot column -> tail; the basis is fully reduced
 
     @property
     def rank(self):
-        return len(self._rows)
+        return len(self._tails)
+
+    def _remainder(self, vector):
+        if len(vector) != self.ncols:
+            raise ValueError(f"row has {len(vector)} entries, expected {self.ncols}")
+        work = {j: x for j, x in enumerate(vector) if x}
+        # No tail touches a pivot column, so each pivot entry of the input is
+        # final and the rows can be subtracted in any order.
+        for p in [j for j in work if j in self._tails]:
+            c = work.pop(p)
+            for j, t in self._tails[p].items():
+                x = work.get(j, 0) - c * t
+                if x:
+                    work[j] = x
+                else:
+                    del work[j]
+        return work
 
     def residual(self, vector):
         """Reduce ``vector`` against the current basis; the remainder is returned."""
-        work = list(vector)
-        for row, p in zip(self._rows, self._pivots):
-            c = work[p]
-            if c:
-                for j in range(p, self.ncols):
-                    work[j] -= c * row[j]
-        return work
+        rest = self._remainder(vector)
+        return [rest.get(j, 0) for j in range(self.ncols)]
 
     def contains(self, vector):
-        return not any(self.residual(vector))
+        return not self._remainder(vector)
 
     def add(self, vector):
         """Absorb a row.  Returns True when it increased the rank."""
-        work = self.residual(vector)
-        pivot = next((j for j, x in enumerate(work) if x), None)
-        if pivot is None:
+        work = self._remainder(vector)
+        if not work:
             return False
-        pv = work[pivot]
-        if pv != 1:
-            inv = Fraction(1) / pv
-            work = [x * inv for x in work]
-        for i, row in enumerate(self._rows):
-            c = row[pivot]
+        pivot = min(work)
+        inv = Fraction(1) / work.pop(pivot)
+        new = {j: simplify(x * inv) for j, x in work.items()}
+        for tail in self._tails.values():
+            c = tail.pop(pivot, 0)
             if c:
-                self._rows[i] = [x - c * y for x, y in zip(row, work)]
-        at = next(
-            (i for i, p in enumerate(self._pivots) if p > pivot), len(self._pivots)
-        )
-        self._rows.insert(at, work)
-        self._pivots.insert(at, pivot)
+                for j, t in new.items():
+                    x = simplify(tail.get(j, 0) - c * t)
+                    if x:
+                        tail[j] = x
+                    else:
+                        del tail[j]
+        self._tails[pivot] = new
         return True
 
     def add_many(self, vectors):
@@ -102,32 +123,34 @@ class RowReducer:
             self.add(v)
 
     def rows(self):
-        return tuple(tuple(simplify(x) for x in row) for row in self._rows)
+        out = []
+        for p in sorted(self._tails):
+            row = [0] * self.ncols
+            row[p] = 1
+            for j, t in self._tails[p].items():
+                row[j] = t
+            out.append(tuple(row))
+        return tuple(out)
 
     def nullspace(self):
         """Canonical basis of the solution space of (all added rows) * x = 0."""
-        pivots = set(self._pivots)
         vectors = []
         for free in range(self.ncols):
-            if free in pivots:
+            if free in self._tails:
                 continue
             v = [0] * self.ncols
             v[free] = 1
-            for row, p in zip(self._rows, self._pivots):
-                v[p] = -row[free]
+            for p, tail in self._tails.items():
+                v[p] = -tail.get(free, 0)
             vectors.append(v)
         return row_space(vectors, self.ncols)
 
 
-def rref(rows, ncols):
-    red = RowReducer(ncols)
-    red.add_many(rows)
-    return red.rows()
-
-
 def row_space(vectors, ncols):
     """Canonical (reduced echelon) basis of the span of the given vectors."""
-    return rref(vectors, ncols)
+    red = RowReducer(ncols)
+    red.add_many(vectors)
+    return red.rows()
 
 
 def nullspace(rows, ncols):
@@ -152,13 +175,9 @@ def subspace_eq(a, b, ncols):
     return row_space(a, ncols) == row_space(b, ncols)
 
 
-def orthogonal_complement(basis, ncols):
-    return nullspace(basis, ncols)
-
-
 def subspace_intersect(a, b, ncols):
-    rows = list(orthogonal_complement(a, ncols))
-    rows.extend(orthogonal_complement(b, ncols))
+    rows = list(nullspace(a, ncols))
+    rows.extend(nullspace(b, ncols))
     return nullspace(rows, ncols)
 
 

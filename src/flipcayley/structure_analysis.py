@@ -220,22 +220,21 @@ def alpha_trivial_criterion(algebra):
 
 
 # -------------------------------------------------------- degreewise sets: criteria
-def _rows_from_maps(algebra, maps):
-    return algebra.constraint_rows(maps)
+# row kinds that StarAlgebra builds and caches itself
+_CORE_ROWS = (
+    "commuter", "star_fixed", "nucleus_left", "nucleus_middle", "nucleus_right"
+)
 
 
 def _named_rows(algebra, name):
+    if name in _CORE_ROWS:
+        return algebra._rows(name)
+
     def build():
         basis = algebra.basis()
         mul = algebra.mul
         star = algebra.star
-        if name == "commuter":
-            maps = [lambda x, b=b: algebra.commutator(x, b) for b in basis]
-        elif name == "star_fixed":
-            return linalg.mat_sub(
-                algebra.involution.matrix, linalg.identity_matrix(algebra.dim)
-            )
-        elif name == "kill_star_skew":
+        if name == "kill_star_skew":
             # a (b* - b) = 0 for all b
             maps = [lambda x, b=b: mul(x, star(b) - b) for b in basis]
         elif name == "kill_commutators":
@@ -243,24 +242,6 @@ def _named_rows(algebra, name):
                 lambda x, b=b, c=c: mul(x, algebra.commutator(b, c))
                 for i, b in enumerate(basis)
                 for c in basis[i + 1:]
-            ]
-        elif name == "nucleus_left":
-            maps = [
-                lambda x, b=b, c=c: algebra.associator(x, b, c)
-                for b in basis
-                for c in basis
-            ]
-        elif name == "nucleus_middle":
-            maps = [
-                lambda x, b=b, c=c: algebra.associator(b, x, c)
-                for b in basis
-                for c in basis
-            ]
-        elif name == "nucleus_right":
-            maps = [
-                lambda x, b=b, c=c: algebra.associator(b, c, x)
-                for b in basis
-                for c in basis
             ]
         elif name == "swap_right":
             # (a b) c = a (c b)
@@ -292,7 +273,7 @@ def _named_rows(algebra, name):
             ]
         else:
             raise ValueError(f"unknown row kind {name!r}")
-        return _rows_from_maps(algebra, maps)
+        return algebra.constraint_rows(maps)
 
     return algebra.cached(("sa_rows", name), build)
 

@@ -237,3 +237,139 @@ def test_json_uses_fraction_strings():
     assert back.mul(basis_element(2, 1), basis_element(2, 1)) == A.unit.scaled(
         Fraction(1, 2)
     )
+
+
+# ------------------------------------------- sparse kernel against the mul route
+def _first_nonzero(candidates):
+    for candidate in candidates:
+        if not candidate[-1].is_zero():
+            return candidate
+    return None
+
+
+def _mul_route_witnesses(A):
+    """The three basis-triple witnesses, through the public ``associator``."""
+    e, r, assoc = A.basis(), range(A.dim), A.associator
+    associative = _first_nonzero(
+        (e[a], e[b], e[c], assoc(e[a], e[b], e[c])) for a in r for b in r for c in r
+    )
+    flexible = _first_nonzero(
+        (e[i], e[j], e[k], assoc(e[i], e[j], e[k]) + assoc(e[k], e[j], e[i]))
+        for i in r
+        for k in r
+        if k >= i
+        for j in r
+    )
+    alternative = _first_nonzero(
+        ("left", e[i], e[j], e[k], assoc(e[i], e[j], e[k]) + assoc(e[j], e[i], e[k]))
+        for i in r
+        for j in r
+        if j >= i
+        for k in r
+    ) or _first_nonzero(
+        ("right", e[i], e[j], e[k], assoc(e[i], e[j], e[k]) + assoc(e[i], e[k], e[j]))
+        for i in r
+        for j in r
+        for k in r
+        if k >= j
+    )
+    return associative, flexible, alternative
+
+
+def _mul_route_nucleus_rows(A, side):
+    e = A.basis()
+    place = {
+        "left": lambda x, b, c: (x, b, c),
+        "middle": lambda x, b, c: (b, x, c),
+        "right": lambda x, b, c: (b, c, x),
+    }[side]
+    return A.constraint_rows(
+        [lambda x, b=b, c=c: A.associator(*place(x, b, c)) for b in e for c in e]
+    )
+
+
+def _exchange_algebra(rng, d):
+    """A + A^op with the swap star, for a random unital d-dimensional algebra A.
+
+    Basis: (1, 1), then (e_i, 0) for i >= 1, (1, 0), then (0, e_i) for i >= 1.
+    """
+    def scalar():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    unit = [tuple(int(k == j) for k in range(d)) for j in range(d)]
+    a_table = [
+        [
+            unit[i or j] if i * j == 0 else tuple(scalar() for _ in range(d))
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+
+    def a_mul(x, y):
+        out = [0] * d
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                for k, t in enumerate(a_table[i][j]):
+                    out[k] += xi * yj * t
+        return out
+
+    def pair(k):
+        x, y = [0] * d, [0] * d
+        if k == 0:
+            x[0] = y[0] = 1
+        elif k < d:
+            x[k] = 1
+        elif k == d:
+            x[0] = 1
+        else:
+            y[k - d] = 1
+        return x, y
+
+    def coords(x, y):
+        return [y[0], *x[1:], x[0] - y[0], *y[1:]]
+
+    pairs = [pair(k) for k in range(2 * d)]
+    table = [
+        [coords(a_mul(x1, x2), a_mul(y2, y1)) for x2, y2 in pairs] for x1, y1 in pairs
+    ]
+    star_cols = [coords(y, x) for x, y in pairs]
+    star = [[col[i] for col in star_cols] for i in range(2 * d)]
+    return StarAlgebra(StructureConstants(2 * d, table), Involution(star))
+
+
+def _kernel_cases(algebras):
+    rng = random.Random(20261017)
+    cases = list(algebras.items())
+    cases += [
+        ("tower(1/2, 3, -1)", tower([Fraction(1, 2), 3, -1])),
+        ("tower(1, 1, 1)", tower([1, 1, 1])),
+    ]
+    cases += [
+        (f"exchange d={d} #{n}", _exchange_algebra(rng, d))
+        for n, d in enumerate((2, 3, 3, 3, 3))
+    ]
+    return cases
+
+
+def test_associator_kernel_matches_mul_route(algebras):
+    cases = _kernel_cases(algebras)
+    # the exchange algebras have table entries with several terms
+    assert any(len(entry) > 1 for _, A in cases for row in A._sparse for entry in row)
+    found = [0, 0, 0]
+    for name, A in cases:
+        expected = _mul_route_witnesses(A)
+        got = (
+            A.associativity_witness(),
+            A.flexibility_witness(),
+            A.alternativity_witness(),
+        )
+        assert got == expected, name
+        for i, witness in enumerate(got):
+            found[i] += witness is not None
+            if witness is not None:
+                assert isinstance(witness[-1], AlgebraElement), name
+        for side in ("left", "middle", "right"):
+            expected_rows = _mul_route_nucleus_rows(A, side)
+            assert A._rows(f"nucleus_{side}") == expected_rows, (name, side)
+    # the exchange algebras reach every non-None witness path
+    assert all(found), found

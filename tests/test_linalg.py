@@ -1,17 +1,22 @@
 import random
 from fractions import Fraction
 
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from flipcayley import linalg
 
 
-def test_rref_canonical():
+def test_row_space_canonical():
     rows = [(2, 4, 6), (1, 2, 4)]
-    assert linalg.rref(rows, 3) == ((1, 2, 0), (0, 0, 1))
+    assert linalg.row_space(rows, 3) == ((1, 2, 0), (0, 0, 1))
 
 
-def test_rref_drops_dependent_rows():
+def test_row_space_drops_dependent_rows():
     rows = [(1, 1), (2, 2), (3, 3)]
-    assert linalg.rref(rows, 2) == ((1, 1),)
+    assert linalg.row_space(rows, 2) == ((1, 1),)
 
 
 def test_nullspace_simple():
@@ -65,17 +70,97 @@ def test_subspace_operations():
     assert linalg.subspace_sum([e1], [e2], 3) == ((1, 0, 0), (0, 1, 0))
 
 
-def test_orthogonal_complement_dimensions():
+def test_nullspace_complement_dimensions():
     basis = [(1, 2, 0, 1)]
-    comp = linalg.orthogonal_complement(basis, 4)
+    comp = linalg.nullspace(basis, 4)
     assert len(comp) == 3
     for v in comp:
         assert sum(a * x for a, x in zip(basis[0], v)) == 0
 
 
-def test_fraction_pivots():
+def test_row_space_fraction_pivots():
     rows = [(Fraction(1, 2), Fraction(1, 3))]
-    assert linalg.rref(rows, 2) == ((1, Fraction(2, 3)),)
+    assert linalg.row_space(rows, 2) == ((1, Fraction(2, 3)),)
+
+
+def test_integral_entries_stay_int():
+    red = linalg.RowReducer(3)
+    red.add_many([(2, 4, 6), (Fraction(3), 6, 12), (Fraction(1, 2), 1, 2)])
+    assert red.rows() == ((1, 2, 0), (0, 0, 1))
+    assert all(type(x) is int for row in red.rows() for x in row)
+
+
+def test_wrong_row_length_rejected():
+    with pytest.raises(ValueError):
+        linalg.nullspace([(1, 2, 3, 4)], 2)
+    red = linalg.RowReducer(2)
+    red.add((1, 0))
+    for method in (red.add, red.residual, red.contains):
+        for bad in ((0, 0, 1), (1,)):
+            with pytest.raises(ValueError):
+                method(bad)
+    assert red.rows() == ((1, 0),)
+
+
+# ------------------------------------------------------ sympy as the oracle
+_scalars = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """Rational matrices with zero rows, repeated rows or full column rank mixed in."""
+    ncols = draw(st.integers(1, 8))
+    row = st.lists(_scalars, min_size=ncols, max_size=ncols).map(tuple)
+    rows = draw(st.lists(row, max_size=10))
+    extra = draw(st.sampled_from(("none", "zero", "repeat", "full_rank")))
+    if extra == "zero":
+        rows += [(0,) * ncols] * draw(st.integers(1, 3))
+    elif extra == "repeat" and rows:
+        for _ in range(draw(st.integers(1, 3))):
+            source = draw(st.sampled_from(rows))
+            scale = draw(st.sampled_from((1, -1, 2, Fraction(1, 3))))
+            rows.append(tuple(scale * x for x in source))
+    elif extra == "full_rank":
+        # upper triangular with a nonzero diagonal
+        for i in range(ncols):
+            pivot = draw(st.sampled_from((1, -2, Fraction(3, 5))))
+            rows.append((0,) * i + (pivot,) + tuple(draw(row)[i + 1:]))
+    return ncols, draw(st.permutations(rows))
+
+
+def _to_fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _sympy_rref(matrix):
+    reduced = matrix.rref()[0]
+    return tuple(
+        tuple(_to_fraction(x) for x in reduced.row(i))
+        for i in range(reduced.rows)
+        if any(reduced.row(i))
+    )
+
+
+def _sympy_matrix(rows, ncols):
+    return sympy.Matrix(len(rows), ncols, [sympy.Rational(x) for r in rows for x in r])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_elimination_matches_sympy(matrix):
+    ncols, rows = matrix
+    red = linalg.RowReducer(ncols)
+    red.add_many(rows)
+    # a lone zero row stands in for the empty matrix, which sympy cannot reduce
+    m = _sympy_matrix(rows or [(0,) * ncols], ncols)
+    assert red.rows() == _sympy_rref(m)
+    assert red.rank == m.rank()
+    null = m.nullspace()
+    expected = _sympy_rref(sympy.Matrix.hstack(*null).T) if null else ()
+    assert linalg.nullspace(rows, ncols) == expected
 
 
 def test_matrix_helpers():
