@@ -115,32 +115,22 @@ class StructureConstants:
 
 
 class Involution:
-    """Matrix of the star map acting on coordinate columns."""
+    """The star map, held as a sparse ``linalg.LinearMap`` on coordinate columns."""
 
-    __slots__ = ("matrix", "_cols")
+    __slots__ = ("linear",)
 
     def __init__(self, matrix):
-        rows = tuple(tuple(simplify(c) for c in row) for row in matrix)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("involution matrix must be square")
-        self.matrix = rows
-        self._cols = tuple(
-            tuple((i, rows[i][j]) for i in range(n) if rows[i][j])
-            for j in range(n)
-        )
+        self.linear = linalg.LinearMap.from_rows(matrix)
+
+    @property
+    def matrix(self):
+        return self.linear.matrix
 
     def apply(self, elem):
-        out = [0] * len(self._cols)
-        for j, xj in enumerate(elem.coords):
-            if not xj:
-                continue
-            for i, m in self._cols[j]:
-                out[i] += m * xj
-        return AlgebraElement(out)
+        return AlgebraElement(self.linear.apply(elem.coords))
 
     def is_identity(self):
-        return self.matrix == linalg.identity_matrix(len(self.matrix))
+        return self.linear == linalg.LinearMap.identity(self.linear.dim)
 
 
 class StarAlgebra:
@@ -154,7 +144,7 @@ class StarAlgebra:
     __slots__ = ("sc", "involution", "_sparse", "_cache")
 
     def __init__(self, sc, involution, check=True):
-        if len(involution.matrix) != sc.dim:
+        if involution.linear.dim != sc.dim:
             raise ValueError("involution dimension mismatch")
         self.sc = sc
         self.involution = involution
@@ -218,8 +208,6 @@ class StarAlgebra:
         return AlgebraElement(out)
 
     def star(self, x):
-        if len(x.coords) != self.dim:
-            raise ValueError("dimension mismatch")
         return self.involution.apply(x)
 
     def commutator(self, x, y):
@@ -229,8 +217,8 @@ class StarAlgebra:
         return self.mul(self.mul(x, y), z) - self.mul(x, self.mul(y, z))
 
     def _check_involution(self):
-        m = self.involution.matrix
-        if linalg.mat_mul(m, m) != linalg.identity_matrix(self.dim):
+        star = self.involution.linear
+        if star.compose(star) != linalg.LinearMap.identity(self.dim):
             raise ValueError("involution must square to the identity")
         if self.star(self.unit) != self.unit:
             raise ValueError("involution must fix the unit")

@@ -60,6 +60,13 @@ def _split_terms(text):
     return terms
 
 
+def _rational(text, what):
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"bad {what}: {exc}") from None
+
+
 def parse_element(text, dim, unit_index=0):
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
@@ -74,13 +81,13 @@ def parse_element(text, dim, unit_index=0):
             term = term[1:].strip()
         match = _ELEMENT_TERM.match(term)
         if match:
-            coefficient = parse_rational(match.group(1)) if match.group(1) else 1
+            coefficient = _rational(match.group(1), "coefficient") if match.group(1) else 1
             index = int(match.group(2))
             if index >= dim:
                 raise CliError(f"basis symbol e{index} out of range for dim {dim}")
             coords[index] += sign * coefficient
         elif _SCALAR_TERM.match(term):
-            coords[unit_index] += sign * parse_rational(term)
+            coords[unit_index] += sign * _rational(term, "coefficient")
         else:
             raise CliError(f"cannot parse element term {term!r}")
     return AlgebraElement(simplify(c) for c in coords)
@@ -121,6 +128,8 @@ def _degree_cap():
 def _capped_bound(requested, default):
     cap = _degree_cap()
     bound = default if requested is None else requested
+    if bound < 0:
+        raise CliError("degree bound must be nonnegative")
     if bound > cap:
         print(
             f"note: degree bound {bound} capped to {cap} (FLIPCAYLEY_MAX_DEGREE)",
@@ -139,10 +148,10 @@ def _build_algebra(args):
         except ValueError as exc:
             raise CliError(str(exc)) from None
     if args.mus:
+        mus = [_rational(part, "--mus value") for part in args.mus.split(",")]
         try:
-            mus = [parse_rational(part) for part in args.mus.split(",") if part.strip()]
             return tower(mus)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise CliError(f"bad --mus value: {exc}") from None
     raise CliError("an algebra is required: pass --algebra NAME or --mus LIST")
 
@@ -150,7 +159,7 @@ def _build_algebra(args):
 def _parse_poly(text, dim):
     try:
         return parse_poly(text, dim)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad polynomial literal: {exc}") from None
 
 
@@ -257,9 +266,8 @@ def cmd_involution(args):
 def cmd_quotient(args):
     algebra = _build_algebra(args)
     try:
-        mu = parse_rational(args.mu)
-        quotient = QuotientRing(algebra, mu)
-    except (ValueError, ZeroDivisionError) as exc:
+        quotient = QuotientRing(algebra, _rational(args.mu, "--mu value"))
+    except ValueError as exc:
         raise CliError(f"bad --mu value: {exc}") from None
     doubled_dim = 2 * algebra.dim
     if args.action == "table":
@@ -302,10 +310,13 @@ def cmd_quotient(args):
 def cmd_analyze(args):
     algebra = _build_algebra(args)
     bound = _capped_bound(args.bound, 6)
-    if args.set == "z_star":
-        degree_set = sa.z_star_of_b(algebra, bound)
-    else:
-        degree_set = sa.degreewise_set(algebra, args.set, bound)
+    try:
+        if args.set == "z_star":
+            degree_set = sa.z_star_of_b(algebra, bound)
+        else:
+            degree_set = sa.degreewise_set(algebra, args.set, bound)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     cross_failure = None
     checked_to = None
     if args.cross_check and args.set != "z_star":
@@ -370,10 +381,9 @@ def cmd_verify(args):
         names = [args.suite]
     mu = None
     if args.mu is not None:
-        try:
-            mu = parse_rational(args.mu)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad --mu value: {exc}") from None
+        mu = _rational(args.mu, "--mu value")
+        if mu == 0:
+            raise CliError("bad --mu value: mu must be nonzero")
     if args.algebra is not None and args.algebra not in NAMED_TOWERS:
         raise CliError(
             f"unknown algebra {args.algebra!r}; valid names: {', '.join(NAMED_TOWERS)}"

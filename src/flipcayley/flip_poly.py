@@ -13,14 +13,19 @@ m-i copies of delta; it is evaluated through the recurrence
 
     pi_i^(m+1) = pi_(i-1)^m o sigma + pi_i^m o delta
 
-with memoized matrices, while the combinatorial sum survives as the
-independent test oracle ``pi_oracle``.
+into a table filled degree by degree that keeps only the nonzero maps, each
+a sparse ``linalg.LinearMap`` with integer entries over one common
+denominator.  The ring product multiplies integer vectors over a common
+denominator and divides once per output coordinate.  The combinatorial sum
+survives as the independent test oracle ``pi_oracle``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .algebra_core import AlgebraElement, zero_element
@@ -35,19 +40,23 @@ class AdditiveMap:
     """Additive (hence rational-linear) self-map of the coefficient algebra."""
 
     KINDS = ("sigma", "delta")
-    __slots__ = ("matrix", "kind")
+    __slots__ = ("linear", "kind")
 
     def __init__(self, matrix, kind):
+        """``matrix`` is a ``linalg.LinearMap`` or the rows of a square matrix."""
         if kind not in self.KINDS:
             raise ValueError("kind must be 'sigma' or 'delta'")
-        rows = tuple(tuple(simplify(c) for c in row) for row in matrix)
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix must be square")
-        self.matrix = rows
+        if not isinstance(matrix, linalg.LinearMap):
+            matrix = linalg.LinearMap.from_rows(matrix)
+        self.linear = matrix
         self.kind = kind
 
+    @property
+    def matrix(self):
+        return self.linear.matrix
+
     def __call__(self, elem):
-        return AlgebraElement(linalg.mat_vec(self.matrix, elem.coords))
+        return AlgebraElement(self.linear.apply(elem.coords))
 
     def check_unit_constraint(self, algebra):
         image = self(algebra.unit)
@@ -58,15 +67,15 @@ class AdditiveMap:
 
     @classmethod
     def identity(cls, dim, kind="sigma"):
-        return cls(linalg.identity_matrix(dim), kind)
+        return cls(linalg.LinearMap.identity(dim), kind)
 
     @classmethod
     def zero(cls, dim, kind="delta"):
-        return cls(linalg.zero_matrix(dim), kind)
+        return cls(linalg.LinearMap(dim, ((),) * dim), kind)
 
     @classmethod
     def from_star(cls, algebra):
-        return cls(algebra.involution.matrix, "sigma")
+        return cls(algebra.involution.linear, "sigma")
 
 
 class Poly:
@@ -130,17 +139,22 @@ class Poly:
 class FlipPolyRing:
     """Polynomial ring over a star-algebra, configured by (sigma, delta, flipped).
 
-    The pi-function matrices are memoized per (i, m); a duplicated
-    computation under concurrent access rewrites the same value, so rings
-    can be shared across threads.
+    The pi table is filled degree by degree: level m maps i to pi_i^m, a
+    ``linalg.LinearMap``, and keeps only the nonzero maps.  ``mul`` clears
+    the denominators of each operand once, walks only those maps, multiplies
+    against an integer copy of the coefficient table and divides once per
+    output coordinate.  The table grows by publishing a longer tuple of
+    complete levels, never a half-built one, so rings can be shared across
+    threads.
     """
 
-    __slots__ = ("coeff_algebra", "sigma", "delta", "flipped", "_pi_cache")
+    __slots__ = ("coeff_algebra", "sigma", "delta", "flipped", "_table", "_levels")
 
     def __init__(self, coeff_algebra, sigma, delta, flipped):
         if sigma.kind != "sigma" or delta.kind != "delta":
             raise ValueError("maps must be passed as (sigma, delta)")
-        if len(sigma.matrix) != coeff_algebra.dim or len(delta.matrix) != coeff_algebra.dim:
+        dim = coeff_algebra.dim
+        if sigma.linear.dim != dim or delta.linear.dim != dim:
             raise ValueError("dimension mismatch")
         sigma.check_unit_constraint(coeff_algebra)
         delta.check_unit_constraint(coeff_algebra)
@@ -148,8 +162,8 @@ class FlipPolyRing:
         self.sigma = sigma
         self.delta = delta
         self.flipped = bool(flipped)
-        # matrix of pi_i^m keyed by (i, m); None marks the zero map
-        self._pi_cache = {(0, 0): linalg.identity_matrix(coeff_algebra.dim)}
+        self._table = _integer_table(coeff_algebra)
+        self._levels = ({0: linalg.LinearMap.identity(dim)},)
 
     # -------------------------------------------------------------- construction
     def constant(self, elem):
@@ -171,37 +185,41 @@ class FlipPolyRing:
             return self.coeff_algebra.mul(r, s)
         return self.coeff_algebra.mul(s, r)
 
+    def _levels_upto(self, top):
+        """The pi table through level ``top``, extending it level by level."""
+        levels = self._levels
+        if top < len(levels):
+            return levels
+        steps = [(1, self.sigma.linear)]
+        if not self.delta.linear.is_zero():
+            steps.append((0, self.delta.linear))
+        level = levels[-1]
+        new = []
+        for _ in range(len(levels), top + 1):
+            nxt = {}
+            for i, pmap in level.items():
+                for shift, step in steps:
+                    image = pmap.compose(step)
+                    k = i + shift
+                    nxt[k] = nxt[k] + image if k in nxt else image
+            level = {k: v for k, v in sorted(nxt.items()) if not v.is_zero()}
+            new.append(level)
+        levels += tuple(new)
+        self._levels = levels
+        return levels
+
     def pi_matrix(self, i, m):
+        """pi_i^m as a ``linalg.LinearMap`` read from the table; None when it is zero."""
         if i < 0 or i > m:
             return None
-        try:
-            return self._pi_cache[(i, m)]
-        except KeyError:
-            pass
-        parts = []
-        left = self.pi_matrix(i - 1, m - 1)
-        if left is not None:
-            parts.append(linalg.mat_mul(left, self.sigma.matrix))
-        right = self.pi_matrix(i, m - 1)
-        if right is not None:
-            parts.append(linalg.mat_mul(right, self.delta.matrix))
-        if not parts:
-            total = None
-        else:
-            total = parts[0]
-            for extra in parts[1:]:
-                total = linalg.mat_add(total, extra)
-            if linalg.is_zero_matrix(total):
-                total = None
-        self._pi_cache[(i, m)] = total
-        return total
+        return self._levels_upto(m)[m].get(i)
 
     def pi(self, i, m, s):
-        """pi_i^m(s) through the memoized recurrence."""
-        mat = self.pi_matrix(i, m)
-        if mat is None:
+        """pi_i^m(s) read from the table."""
+        pmap = self.pi_matrix(i, m)
+        if pmap is None:
             return self.coeff_algebra.zero()
-        return AlgebraElement(linalg.mat_vec(mat, s.coords))
+        return AlgebraElement(pmap.apply(s.coords))
 
     def pi_oracle(self, i, m, s):
         """pi_i^m(s) by explicit enumeration of all C(m, i) compositions."""
@@ -218,32 +236,91 @@ class FlipPolyRing:
             total = total + value
         return total
 
+    def _product(self, p, q):
+        """The product of two ``{degree: coefficient}`` dicts, as such a dict without zeros."""
+        table, dt = self._table
+        dim = len(table)
+        dp, left = _cleared(p, dim)
+        dq, right = _cleared(q, dim)
+        if not left or not right:
+            return {}
+        levels = self._levels_upto(max(p))
+        acc = {}  # degree -> [common denominator of its pi maps, integer numerators]
+        for n, b in right:
+            flip = self.flipped and n % 2
+            for m, a in left:
+                for i, pmap in levels[m].items():
+                    v = [(r, x) for r, x in enumerate(pmap.numerators(b)) if x]
+                    if not v:
+                        continue
+                    den = pmap.den
+                    entry = acc.get(i + n)
+                    if entry is None:
+                        entry = acc[i + n] = [den, [0] * dim]
+                    elif entry[0] % den:
+                        common = lcm(entry[0], den)
+                        entry[1] = [x * (common // entry[0]) for x in entry[1]]
+                        entry[0] = common
+                    scale = entry[0] // den
+                    out = entry[1]
+                    for r, xr in v if flip else a:
+                        row = table[r]
+                        for s, ys in a if flip else v:
+                            c = xr * ys * scale
+                            for k, t in row[s]:
+                                out[k] += c * t
+        whole = dp * dq * dt
+        result = {}
+        for k, (den, out) in acc.items():
+            if any(out):
+                d = den * whole
+                result[k] = AlgebraElement(
+                    out if d == 1 else (simplify(Fraction(x, d)) for x in out)
+                )
+        return result
+
     def monomial_product(self, m, a, n, b):
         """(a X^m)(b X^n) as a dict degree -> coefficient."""
-        acc = {}
-        mul = self.coeff_algebra.mul
-        flip = self.flipped and n % 2
-        for i in range(m + 1):
-            mat = self.pi_matrix(i, m)
-            if mat is None:
-                continue
-            pib = AlgebraElement(linalg.mat_vec(mat, b.coords))
-            if pib.is_zero():
-                continue
-            coeff = mul(pib, a) if flip else mul(a, pib)
-            if coeff.is_zero():
-                continue
-            k = i + n
-            acc[k] = acc[k] + coeff if k in acc else coeff
-        return acc
+        if m < 0 or n < 0:
+            raise ValueError("degrees must be natural numbers")
+        return self._product({m: a}, {n: b})
 
     def mul(self, p, q):
-        acc = {}
-        for m, a in p.coeffs.items():
-            for n, b in q.coeffs.items():
-                for k, coeff in self.monomial_product(m, a, n, b).items():
-                    acc[k] = acc[k] + coeff if k in acc else coeff
-        return Poly(acc)
+        return Poly(self._product(p.coeffs, q.coeffs))
+
+
+def _cleared(coeffs, dim):
+    """``(d, [(degree, [(index, int)])])``: the coefficients times one common
+    denominator d, as sparse integer vectors.  A coefficient whose length is
+    not ``dim`` raises ``ValueError``.
+    """
+    den = 1
+    terms = []
+    for degree, c in coeffs.items():
+        if len(c.coords) != dim:
+            raise ValueError(f"coefficient has {len(c.coords)} coordinates, expected {dim}")
+        pairs = [(r, x) for r, x in enumerate(c.coords) if x]
+        for _, x in pairs:
+            if type(x) is not int:
+                den = lcm(den, x.denominator)
+        terms.append((degree, pairs))
+    if den != 1:
+        terms = [(degree, [(r, int(x * den)) for r, x in pairs]) for degree, pairs in terms]
+    return den, terms
+
+
+def _integer_table(algebra):
+    """``(table, d)``: d times the algebra's sparse table, with int entries;
+    an integral table is the algebra's own."""
+    sparse = algebra._sparse
+    den = lcm(1, *(
+        t.denominator for row in sparse for entry in row for _, t in entry if type(t) is not int
+    ))
+    if den == 1:
+        return sparse, 1
+    return tuple(
+        tuple(tuple((k, int(t * den)) for k, t in entry) for entry in row) for row in sparse
+    ), den
 
 
 def star_skew_ring(algebra):
@@ -263,18 +340,6 @@ def ordinary_ring(algebra, sigma=None, delta=None):
         delta if delta is not None else AdditiveMap.zero(dim),
         flipped=False,
     )
-
-
-def tau(algebra, n, r, s):
-    """Order-preserving product for even n, reversed product for odd n."""
-    if n % 2 == 0:
-        return algebra.mul(r, s)
-    return algebra.mul(s, r)
-
-
-def poly_mul(ring, p, q):
-    """Product in the given ring; function form of ``ring.mul``."""
-    return ring.mul(p, q)
 
 
 # ------------------------------------------------------------------ product rules
@@ -354,11 +419,6 @@ class ProductRule:
             return out
 
         return cls(algebra, ev, "family rule", degree_window)
-
-
-def flip_rule(rule):
-    """The rule composed with the argument swap on odd right degrees."""
-    return rule.flipped()
 
 
 def rules_agree(rule_a, rule_b, max_degree):
@@ -535,11 +595,8 @@ def graded_split(ring, p):
 
     Requires sigma*delta + delta*sigma = 0 (trivially true for delta = 0).
     """
-    anti = linalg.mat_add(
-        linalg.mat_mul(ring.sigma.matrix, ring.delta.matrix),
-        linalg.mat_mul(ring.delta.matrix, ring.sigma.matrix),
-    )
-    if not linalg.is_zero_matrix(anti):
+    sigma, delta = ring.sigma.linear, ring.delta.linear
+    if not (sigma.compose(delta) + delta.compose(sigma)).is_zero():
         raise ValueError("grading requires sigma*delta + delta*sigma = 0")
     even = {}
     odd = {}
@@ -560,10 +617,11 @@ def graded_join(ring, even, odd):
 
 def even_square_ring(ring):
     """The ring the even layer multiplies in: maps squared, no flip."""
+    sigma, delta = ring.sigma.linear, ring.delta.linear
     return FlipPolyRing(
         ring.coeff_algebra,
-        AdditiveMap(linalg.mat_mul(ring.sigma.matrix, ring.sigma.matrix), "sigma"),
-        AdditiveMap(linalg.mat_mul(ring.delta.matrix, ring.delta.matrix), "delta"),
+        AdditiveMap(sigma.compose(sigma), "sigma"),
+        AdditiveMap(delta.compose(delta), "delta"),
         flipped=False,
     )
 

@@ -15,7 +15,6 @@ does not kill it.
 
 from __future__ import annotations
 
-from . import linalg
 from .flip_poly import Poly
 
 
@@ -23,8 +22,8 @@ def _require_star_skew(ring):
     algebra = ring.coeff_algebra
     if (
         not ring.flipped
-        or ring.sigma.matrix != algebra.involution.matrix
-        or not linalg.is_zero_matrix(ring.delta.matrix)
+        or ring.sigma.linear != algebra.involution.linear
+        or not ring.delta.linear.is_zero()
     ):
         raise ValueError(
             "requires the flipped ring with sigma equal to the involution and delta zero"

@@ -6,22 +6,124 @@ representative of a subspace is the reduced row echelon basis of its span;
 two subspaces are equal iff their canonical bases are equal tuples.
 ``RowReducer`` keeps that basis as sparse tails after each pivot, with
 integral entries kept as ``int``, and rejects rows whose length is not its
-column count with ``ValueError``.
+column count with ``ValueError``.  ``LinearMap`` is the one sparse type for
+linear self-maps: integer columns over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import simplify
 
 
+class LinearMap:
+    """Linear self-map of Q^n as sparse integer columns over one common denominator.
+
+    ``cols[j]`` lists the pairs ``(i, c)`` with ``c != 0``, where ``c / den``
+    is the matrix entry in row i, column j.  The form is canonical: ``den``
+    is positive and its gcd with all entries is 1, so two maps are equal
+    exactly when their ``(cols, den)`` are.  Instances are immutable.
+    """
+
+    __slots__ = ("dim", "cols", "den")
+
+    def __init__(self, dim, cols, den=1):
+        if den != 1:
+            g = gcd(den, *(c for col in cols for _, c in col))
+            if g > 1:
+                cols = tuple(tuple((i, c // g) for i, c in col) for col in cols)
+                den //= g
+        self.dim = dim
+        self.cols = cols
+        self.den = den
+
+    @classmethod
+    def from_rows(cls, matrix):
+        """The map of a square matrix given as rows of ints or Fractions."""
+        rows = tuple(tuple(simplify(c) for c in row) for row in matrix)
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix must be square")
+        den = lcm(1, *(c.denominator for row in rows for c in row if type(c) is not int))
+        return cls(
+            n,
+            tuple(
+                tuple((i, int(rows[i][j] * den)) for i in range(n) if rows[i][j])
+                for j in range(n)
+            ),
+            den,
+        )
+
+    @classmethod
+    def identity(cls, n):
+        return cls(n, tuple(((j, 1),) for j in range(n)))
+
+    @property
+    def matrix(self):
+        """Read-only dense view: rows of ints and Fractions."""
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        for j, col in enumerate(self.cols):
+            for i, c in col:
+                rows[i][j] = simplify(Fraction(c, self.den))
+        return tuple(tuple(row) for row in rows)
+
+    def is_zero(self):
+        return not any(self.cols)
+
+    def numerators(self, pairs):
+        """``den`` times the image of the sparse vector ``[(j, x), ...]``, as a list."""
+        cols = self.cols
+        out = [0] * self.dim
+        for j, x in pairs:
+            for i, c in cols[j]:
+                out[i] += c * x
+        return out
+
+    def apply(self, vector):
+        """The exact image of a coordinate vector of length ``dim``."""
+        if len(vector) != self.dim:
+            raise ValueError(f"vector has {len(vector)} entries, expected {self.dim}")
+        out = [0] * self.dim
+        for x, col in zip(vector, self.cols):
+            if x:
+                for i, c in col:
+                    out[i] += c * x
+        if self.den == 1:
+            return tuple(out)
+        return tuple(simplify(Fraction(x, self.den)) for x in out)
+
+    def compose(self, inner):
+        """The map ``self o inner`` (apply ``inner`` first)."""
+        return LinearMap(
+            self.dim,
+            tuple(
+                tuple((i, c) for i, c in enumerate(self.numerators(col)) if c)
+                for col in inner.cols
+            ),
+            self.den * inner.den,
+        )
+
+    def __add__(self, other):
+        den = lcm(self.den, other.den)
+        cols = []
+        for a, b in zip(self.cols, other.cols):
+            out = [0] * self.dim
+            for col, scale in ((a, den // self.den), (b, den // other.den)):
+                for i, c in col:
+                    out[i] += c * scale
+            cols.append(tuple((i, c) for i, c in enumerate(out) if c))
+        return LinearMap(self.dim, tuple(cols), den)
+
+    def __eq__(self, other):
+        if isinstance(other, LinearMap):
+            return self.cols == other.cols and self.den == other.den
+        return NotImplemented
+
+
 def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zero_matrix(n):
-    return tuple((0,) * n for _ in range(n))
 
 
 def mat_vec(matrix, vector):

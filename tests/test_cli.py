@@ -189,3 +189,25 @@ def test_usage_errors_exit_2(capsys):
     assert main(["quotient", "--algebra=H", "--mu=0", "mul", "e0", "e0"]) == 2
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, max_degree",
+    [
+        (["mul", "--algebra=H", "1/0*e1", "e2"], None),
+        (["involution", "--algebra=C", "[1/0,1]"], None),
+        (["analyze", "--algebra=C", "--set=center", "--bound=-1"], None),
+        (["analyze", "--algebra=C", "--set=center", "--bound=12"], "20"),
+        (["verify", "--suite=thm1", "--mu=0"], None),
+        (["mul", "--mus=-1,,-1", "e1", "e2"], None),
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(argv, max_degree, capsys, monkeypatch):
+    if max_degree is None:
+        monkeypatch.delenv("FLIPCAYLEY_MAX_DEGREE", raising=False)
+    else:
+        monkeypatch.setenv("FLIPCAYLEY_MAX_DEGREE", max_degree)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1

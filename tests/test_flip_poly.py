@@ -1,8 +1,12 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipcayley import (
     AdditiveMap,
@@ -11,7 +15,6 @@ from flipcayley import (
     Poly,
     ProductRule,
     check_axioms,
-    flip_rule,
     graded_join,
     graded_split,
     named,
@@ -20,7 +23,7 @@ from flipcayley import (
     poly_to_text,
     rules_agree,
     star_skew_ring,
-    tau,
+    tower,
 )
 from flipcayley.flip_poly import even_square_ring, poly_from_json, poly_to_json
 
@@ -44,11 +47,12 @@ def rand_poly(ring, rng, max_degree, lo=-2, hi=2):
 # ------------------------------------------------------------------------- tau
 def test_tau(algebras):
     H = algebras["H"]
+    ring = star_skew_ring(H)
     one, i, j, k = H.basis()
-    assert tau(H, 0, i, j) == k
-    assert tau(H, 1, i, j) == -k
-    assert tau(H, 7, one, i + j) == i + j
-    assert tau(H, 4, j, k) == i
+    assert ring.tau(0, i, j) == k
+    assert ring.tau(1, i, j) == -k
+    assert ring.tau(7, one, i + j) == i + j
+    assert ring.tau(4, j, k) == i
 
 
 # -------------------------------------------------------------------------- pi
@@ -131,15 +135,11 @@ def test_star_skew_monomial_products(algebras):
             assert ring.mul(Poly({m: r}), ring.x()) == Poly({m + 1: r})
 
 
-def test_poly_mul_function_form(algebras):
-    from flipcayley import poly_mul
-
+def test_ring_mul_of_degree_one_monomials(algebras):
     H = algebras["H"]
     ring = star_skew_ring(H)
     one, i, j, k = H.basis()
-    assert poly_mul(ring, Poly({1: j}), Poly({1: k})) == ring.mul(
-        Poly({1: j}), Poly({1: k})
-    )
+    assert ring.mul(Poly({1: j}), Poly({1: k})) == Poly({2: ring.tau(1, j, H.star(k))})
 
 
 def test_unit_is_two_sided(algebras):
@@ -183,7 +183,7 @@ def test_skew_specialization(algebras):
                     image = s
                     for _ in range(m):
                         image = H.star(image)
-                    expected = Poly({m + n: tau(H, n, r, image)})
+                    expected = Poly({m + n: ring.tau(n, r, image)})
                     assert ring.mul(Poly({m: r}), Poly({n: s})) == expected
 
 
@@ -224,26 +224,133 @@ def test_flip_equals_unflip_iff_commutative(algebras):
     assert ring_h.monomial_product(0, i, 1, j) != plain_h.monomial_product(0, i, 1, j)
 
 
+def test_bad_coefficients_and_degrees_rejected(algebras):
+    H = algebras["H"]
+    ring = star_skew_ring(H)
+    five = AlgebraElement((1, 2, 3, 4, 5))
+    with pytest.raises(ValueError):
+        ring.mul(Poly({0: H.unit}), Poly({0: five}))
+    with pytest.raises(ValueError):
+        ring.mul(Poly({2: five}), ring.x())
+    with pytest.raises(ValueError):
+        ring.monomial_product(0, H.unit, 1, AlgebraElement((1, 2, 3)))
+    with pytest.raises(ValueError):
+        ring.monomial_product(-1, H.unit, 0, H.unit)
+
+
+# The non-integral tower has a multiplication table with entry 1/2.
+_ALGEBRAS = {"H": named("H"), "O": named("O"), "(1/2, 3)": tower((Fraction(1, 2), 3))}
+_SCALARS = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+)
+
+
+@st.composite
+def _rings_and_operands(draw):
+    """A ring over H, O or the (1/2, 3) tower, flipped or not, with either the
+    star and zero maps or sparse sigma/delta with Fraction entries; plus a left
+    operand of degree <= 12 and a right operand with dense mixed-denominator
+    coefficients."""
+    algebra = _ALGEBRAS[draw(st.sampled_from(sorted(_ALGEBRAS)))]
+    dim = algebra.dim
+    if draw(st.booleans()):
+        sigma, delta = AdditiveMap.from_star(algebra), AdditiveMap.zero(dim)
+    else:
+        # column 0 is the unit's: sigma keeps it fixed and delta kills it
+        sigma_rows = [list(row) for row in algebra.involution.matrix]
+        delta_rows = [[0] * dim for _ in range(dim)]
+        for rows in (sigma_rows, delta_rows):
+            for _ in range(draw(st.integers(1, 3))):
+                i, j = draw(st.integers(0, dim - 1)), draw(st.integers(1, dim - 1))
+                rows[i][j] = draw(_SCALARS)
+        sigma, delta = AdditiveMap(sigma_rows, "sigma"), AdditiveMap(delta_rows, "delta")
+    ring = FlipPolyRing(algebra, sigma, delta, flipped=draw(st.booleans()))
+    coeff = st.lists(_SCALARS, min_size=dim, max_size=dim).map(AlgebraElement)
+    left = draw(st.dictionaries(st.integers(0, 12), coeff, min_size=1, max_size=2))
+    right = draw(st.dictionaries(st.integers(0, 4), coeff, min_size=1, max_size=2))
+    return ring, Poly(left), Poly(right)
+
+
+def _oracle_product(ring, p, q):
+    """sum of tau_n(a, pi_i^m(b)) X^(i+n), with pi from the enumeration oracle."""
+    acc = {}
+    for m, a in p.coeffs.items():
+        for n, b in q.coeffs.items():
+            for i in range(m + 1):
+                v = ring.pi_oracle(i, m, b)
+                term = ring.tau(n, a, v) if ring.flipped else ring.coeff_algebra.mul(a, v)
+                acc[i + n] = acc[i + n] + term if i + n in acc else term
+    return Poly(acc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rings_and_operands())
+def test_ring_mul_matches_pi_oracle_route(case):
+    ring, p, q = case
+    assert ring.mul(p, q) == _oracle_product(ring, p, q)
+
+
+def test_deep_degree_product(algebras):
+    S = algebras["S"]
+    e1, e2 = S.basis()[1:3]
+    ring = star_skew_ring(S)
+    assert ring.mul(Poly({5000: e1}), Poly({5000: e2})) == Poly({10000: S.mul(e1, e2)})
+
+
+def test_shared_ring_across_threads(algebras):
+    H = algebras["H"]
+    one, i, j, k = H.basis()
+    q = Poly({0: i + j, 3: k})
+    degrees = [40, 5, 33, 12, 47, 21, 28, 9]
+
+    def make_ring():
+        return FlipPolyRing(H, AdditiveMap.from_star(H), shift_map(4), flipped=True)
+
+    fresh = make_ring()
+    expected = {m: fresh.mul(Poly({m: one + k}), q) for m in degrees}
+    shared = make_ring()
+    got = {}
+
+    def work(m):
+        got[m] = shared.mul(Poly({m: one + k}), q)
+
+    threads = [threading.Thread(target=work, args=(m,)) for m in degrees]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+    top = max(degrees)
+    assert all(shared.pi_matrix(i, top) == fresh.pi_matrix(i, top) for i in range(top + 1))
+
+
 # -------------------------------------------------------------- product rules
 def test_flip_rule_is_involutive(algebras):
     H = algebras["H"]
     rule = ProductRule.of_ring(star_skew_ring(H))
-    assert rules_agree(flip_rule(flip_rule(rule)), rule, 4)
+    assert rules_agree(rule.flipped().flipped(), rule, 4)
 
 
 def test_flip_of_plain_rule_over_commutative_base(algebras):
     C = algebras["C"]
     rule = ProductRule.of_ring(ordinary_ring(C))
-    assert rules_agree(flip_rule(rule), rule, 4)
+    assert rules_agree(rule.flipped(), rule, 4)
 
 
 def test_flip_of_plain_rule_swaps_on_odd_degrees(algebras):
     H = algebras["H"]
-    flipped = flip_rule(ProductRule.of_ring(ordinary_ring(H)))
+    plain = ordinary_ring(H)
+    flipped = ProductRule.of_ring(plain).flipped()
     one, i, j, k = H.basis()
     for m in range(3):
         for n in range(3):
-            assert flipped(m, n, i, j) == {m + n: tau(H, n, i, j)}
+            assert flipped(m, n, i, j) == {m + n: plain.tau(n, i, j)}
 
 
 def test_tabulated_rule(algebras):

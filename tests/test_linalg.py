@@ -170,6 +170,34 @@ def test_matrix_helpers():
     assert linalg.mat_vec(a, (1, 1)) == (3, 7)
     assert linalg.mat_add(a, b) == ((1, 3), (4, 4))
     assert linalg.mat_sub(a, a) == ((0, 0), (0, 0))
-    assert linalg.is_zero_matrix(linalg.zero_matrix(3))
+    assert linalg.is_zero_matrix(((0, 0, 0),) * 3)
     assert not linalg.is_zero_matrix(a)
     assert linalg.identity_matrix(2) == ((1, 0), (0, 1))
+
+
+@st.composite
+def _square_operands(draw):
+    n = draw(st.integers(1, 5))
+    row = st.lists(_scalars, min_size=n, max_size=n).map(tuple)
+    square = st.lists(row, min_size=n, max_size=n).map(tuple)
+    return draw(square), draw(square), draw(row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_square_operands())
+def test_linear_map_matches_dense_helpers(operands):
+    a, b, v = operands
+    A, B = linalg.LinearMap.from_rows(a), linalg.LinearMap.from_rows(b)
+    assert A.matrix == a
+    assert A.apply(v) == linalg.mat_vec(a, v)
+    assert A.compose(B).matrix == linalg.mat_mul(a, b)
+    assert (A + B).matrix == linalg.mat_add(a, b)
+    # the form is canonical: equal maps have equal (cols, den)
+    assert A.compose(B) == linalg.LinearMap.from_rows(linalg.mat_mul(a, b))
+    assert (A + B) == linalg.LinearMap.from_rows(linalg.mat_add(a, b))
+    assert (A == B) == (a == b)
+    assert A.is_zero() == linalg.is_zero_matrix(a)
+    with pytest.raises(ValueError):
+        A.apply(v + (1,))
+    with pytest.raises(ValueError):
+        linalg.LinearMap.from_rows(a + (v,))
