@@ -23,8 +23,6 @@ from .flip_poly import (
     Poly,
     ProductRule,
     check_axioms,
-    graded_join,
-    graded_split,
     ordinary_ring,
     parse_poly,
     poly_to_text,
@@ -38,15 +36,10 @@ from .quotient_iso import (
     QuotientRing,
     cayley_t_mul,
     cayley_t_star,
-    phi,
-    phi_inv,
     psi,
     psi_inv,
-    quot_mul,
-    quot_star,
-    reduce,
 )
-from .scalars import Rational, rat, rat_add, rat_inv, rat_mul, rat_neg
+from .scalars import rat, rat_inv
 
 __version__ = "0.1.0"
 
@@ -62,7 +55,6 @@ __all__ = [
     "ProductRule",
     "QuotElement",
     "QuotientRing",
-    "Rational",
     "StarAlgebra",
     "StructureConstants",
     "alpha",
@@ -74,25 +66,15 @@ __all__ = [
     "check_axioms",
     "degree_one_extension_violations",
     "find_zero_divisor",
-    "graded_join",
-    "graded_split",
     "named",
     "ordinary_ring",
     "parse_poly",
-    "phi",
-    "phi_inv",
     "poly_to_text",
     "psi",
     "psi_inv",
-    "quot_mul",
-    "quot_star",
     "rat",
-    "rat_add",
     "rat_inv",
-    "rat_mul",
-    "rat_neg",
     "rational_base",
-    "reduce",
     "rules_agree",
     "star_skew_ring",
     "tower",

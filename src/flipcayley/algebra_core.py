@@ -18,11 +18,19 @@ from . import linalg
 from .scalars import format_rational, parse_rational, simplify
 
 NUCLEUS_SIDES = ("left", "middle", "right", "full")
+_NUCLEI = ("nucleus_left", "nucleus_middle", "nucleus_right")
 # slot of the unknown x in the associator behind each nucleus row kind
 _NUCLEUS_TRIPLES = {
     "nucleus_left": lambda x, b, c: (x, b, c),
     "nucleus_middle": lambda x, b, c: (b, x, c),
     "nucleus_right": lambda x, b, c: (b, c, x),
+}
+# row kinds asking an identity in the unknown x to hold for all basis pairs b, c
+_PAIR_IDENTITIES = {
+    "swap_right": lambda mul, x, b, c: mul(mul(x, b), c) - mul(x, mul(c, b)),
+    "outer_twist": lambda mul, x, b, c: mul(mul(b, c), x) - mul(c, mul(b, x)),
+    "exchange_right": lambda mul, x, b, c: mul(mul(x, b), c) - mul(mul(x, c), b),
+    "exchange_left": lambda mul, x, b, c: mul(b, mul(c, x)) - mul(c, mul(b, x)),
 }
 
 
@@ -325,89 +333,82 @@ class StarAlgebra:
                 rows.append(tuple(cols[c][r] for c in range(n)))
         return tuple(rows)
 
-    def _rows(self, key):
+    def _rows(self, kind):
+        """Constraint rows on an unknown x, one block per condition, cached by kind.
+
+        ``commuter``: xb = bx; ``star_fixed``: x* = x; ``negation_fixed``:
+        -x = x; ``nucleus_*``: the associator with x in that slot vanishes;
+        ``kill_star_skew``: x(b* - b) = 0; ``kill_commutators``: x(bc - cb) = 0;
+        the kinds of ``_PAIR_IDENTITIES``: the identity named there.
+        """
+
         def build():
             n = self.dim
-            if key == "commuter":
-                basis = self.basis()
-                return self.constraint_rows(
-                    [lambda x, b=b: self.commutator(x, b) for b in basis]
-                )
-            if key == "star_fixed":
+            if kind == "star_fixed":
                 return linalg.mat_sub(self.involution.matrix, linalg.identity_matrix(n))
-            if key not in _NUCLEUS_TRIPLES:
-                raise ValueError(f"unknown constraint kind {key!r}")
-            triple = _NUCLEUS_TRIPLES[key]
+            if kind == "negation_fixed":
+                return tuple(tuple(-2 if i == j else 0 for j in range(n)) for i in range(n))
+            if kind in _NUCLEUS_TRIPLES:
+                triple = _NUCLEUS_TRIPLES[kind]
+                rows = []
+                for b in range(n):
+                    for c in range(n):
+                        block = [[0] * n for _ in range(n)]
+                        for x in range(n):
+                            for r, v in self._basis_associator(*triple(x, b, c)).items():
+                                block[r][x] = v
+                        rows.extend(tuple(row) for row in block)
+                return tuple(rows)
+            basis = self.basis()
+            mul = self.mul
+            if kind == "commuter":
+                maps = [lambda x, b=b: self.commutator(x, b) for b in basis]
+            elif kind == "kill_star_skew":
+                maps = [lambda x, b=b: mul(x, self.star(b) - b) for b in basis]
+            elif kind == "kill_commutators":
+                maps = [
+                    lambda x, b=b, c=c: mul(x, self.commutator(b, c))
+                    for i, b in enumerate(basis)
+                    for c in basis[i + 1:]
+                ]
+            elif kind in _PAIR_IDENTITIES:
+                identity = _PAIR_IDENTITIES[kind]
+                maps = [
+                    lambda x, b=b, c=c: identity(mul, x, b, c) for b in basis for c in basis
+                ]
+            else:
+                raise ValueError(f"unknown constraint kind {kind!r}")
+            return self.constraint_rows(maps)
+
+        return self.cached(("rows", kind), build)
+
+    def _solve(self, kinds):
+        """Basis of the elements meeting every row kind in ``kinds``, cached by the tuple."""
+
+        def build():
             rows = []
-            for b in range(n):
-                for c in range(n):
-                    block = [[0] * n for _ in range(n)]
-                    for x in range(n):
-                        for r, v in self._basis_associator(*triple(x, b, c)).items():
-                            block[r][x] = v
-                    rows.extend(tuple(row) for row in block)
-            return tuple(rows)
+            for kind in kinds:
+                rows.extend(self._rows(kind))
+            return tuple(AlgebraElement(v) for v in linalg.nullspace(rows, self.dim))
 
-        return self.cached(("rows", key), build)
-
-    def _nullspace_elements(self, rows):
-        return tuple(
-            AlgebraElement(v) for v in linalg.nullspace(rows, self.dim)
-        )
+        return self.cached(("solve", kinds), build)
 
     def commuter_basis(self):
-        return self.cached(
-            "commuter_basis", lambda: self._nullspace_elements(self._rows("commuter"))
-        )
+        return self._solve(("commuter",))
 
     def nucleus_basis(self, side="full"):
         if side not in NUCLEUS_SIDES:
             raise ValueError(f"side must be one of {NUCLEUS_SIDES}")
-
-        def build():
-            if side == "full":
-                rows = (
-                    self._rows("nucleus_left")
-                    + self._rows("nucleus_middle")
-                    + self._rows("nucleus_right")
-                )
-            else:
-                rows = self._rows(f"nucleus_{side}")
-            return self._nullspace_elements(rows)
-
-        return self.cached(("nucleus_basis", side), build)
+        return self._solve(_NUCLEI if side == "full" else (f"nucleus_{side}",))
 
     def center_basis(self):
-        def build():
-            rows = (
-                self._rows("commuter")
-                + self._rows("nucleus_left")
-                + self._rows("nucleus_middle")
-                + self._rows("nucleus_right")
-            )
-            return self._nullspace_elements(rows)
-
-        return self.cached("center_basis", build)
+        return self._solve(("commuter",) + _NUCLEI)
 
     def c_star_basis(self):
-        def build():
-            rows = self._rows("commuter") + self._rows("star_fixed")
-            return self._nullspace_elements(rows)
-
-        return self.cached("c_star_basis", build)
+        return self._solve(("commuter", "star_fixed"))
 
     def z_star_basis(self):
-        def build():
-            rows = (
-                self._rows("commuter")
-                + self._rows("nucleus_left")
-                + self._rows("nucleus_middle")
-                + self._rows("nucleus_right")
-                + self._rows("star_fixed")
-            )
-            return self._nullspace_elements(rows)
-
-        return self.cached("z_star_basis", build)
+        return self._solve(("commuter",) + _NUCLEI + ("star_fixed",))
 
     # ------------------------------------------------------------------------ io
     def to_json_dict(self):

@@ -26,6 +26,7 @@ from .flip_poly import (
     parse_poly,
     poly_to_json,
     poly_to_text,
+    split_signed_terms,
     star_skew_ring,
 )
 from .involutions import alpha, beta, degree_one_extension_violations
@@ -44,22 +45,6 @@ _ELEMENT_TERM = re.compile(r"^(\d+(?:/\d+)?)?\s*\*?\s*e(\d+)$")
 _SCALAR_TERM = re.compile(r"^\d+(?:/\d+)?$")
 
 
-def _split_terms(text):
-    terms = []
-    current = ""
-    for ch in text:
-        if ch in "+-" and current.strip():
-            terms.append(current.strip())
-            current = ch
-        else:
-            current += ch
-    if current.strip():
-        terms.append(current.strip())
-    if not terms:
-        raise CliError("empty element literal")
-    return terms
-
-
 def _rational(text, what):
     try:
         return parse_rational(text)
@@ -73,12 +58,12 @@ def parse_element(text, dim, unit_index=0):
         body = body[1:-1].strip()
     if "[" in body or "]" in body:
         raise CliError(f"cannot parse element literal {text!r}")
+    try:
+        terms = split_signed_terms(body)
+    except ValueError as exc:
+        raise CliError(f"bad element literal: {exc}") from None
     coords = [0] * dim
-    for term in _split_terms(body):
-        sign = 1
-        if term.startswith(("+", "-")):
-            sign = -1 if term[0] == "-" else 1
-            term = term[1:].strip()
+    for sign, term in terms:
         match = _ELEMENT_TERM.match(term)
         if match:
             coefficient = _rational(match.group(1), "coefficient") if match.group(1) else 1
@@ -109,6 +94,34 @@ def format_element(elem):
     for positive, body in parts[1:]:
         out += (" + " if positive else " - ") + body
     return out
+
+
+# -------------------------------------------------------------------- output
+def _print_table(rows):
+    """Print rows of cells as left-aligned columns two spaces apart."""
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    for row in rows:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+
+
+def _print_element(elem, as_json):
+    if as_json:
+        print(json.dumps([format_rational(c) for c in elem.coords]))
+    else:
+        print(format_element(elem))
+
+
+def _print_algebra(algebra, as_json):
+    """The algebra as JSON, or its basis multiplication table as text."""
+    if as_json:
+        print(json.dumps(algebra.to_json_dict(), indent=2))
+        return
+    basis = algebra.basis()
+    names = [f"e{i}" for i in range(algebra.dim)]
+    rows = [["*"] + names]
+    for i, x in enumerate(basis):
+        rows.append([names[i]] + [format_element(algebra.mul(x, y)) for y in basis])
+    _print_table(rows)
 
 
 # ------------------------------------------------------------------- helpers
@@ -191,11 +204,7 @@ def cmd_mul(args):
     algebra = _build_algebra(args)
     x = parse_element(args.x, algebra.dim, algebra.sc.unit_index)
     y = parse_element(args.y, algebra.dim, algebra.sc.unit_index)
-    result = algebra.mul(x, y)
-    if args.json:
-        print(json.dumps([format_rational(c) for c in result.coords]))
-    else:
-        print(format_element(result))
+    _print_element(algebra.mul(x, y), args.json)
     return 0
 
 
@@ -204,27 +213,12 @@ def cmd_assoc(args):
     x = parse_element(args.x, algebra.dim, algebra.sc.unit_index)
     y = parse_element(args.y, algebra.dim, algebra.sc.unit_index)
     z = parse_element(args.z, algebra.dim, algebra.sc.unit_index)
-    result = algebra.associator(x, y, z)
-    if args.json:
-        print(json.dumps([format_rational(c) for c in result.coords]))
-    else:
-        print(format_element(result))
+    _print_element(algebra.associator(x, y, z), args.json)
     return 0
 
 
 def cmd_table(args):
-    algebra = _build_algebra(args)
-    if args.json:
-        print(json.dumps(algebra.to_json_dict(), indent=2))
-        return 0
-    basis = algebra.basis()
-    names = [f"e{i}" for i in range(algebra.dim)]
-    rows = [["*"] + names]
-    for i, x in enumerate(basis):
-        rows.append([names[i]] + [format_element(algebra.mul(x, y)) for y in basis])
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    _print_algebra(_build_algebra(args), args.json)
     return 0
 
 
@@ -271,21 +265,7 @@ def cmd_quotient(args):
         raise CliError(f"bad --mu value: {exc}") from None
     doubled_dim = 2 * algebra.dim
     if args.action == "table":
-        quotient_algebra = quotient.to_star_algebra()
-        if args.json:
-            print(json.dumps(quotient_algebra.to_json_dict(), indent=2))
-        else:
-            basis = quotient_algebra.basis()
-            names = [f"e{i}" for i in range(doubled_dim)]
-            rows = [["*"] + names]
-            for i, x in enumerate(basis):
-                rows.append(
-                    [names[i]]
-                    + [format_element(quotient_algebra.mul(x, y)) for y in basis]
-                )
-            widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-            for row in rows:
-                print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        _print_algebra(quotient.to_star_algebra(), args.json)
         return 0
     if args.action == "mul":
         if len(args.operands) != 2:
@@ -300,14 +280,13 @@ def cmd_quotient(args):
         result = quotient.phi(quotient.star(u))
     else:
         raise CliError(f"unknown quotient action {args.action!r}")
-    if args.json:
-        print(json.dumps([format_rational(c) for c in result.coords]))
-    else:
-        print(format_element(result))
+    _print_element(result, args.json)
     return 0
 
 
 def cmd_analyze(args):
+    if args.cross_check and args.set == "z_star":
+        raise CliError("--cross-check has no brute-force oracle for --set=z_star")
     algebra = _build_algebra(args)
     bound = _capped_bound(args.bound, 6)
     try:
@@ -318,8 +297,7 @@ def cmd_analyze(args):
     except ValueError as exc:
         raise CliError(str(exc)) from None
     cross_failure = None
-    checked_to = None
-    if args.cross_check and args.set != "z_star":
+    if args.cross_check:
         checked_to = min(bound, sa.BRUTE_BOUND_LIMIT)
         try:
             brute = sa.degreewise_set_bruteforce(algebra, args.set, checked_to)
@@ -350,7 +328,7 @@ def cmd_analyze(args):
                 for degree, basis in degree_set.per_degree.items()
             ],
         }
-        if args.cross_check and args.set != "z_star":
+        if args.cross_check:
             payload["cross_check"] = {
                 "bound": checked_to,
                 "ok": cross_failure is None,
@@ -363,10 +341,8 @@ def cmd_analyze(args):
         for degree, basis in degree_set.per_degree.items():
             rendered = "; ".join(format_element(e) for e in basis) or "-"
             rows.append([str(degree), str(len(basis)), rendered])
-        widths = [max(len(row[c]) for row in rows) for c in range(3)]
-        for row in rows:
-            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if args.cross_check and args.set != "z_star":
+        _print_table(rows)
+        if args.cross_check:
             if cross_failure is None:
                 print(f"cross-check vs brute force (bound {checked_to}): OK")
             else:

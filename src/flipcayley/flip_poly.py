@@ -95,14 +95,6 @@ class Poly:
                 clean[degree] = coeff
         self.coeffs = dict(sorted(clean.items()))
 
-    @classmethod
-    def monomial(cls, degree, coeff):
-        return cls({degree: coeff})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def support(self):
         return tuple(self.coeffs)
 
@@ -590,34 +582,15 @@ def check_axioms(ring, family, degree_bound):
 
 
 # ------------------------------------------------------------------------ grading
-def graded_split(ring, p):
-    """Split into even and odd layers, reindexed to the squared generator.
+def even_square_ring(ring):
+    """The ring the even layer multiplies in: maps squared, no flip.
 
-    Requires sigma*delta + delta*sigma = 0 (trivially true for delta = 0).
+    The parity grading (``quotient_iso.psi_inv``) requires
+    sigma*delta + delta*sigma = 0, trivially true for delta = 0.
     """
     sigma, delta = ring.sigma.linear, ring.delta.linear
     if not (sigma.compose(delta) + delta.compose(sigma)).is_zero():
         raise ValueError("grading requires sigma*delta + delta*sigma = 0")
-    even = {}
-    odd = {}
-    for degree, coeff in p.coeffs.items():
-        if degree % 2 == 0:
-            even[degree // 2] = coeff
-        else:
-            odd[degree // 2] = coeff
-    return Poly(even), Poly(odd)
-
-
-def graded_join(ring, even, odd):
-    """Inverse of graded_split."""
-    acc = {2 * d: c for d, c in even.coeffs.items()}
-    acc.update({2 * d + 1: c for d, c in odd.coeffs.items()})
-    return Poly(acc)
-
-
-def even_square_ring(ring):
-    """The ring the even layer multiplies in: maps squared, no flip."""
-    sigma, delta = ring.sigma.linear, ring.delta.linear
     return FlipPolyRing(
         ring.coeff_algebra,
         AdditiveMap(sigma.compose(sigma), "sigma"),
@@ -643,7 +616,12 @@ def poly_to_text(p):
     return " + ".join(parts)
 
 
-def _split_signed_terms(text):
+def split_signed_terms(text):
+    """Split a literal at the top-level signs into ``(sign, body)`` pairs.
+
+    Brackets nest, so signs inside a coordinate vector stay in its term.  An
+    empty literal or unbalanced brackets raise ``ValueError``.
+    """
     terms = []
     current = ""
     depth = 0
@@ -663,20 +641,23 @@ def _split_signed_terms(text):
         raise ValueError("unbalanced brackets")
     if current.strip():
         terms.append(current.strip())
-    return terms
+    if not terms:
+        raise ValueError("empty literal")
+    pairs = []
+    for term in terms:
+        if term[0] in "+-":
+            pairs.append((-1 if term[0] == "-" else 1, term[1:].strip()))
+        else:
+            pairs.append((1, term))
+    return pairs
 
 
 def parse_poly(text, dim):
     """Parse the textual polynomial form; coefficients are bracketed vectors."""
-    body = text.strip()
-    if body in ("0", "+0", "-0"):
-        return Poly()
     acc = {}
-    for term in _split_signed_terms(body):
-        sign = 1
-        if term.startswith(("+", "-")):
-            sign = -1 if term[0] == "-" else 1
-            term = term[1:].strip()
+    for sign, term in split_signed_terms(text):
+        if term == "0":
+            continue
         if not term.startswith("["):
             raise ValueError(f"cannot parse polynomial term {term!r}")
         close = term.index("]")

@@ -31,22 +31,23 @@ def _require_star_skew(ring):
     return algebra
 
 
+def _graded_star(ring, p, odd_sign):
+    """Star the even-degree coefficients, scale the odd ones by ``odd_sign``."""
+    algebra = _require_star_skew(ring)
+    return Poly({
+        degree: algebra.star(coeff) if degree % 2 == 0 else coeff.scaled(odd_sign)
+        for degree, coeff in p.coeffs.items()
+    })
+
+
 def alpha(ring, p):
     """The sign-alternating coefficientwise involution."""
-    algebra = _require_star_skew(ring)
-    out = {}
-    for degree, coeff in p.coeffs.items():
-        out[degree] = algebra.star(coeff) if degree % 2 == 0 else -coeff
-    return Poly(out)
+    return _graded_star(ring, p, -1)
 
 
 def beta(ring, p):
     """The coefficientwise involution without sign alternation."""
-    algebra = _require_star_skew(ring)
-    out = {}
-    for degree, coeff in p.coeffs.items():
-        out[degree] = algebra.star(coeff) if degree % 2 == 0 else coeff
-    return Poly(out)
+    return _graded_star(ring, p, 1)
 
 
 def degree_one_extension_violations(ring, image):

@@ -21,13 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra_core import (
-    AlgebraElement,
-    Involution,
-    StarAlgebra,
-    StructureConstants,
-    zero_element,
-)
+from .algebra_core import AlgebraElement, Involution, StarAlgebra, StructureConstants
 from .flip_poly import Poly, ordinary_ring, star_skew_ring
 from .involutions import alpha
 from .scalars import simplify
@@ -49,51 +43,6 @@ class PolyPair:
     q: Poly
 
 
-def reduce(ring, p, mu):
-    """Fold each X^(2n) term into mu^n and each X^(2n+1) term into mu^n X."""
-    mu = simplify(mu)
-    if mu == 0:
-        raise ValueError("mu must be a cancellable (nonzero) scalar")
-    dim = ring.coeff_algebra.dim
-    a = zero_element(dim)
-    b = zero_element(dim)
-    for degree, coeff in p.coeffs.items():
-        folded = coeff.scaled(mu ** (degree // 2))
-        if degree % 2 == 0:
-            a = a + folded
-        else:
-            b = b + folded
-    return QuotElement(a, b)
-
-
-def quot_mul(algebra, mu, u, v):
-    """(a, b)(c, d) = (ac + mu d*b, da + bc*)."""
-    mu = simplify(mu)
-    if mu == 0:
-        raise ValueError("mu must be a cancellable (nonzero) scalar")
-    a, b, c, d = u.a, u.b, v.a, v.b
-    first = algebra.mul(a, c) + algebra.mul(algebra.star(d), b).scaled(mu)
-    second = algebra.mul(d, a) + algebra.mul(b, algebra.star(c))
-    return QuotElement(first, second)
-
-
-def quot_star(algebra, u):
-    """(a, b) -> (a*, -b), the involution alpha pushes down to the quotient."""
-    return QuotElement(algebra.star(u.a), -u.b)
-
-
-def phi(algebra, u):
-    """Coordinate identification with the double: concatenate the two slots."""
-    return AlgebraElement(u.a.coords + u.b.coords)
-
-
-def phi_inv(algebra, w):
-    n = algebra.dim
-    if len(w.coords) != 2 * n:
-        raise ValueError("expected an element of the doubled algebra")
-    return QuotElement(AlgebraElement(w.coords[:n]), AlgebraElement(w.coords[n:]))
-
-
 class QuotientRing:
     """The flipped star-skew ring modulo X^2 - mu, on canonical (a, b) pairs."""
 
@@ -109,29 +58,47 @@ class QuotientRing:
         return Poly({0: u.a}) + Poly({1: u.b})
 
     def reduce(self, p):
-        return reduce(self.ring, p, self.mu)
+        """Fold each X^(2n) term into mu^n and each X^(2n+1) term into mu^n X."""
+        a = b = self.algebra.zero()
+        for degree, coeff in p.coeffs.items():
+            folded = coeff.scaled(self.mu ** (degree // 2))
+            if degree % 2 == 0:
+                a = a + folded
+            else:
+                b = b + folded
+        return QuotElement(a, b)
 
     def mul(self, u, v):
-        return quot_mul(self.algebra, self.mu, u, v)
+        """(a, b)(c, d) = (ac + mu d*b, da + bc*)."""
+        mul, star = self.algebra.mul, self.algebra.star
+        a, b, c, d = u.a, u.b, v.a, v.b
+        first = mul(a, c) + mul(star(d), b).scaled(self.mu)
+        second = mul(d, a) + mul(b, star(c))
+        return QuotElement(first, second)
 
     def mul_via_reduction(self, u, v):
         """Independent route: multiply representatives in the ring, then reduce."""
         return self.reduce(self.ring.mul(self.lift(u), self.lift(v)))
 
     def star(self, u):
-        return quot_star(self.algebra, u)
+        """(a, b) -> (a*, -b), the involution alpha pushes down to the quotient."""
+        return QuotElement(self.algebra.star(u.a), -u.b)
 
     def star_via_reduction(self, u):
         return self.reduce(alpha(self.ring, self.lift(u)))
 
     def phi(self, u):
-        return phi(self.algebra, u)
+        """Coordinate identification with the double: concatenate the two slots."""
+        return AlgebraElement(u.a.coords + u.b.coords)
 
     def phi_inv(self, w):
-        return phi_inv(self.algebra, w)
+        n = self.algebra.dim
+        if len(w.coords) != 2 * n:
+            raise ValueError("expected an element of the doubled algebra")
+        return QuotElement(AlgebraElement(w.coords[:n]), AlgebraElement(w.coords[n:]))
 
     def basis(self):
-        zero = zero_element(self.algebra.dim)
+        zero = self.algebra.zero()
         out = [QuotElement(e, zero) for e in self.algebra.basis()]
         out.extend(QuotElement(zero, e) for e in self.algebra.basis())
         return out
@@ -172,10 +139,7 @@ def cayley_t_mul(algebra, u, v):
 
 
 def cayley_t_star(algebra, u):
-    return PolyPair(
-        _star_coeffwise(algebra, u.p),
-        Poly({d: -c for d, c in u.q.coeffs.items()}),
-    )
+    return PolyPair(_star_coeffwise(algebra, u.p), -u.q)
 
 
 def cayley_t_unit(algebra):
@@ -190,7 +154,10 @@ def psi(algebra, pair):
 
 
 def psi_inv(algebra, p):
-    """Split by degree parity; inverse of ``psi``."""
+    """Split by degree parity; inverse of ``psi``.
+
+    The even slot is the layer ``flip_poly.even_square_ring`` multiplies in.
+    """
     even = {}
     odd = {}
     for degree, coeff in p.coeffs.items():

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def simplify(value):
     """Collapse a Fraction with denominator 1 to a plain int."""
@@ -25,18 +23,6 @@ def simplify(value):
 def rat(numerator, denominator=1):
     """Build a scalar in canonical form."""
     return simplify(Fraction(numerator, denominator))
-
-
-def rat_add(a, b):
-    return simplify(a + b)
-
-
-def rat_mul(a, b):
-    return simplify(a * b)
-
-
-def rat_neg(a):
-    return -a
 
 
 def rat_inv(a):

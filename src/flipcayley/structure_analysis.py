@@ -30,7 +30,7 @@ BRUTE_BOUND_LIMIT = 4
 BRUTE_DEGREE_WINDOW = 2
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class DegreewiseSet:
     """Per-degree subspace bases (reduced echelon form) up to a degree bound."""
 
@@ -40,15 +40,6 @@ class DegreewiseSet:
 
     def dims(self):
         return {degree: len(basis) for degree, basis in self.per_degree.items()}
-
-    def __eq__(self, other):
-        if not isinstance(other, DegreewiseSet):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.bound == other.bound
-            and self.per_degree == other.per_degree
-        )
 
 
 # ----------------------------------------------------------- map-shape predicates
@@ -220,67 +211,10 @@ def alpha_trivial_criterion(algebra):
 
 
 # -------------------------------------------------------- degreewise sets: criteria
-# row kinds that StarAlgebra builds and caches itself
-_CORE_ROWS = (
-    "commuter", "star_fixed", "nucleus_left", "nucleus_middle", "nucleus_right"
-)
-
-
-def _named_rows(algebra, name):
-    if name in _CORE_ROWS:
-        return algebra._rows(name)
-
-    def build():
-        basis = algebra.basis()
-        mul = algebra.mul
-        star = algebra.star
-        if name == "kill_star_skew":
-            # a (b* - b) = 0 for all b
-            maps = [lambda x, b=b: mul(x, star(b) - b) for b in basis]
-        elif name == "kill_commutators":
-            maps = [
-                lambda x, b=b, c=c: mul(x, algebra.commutator(b, c))
-                for i, b in enumerate(basis)
-                for c in basis[i + 1:]
-            ]
-        elif name == "swap_right":
-            # (a b) c = a (c b)
-            maps = [
-                lambda x, b=b, c=c: mul(mul(x, b), c) - mul(x, mul(c, b))
-                for b in basis
-                for c in basis
-            ]
-        elif name == "outer_twist":
-            # (b c) a = c (b a)
-            maps = [
-                lambda x, b=b, c=c: mul(mul(b, c), x) - mul(c, mul(b, x))
-                for b in basis
-                for c in basis
-            ]
-        elif name == "exchange_right":
-            # (a b) c = (a c) b
-            maps = [
-                lambda x, b=b, c=c: mul(mul(x, b), c) - mul(mul(x, c), b)
-                for b in basis
-                for c in basis
-            ]
-        elif name == "exchange_left":
-            # b (c a) = c (b a)
-            maps = [
-                lambda x, b=b, c=c: mul(b, mul(c, x)) - mul(c, mul(b, x))
-                for b in basis
-                for c in basis
-            ]
-        else:
-            raise ValueError(f"unknown row kind {name!r}")
-        return algebra.constraint_rows(maps)
-
-    return algebra.cached(("sa_rows", name), build)
-
-
 _Z_ROWS = ("commuter", "nucleus_left", "nucleus_middle", "nucleus_right")
+_CENTER_ROWS = (_Z_ROWS + ("star_fixed",), _Z_ROWS + ("star_fixed", "kill_star_skew"))
 
-# (even-degree row kinds, odd-degree row kinds) for each structural set
+# (even-degree row kinds, odd-degree row kinds) of ``StarAlgebra._rows`` for each set
 _KIND_ROWS = {
     "commuter": (
         ("commuter", "star_fixed"),
@@ -298,26 +232,19 @@ _KIND_ROWS = {
         _Z_ROWS,
         _Z_ROWS + ("kill_commutators",),
     ),
-    "center": (
-        _Z_ROWS + ("star_fixed",),
-        _Z_ROWS + ("star_fixed", "kill_star_skew"),
-    ),
+    "center": _CENTER_ROWS,
+    "z_star": (_CENTER_ROWS[0], _CENTER_ROWS[1] + ("negation_fixed",)),
 }
 
 
-def _solve_named(algebra, names, extra_rows=()):
-    def build():
-        rows = []
-        for name in names:
-            rows.extend(_named_rows(algebra, name))
-        rows.extend(extra_rows)
-        return tuple(
-            AlgebraElement(v) for v in linalg.nullspace(rows, algebra.dim)
-        )
-
-    if extra_rows:
-        return build()
-    return algebra.cached(("sa_solve", names), build)
+def _solve_by_parity(algebra, which, bound):
+    if not 0 <= bound <= CRITERIA_BOUND_LIMIT:
+        raise ValueError(f"bound must be between 0 and {CRITERIA_BOUND_LIMIT}")
+    even_kinds, odd_kinds = _KIND_ROWS[which]
+    even = algebra._solve(even_kinds)
+    odd = algebra._solve(odd_kinds)
+    per_degree = {i: even if i % 2 == 0 else odd for i in range(bound + 1)}
+    return DegreewiseSet(which, bound, per_degree)
 
 
 def degreewise_set(algebra, which, bound):
@@ -328,13 +255,7 @@ def degreewise_set(algebra, which, bound):
     """
     if which not in SET_KINDS:
         raise ValueError(f"which must be one of {SET_KINDS}")
-    if not 0 <= bound <= CRITERIA_BOUND_LIMIT:
-        raise ValueError(f"bound must be between 0 and {CRITERIA_BOUND_LIMIT}")
-    even_names, odd_names = _KIND_ROWS[which]
-    even = _solve_named(algebra, tuple(even_names))
-    odd = _solve_named(algebra, tuple(odd_names))
-    per_degree = {i: even if i % 2 == 0 else odd for i in range(bound + 1)}
-    return DegreewiseSet(which, bound, per_degree)
+    return _solve_by_parity(algebra, which, bound)
 
 
 def z_star_of_b(algebra, bound):
@@ -342,25 +263,10 @@ def z_star_of_b(algebra, bound):
 
     The canonical involution acts on the degree-i coefficient by
     (-1)^i *^(i+1); its fixed-point condition is star-fixedness at even
-    degrees and vanishing at odd degrees (the latter because doubling the
-    coefficient never gives zero over the rationals unless it is zero).
+    degrees, already part of the center's conditions, and vanishing at odd
+    degrees (-x = x forces x = 0 over the rationals).
     """
-    if not 0 <= bound <= CRITERIA_BOUND_LIMIT:
-        raise ValueError(f"bound must be between 0 and {CRITERIA_BOUND_LIMIT}")
-    even_names, odd_names = _KIND_ROWS["center"]
-    n = algebra.dim
-    even_fix = linalg.mat_sub(algebra.involution.matrix, linalg.identity_matrix(n))
-    odd_fix = tuple(
-        tuple(-2 if i == j else 0 for j in range(n)) for i in range(n)
-    )
-    even = _solve_named(algebra, tuple(even_names), extra_rows=even_fix)
-    odd = _solve_named(algebra, tuple(odd_names), extra_rows=odd_fix)
-    per_degree = {i: even if i % 2 == 0 else odd for i in range(bound + 1)}
-    return DegreewiseSet("z_star", bound, per_degree)
-
-
-# Spec-facing alias: the ring whose center is being carved up is called B there.
-z_star_of_B = z_star_of_b
+    return _solve_by_parity(algebra, "z_star", bound)
 
 
 # ----------------------------------------------------- degreewise sets: brute force

@@ -13,14 +13,14 @@ from itertools import product
 from . import structure_analysis as sa
 from .cayley_dickson import cayley_double, named, tower
 from .flip_poly import (
+    FlipPolyRing,
+    Poly,
     ProductRule,
     check_axioms,
     poly_to_text,
     rules_agree,
     star_skew_ring,
-    FlipPolyRing,
 )
-from .flip_poly import Poly
 from .quotient_iso import (
     PolyPair,
     QuotientRing,
@@ -348,7 +348,3 @@ def run_suite(name, algebra=None, mu=None, bound=None):
             f"unknown suite {name!r}; valid suites: {', '.join(SUITES)}"
         ) from None
     return suite(algebra=algebra, mu=mu, bound=bound)
-
-
-def run_all(algebra=None, mu=None, bound=None):
-    return [run_suite(name, algebra=algebra, mu=mu, bound=bound) for name in SUITES]

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flipcayley import StarAlgebra, cayley_double, find_zero_divisor, named
 from flipcayley.cli import format_element, main, parse_element
@@ -200,6 +204,9 @@ def test_usage_errors_exit_2(capsys):
         (["analyze", "--algebra=C", "--set=center", "--bound=12"], "20"),
         (["verify", "--suite=thm1", "--mu=0"], None),
         (["mul", "--mus=-1,,-1", "e1", "e2"], None),
+        (["involution", "--algebra=H", ""], None),
+        (["involution", "--algebra=H", "--validate", ""], None),
+        (["analyze", "--algebra=C", "--set=z_star", "--cross-check"], None),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(argv, max_degree, capsys, monkeypatch):
@@ -211,3 +218,125 @@ def test_bad_input_exits_2_with_one_error_line(argv, max_degree, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+_H_TABLE = """\
+*   e0  e1   e2   e3
+e0  e0  e1   e2   e3
+e1  e1  -e0  e3   -e2
+e2  e2  -e3  -e0  e1
+e3  e3  e2   -e1  -e0
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["table", "--algebra=H"], _H_TABLE),
+        (["quotient", "--algebra=C", "--mu=-1", "table"], _H_TABLE),
+        (
+            ["analyze", "--algebra=H", "--set=center", "--bound=2", "--cross-check"],
+            "degree  dim  basis\n"
+            "0       1    e0\n"
+            "1       0    -\n"
+            "2       1    e0\n"
+            "cross-check vs brute force (bound 2): OK\n",
+        ),
+    ],
+)
+def test_text_output_is_pinned(argv, expected, capsys, monkeypatch):
+    monkeypatch.delenv("FLIPCAYLEY_MAX_DEGREE", raising=False)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+# ------------------------------------------------------------------- fuzzing
+_JUNK = ("", " ", ",", "[", "]", "1/0", "e9", "*X", "[1/0,1]")
+
+
+def _signed_sum(terms):
+    pieces = st.sampled_from(terms * 6 + _JUNK)
+    return st.lists(st.tuples(st.sampled_from(("-", " + ", " - ")), pieces), max_size=3).map(
+        lambda drawn: "".join(sign + piece for sign, piece in drawn)
+    )
+
+
+_element = _signed_sum(("e0", "e1", "e3", "1/2*e2", "3", "0"))
+_poly = _signed_sum(("[1,0]", "[0,1]*X", "[1,0,0,0]", "[0,1,0,0]*X", "[0,0,0,1/2]*X^2", "0"))
+_scalar = st.sampled_from(("-1", "1", "1/2", "0", "1/0", "", ","))
+_algebra = st.one_of(
+    st.sampled_from(("R", "C", "H")).map("--algebra={}".format),
+    st.lists(_scalar, max_size=2).map(lambda parts: "--mus=" + ",".join(parts)),
+)
+_bound = st.integers(-1, 3).map("--bound={}".format)
+_json = st.just("--json")
+# command -> (required flags, optional flags, positional arguments)
+_COMMANDS = {
+    "algebra": ((_algebra,), (_json, st.just("--zero-divisors")), ()),
+    "mul": ((_algebra,), (_json,), (_element,) * 2),
+    "assoc": ((_algebra,), (_json,), (_element,) * 3),
+    "table": ((_algebra,), (_json,), ()),
+    "check": (
+        (_algebra, st.sampled_from("ONF").map("--family={}".format)),
+        (_bound,),
+        (),
+    ),
+    "involution": (
+        (_algebra,),
+        (_json, st.sampled_from(("alpha", "beta")).map("--which={}".format),
+         _poly.map("--validate={}".format)),
+        (_poly,),
+    ),
+    "quotient": (
+        (_algebra, _scalar.map("--mu={}".format)),
+        (_json,),
+        (st.sampled_from(("mul", "star", "table")), _element, _element),
+    ),
+    "analyze": (
+        (
+            _algebra,
+            st.sampled_from(
+                ("commuter", "nucleus", "middle_nucleus", "left_right_nucleus", "center", "z_star")
+            ).map("--set={}".format),
+        ),
+        (_bound, _json, st.just("--cross-check")),
+        (),
+    ),
+    # one suite on one algebra: every suite on every algebra takes seconds
+    "verify": (
+        (
+            st.sampled_from(("thm1", "thm2", "props", "centers", "corollary", "axioms"))
+            .map("--suite={}".format),
+            st.sampled_from(("R", "C", "H")).map("--algebra={}".format),
+        ),
+        (_scalar.map("--mu={}".format),),
+        (),
+    ),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional, positionals = _COMMANDS[command]
+    argv = [command] + [draw(flag) for flag in required]
+    argv += draw(st.lists(st.one_of(optional), max_size=3))
+    count = len(positionals) - draw(st.sampled_from((0, 0, 0, 1)))
+    literals = [draw(p) for p in positionals[: max(count, 0)]]
+    # after "--" a literal such as "-e1" is read as a positional, not as a flag
+    return argv + ["--"] + literals if literals else argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_main_keeps_the_exit_code_contract(argv, monkeypatch):
+    """No exception escapes ``main``, and exit code 1 means a check really failed."""
+    monkeypatch.delenv("FLIPCAYLEY_MAX_DEGREE", raising=False)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        command = argv[0]
+        validating = command == "involution" and any(a.startswith("--validate=") for a in argv)
+        cross_checking = command == "analyze" and "--cross-check" in argv
+        assert command in ("check", "verify") or validating or cross_checking, argv

@@ -15,12 +15,12 @@ from flipcayley import (
     Poly,
     ProductRule,
     check_axioms,
-    graded_join,
-    graded_split,
     named,
     ordinary_ring,
     parse_poly,
     poly_to_text,
+    psi,
+    psi_inv,
     rules_agree,
     star_skew_ring,
     tower,
@@ -421,25 +421,24 @@ def test_axioms_validation():
 # ---------------------------------------------------------------------- grading
 def test_graded_split_reindexes(algebras):
     H = algebras["H"]
-    ring = star_skew_ring(H)
     one, i, j, k = H.basis()
     p = Poly({0: one, 1: i, 2: j, 3: k})
-    even, odd = graded_split(ring, p)
-    assert even == Poly({0: one, 1: j})
-    assert odd == Poly({0: i, 1: k})
-    assert graded_join(ring, even, odd) == p
+    split = psi_inv(H, p)
+    assert split.p == Poly({0: one, 1: j})
+    assert split.q == Poly({0: i, 1: k})
+    assert psi(H, split) == p
 
 
 def test_graded_split_of_zero(algebras):
-    even, odd = graded_split(star_skew_ring(algebras["H"]), Poly())
-    assert even.is_zero() and odd.is_zero()
+    split = psi_inv(algebras["H"], Poly())
+    assert split.p.is_zero() and split.q.is_zero()
 
 
-def test_graded_split_requires_anticommuting_maps(algebras):
+def test_even_square_ring_requires_anticommuting_maps(algebras):
     H = algebras["H"]
     ring = FlipPolyRing(H, AdditiveMap.from_star(H), shift_map(4), flipped=True)
     with pytest.raises(ValueError):
-        graded_split(ring, ring.one())
+        even_square_ring(ring)
 
 
 def test_even_layer_multiplies_like_the_square_ring(algebras):
@@ -451,9 +450,9 @@ def test_even_layer_multiplies_like_the_square_ring(algebras):
             for a in H.basis():
                 for b in H.basis():
                     product = ring.mul(Poly({2 * m: a}), Poly({2 * n: b}))
-                    even, odd = graded_split(ring, product)
-                    assert odd.is_zero()
-                    assert even == square.mul(Poly({m: a}), Poly({n: b}))
+                    split = psi_inv(H, product)
+                    assert split.q.is_zero()
+                    assert split.p == square.mul(Poly({m: a}), Poly({n: b}))
 
 
 # -------------------------------------------------------------------- io/forms

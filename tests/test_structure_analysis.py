@@ -1,6 +1,6 @@
 import pytest
 
-from flipcayley import QuotientRing, star_skew_ring, tower
+from flipcayley import Poly, QuotientRing, alpha, linalg, star_skew_ring, tower
 from flipcayley import structure_analysis as sa
 from flipcayley.flip_poly import AdditiveMap, FlipPolyRing
 
@@ -141,8 +141,22 @@ def test_degreewise_set_equality_semantics(algebras):
     assert a != c
 
 
-def test_z_star_uppercase_alias(algebras):
-    assert sa.z_star_of_B is sa.z_star_of_b
+def test_z_star_is_alpha_fixed_part_of_brute_force_center(algebras):
+    """Oracle: the alpha-fixed elements of the brute-force center, degree by degree."""
+    for name in ("R", "C", "C'", "H", "H'"):
+        A = algebras[name]
+        ring = star_skew_ring(A)
+        center = sa.degreewise_set_bruteforce(A, "center", 2)
+        zs = sa.z_star_of_b(A, 2)
+        for i, basis in center.per_degree.items():
+            moved = [alpha(ring, Poly({i: b})).coeff(i, A.dim) - b for b in basis]
+            rows = [tuple(v.coords[r] for v in moved) for r in range(A.dim)]
+            fixed = [
+                sum((b.scaled(c) for c, b in zip(lam, basis)), A.zero()).coords
+                for lam in linalg.nullspace(rows, len(basis))
+            ]
+            want = linalg.row_space(fixed, A.dim)
+            assert tuple(e.coords for e in zs.per_degree[i]) == want, (name, i)
 
 
 def test_z_star_patterns(algebras):
