@@ -383,12 +383,17 @@ class StarAlgebra:
         return self.cached(("rows", kind), build)
 
     def _solve(self, kinds):
-        """Basis of the elements meeting every row kind in ``kinds``, cached by the tuple."""
+        """Basis of the elements meeting every row kind in ``kinds``, cached by the tuple.
+
+        Each kind enters as its cached reduced row space (at most dim rows).
+        """
 
         def build():
             rows = []
             for kind in kinds:
-                rows.extend(self._rows(kind))
+                rows.extend(self.cached(
+                    ("row_space", kind), lambda: linalg.row_space(self._rows(kind), self.dim)
+                ))
             return tuple(AlgebraElement(v) for v in linalg.nullspace(rows, self.dim))
 
         return self.cached(("solve", kinds), build)

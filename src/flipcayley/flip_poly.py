@@ -18,6 +18,10 @@ a sparse ``linalg.LinearMap`` with integer entries over one common
 denominator.  The ring product multiplies integer vectors over a common
 denominator and divides once per output coordinate.  The combinatorial sum
 survives as the independent test oracle ``pi_oracle``.
+
+Each ring caches the products of single-term operands by degrees and
+coordinate values (the product depends on nothing else, as a ring never
+changes); ``mul`` and ``monomial_product`` both read it and return copies.
 """
 
 from __future__ import annotations
@@ -95,6 +99,13 @@ class Poly:
                 clean[degree] = coeff
         self.coeffs = dict(sorted(clean.items()))
 
+    @classmethod
+    def _trusted(cls, coeffs):
+        """Wrap a dict that is already sorted by degree and free of zeros, unchecked."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
     def support(self):
         return tuple(self.coeffs)
 
@@ -114,7 +125,10 @@ class Poly:
         return Poly(acc)
 
     def __sub__(self, other):
-        return self + (-other)
+        acc = dict(self.coeffs)
+        for degree, coeff in other.coeffs.items():
+            acc[degree] = acc[degree] - coeff if degree in acc else -coeff
+        return Poly(acc)
 
     def __neg__(self):
         return Poly({degree: -coeff for degree, coeff in self.coeffs.items()})
@@ -138,9 +152,13 @@ class FlipPolyRing:
     output coordinate.  The table grows by publishing a longer tuple of
     complete levels, never a half-built one, so rings can be shared across
     threads.
+
+    ``(a X^m)(b X^n)`` is cached under ``(m, a.coords, n, b.coords)``: the
+    ring's maps and table never change, so the key fixes the product.  Threads
+    may compute one entry twice; both store equal values in one assignment.
     """
 
-    __slots__ = ("coeff_algebra", "sigma", "delta", "flipped", "_table", "_levels")
+    __slots__ = ("coeff_algebra", "sigma", "delta", "flipped", "_table", "_levels", "_products")
 
     def __init__(self, coeff_algebra, sigma, delta, flipped):
         if sigma.kind != "sigma" or delta.kind != "delta":
@@ -156,6 +174,7 @@ class FlipPolyRing:
         self.flipped = bool(flipped)
         self._table = _integer_table(coeff_algebra)
         self._levels = ({0: linalg.LinearMap.identity(dim)},)
+        self._products = {}
 
     # -------------------------------------------------------------- construction
     def constant(self, elem):
@@ -229,7 +248,7 @@ class FlipPolyRing:
         return total
 
     def _product(self, p, q):
-        """The product of two ``{degree: coefficient}`` dicts, as such a dict without zeros."""
+        """The product of two ``{degree: coefficient}`` dicts, as one sorted and zero-free."""
         table, dt = self._table
         dim = len(table)
         dp, left = _cleared(p, dim)
@@ -263,7 +282,7 @@ class FlipPolyRing:
                                 out[k] += c * t
         whole = dp * dq * dt
         result = {}
-        for k, (den, out) in acc.items():
+        for k, (den, out) in sorted(acc.items()):
             if any(out):
                 d = den * whole
                 result[k] = AlgebraElement(
@@ -271,14 +290,25 @@ class FlipPolyRing:
                 )
         return result
 
+    def _monomial(self, m, a, n, b):
+        """The cached ``_product`` of ``{m: a}`` and ``{n: b}``; not to be mutated."""
+        key = (m, a.coords, n, b.coords)
+        hit = self._products.get(key)
+        if hit is None:
+            hit = self._products[key] = self._product({m: a}, {n: b})
+        return hit
+
     def monomial_product(self, m, a, n, b):
         """(a X^m)(b X^n) as a dict degree -> coefficient."""
         if m < 0 or n < 0:
             raise ValueError("degrees must be natural numbers")
-        return self._product({m: a}, {n: b})
+        return dict(self._monomial(m, a, n, b))
 
     def mul(self, p, q):
-        return Poly(self._product(p.coeffs, q.coeffs))
+        if len(p.coeffs) == 1 == len(q.coeffs):
+            ((m, a),), ((n, b),) = p.coeffs.items(), q.coeffs.items()
+            return Poly._trusted(dict(self._monomial(m, a, n, b)))
+        return Poly._trusted(self._product(p.coeffs, q.coeffs))
 
 
 def _cleared(coeffs, dim):

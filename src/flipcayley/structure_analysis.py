@@ -105,7 +105,7 @@ def x_in_nucleus(ring, side):
         while changed:
             changed = False
             for row in reducer.rows():
-                if reducer.add(linalg.mat_vec(ring.delta.matrix, row)):
+                if reducer.add(ring.delta.linear.apply(row)):
                     changed = True
         commuter = [e.coords for e in algebra.commuter_basis()]
         return all(
@@ -271,12 +271,14 @@ def z_star_of_b(algebra, bound):
 
 # ----------------------------------------------------- degreewise sets: brute force
 def _brute_primitive_rows(algebra, ring, degree, primitive):
-    """Constraint rows on the degree-``degree`` coefficient, via real ring products."""
+    """The reduced row space of the constraint rows on the degree-``degree``
+    coefficient, built from real ring products."""
 
     def build():
         basis = algebra.basis()
         n = algebra.dim
         window = range(BRUTE_DEGREE_WINDOW + 1)
+        monomials = {(d, e): ring.monomial(d, e) for d in {degree, *window} for e in basis}
         constraints = []
         if primitive == "commuter":
             for j in window:
@@ -290,11 +292,11 @@ def _brute_primitive_rows(algebra, ring, degree, primitive):
                             constraints.append((primitive, b, j, c, k))
 
         def value(kind, a, b, j, c, k):
-            pa = ring.monomial(degree, a)
-            pb = ring.monomial(j, b)
+            pa = monomials[degree, a]
+            pb = monomials[j, b]
             if kind == "c":
                 return ring.mul(pa, pb) - ring.mul(pb, pa)
-            pc = ring.monomial(k, c)
+            pc = monomials[k, c]
             if kind == "left":
                 slots = (pa, pb, pc)
             elif kind == "middle":
@@ -313,7 +315,7 @@ def _brute_primitive_rows(algebra, ring, degree, primitive):
                 cols = [img.coeff(d, n).coords for img in images]
                 for r in range(n):
                     rows.append(tuple(cols[u][r] for u in range(n)))
-        return tuple(rows)
+        return linalg.row_space(rows, n)
 
     return algebra.cached(("brute_rows", degree, primitive), build)
 
@@ -336,7 +338,7 @@ def degreewise_set_bruteforce(algebra, which, bound):
         raise ValueError(f"which must be one of {SET_KINDS}")
     if not 0 <= bound <= BRUTE_BOUND_LIMIT:
         raise ValueError(f"bound must be between 0 and {BRUTE_BOUND_LIMIT}")
-    ring = star_skew_ring(algebra)
+    ring = algebra.cached("star_skew_ring", lambda: star_skew_ring(algebra))
     per_degree = {}
     for degree in range(bound + 1):
         if which == "commuter":

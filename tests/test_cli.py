@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -183,6 +184,13 @@ def test_verify_all_is_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.count("result: PASS") == 1
+
+
+def test_verify_all_report_is_pinned(capsys):
+    assert main(["verify", "--all"]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "b74c94674264e92003f7a8e7a53e062bf5997b6527f631f92959a5055ac658dc"
 
 
 def test_usage_errors_exit_2(capsys):

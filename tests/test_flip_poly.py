@@ -133,6 +133,8 @@ def test_star_skew_monomial_products(algebras):
     for m in range(7):
         for r in H.basis():
             assert ring.mul(Poly({m: r}), ring.x()) == Poly({m + 1: r})
+    # the degrees come out sorted although the kernel meets them out of order
+    assert list(ring.mul(Poly({0: i, 3: j}), Poly({0: k, 1: one})).coeffs) == [0, 1, 3, 4]
 
 
 def test_ring_mul_of_degree_one_monomials(algebras):
@@ -246,11 +248,9 @@ _SCALARS = st.one_of(
 
 
 @st.composite
-def _rings_and_operands(draw):
+def _rings(draw):
     """A ring over H, O or the (1/2, 3) tower, flipped or not, with either the
-    star and zero maps or sparse sigma/delta with Fraction entries; plus a left
-    operand of degree <= 12 and a right operand with dense mixed-denominator
-    coefficients."""
+    star and zero maps or sparse sigma/delta with Fraction entries."""
     algebra = _ALGEBRAS[draw(st.sampled_from(sorted(_ALGEBRAS)))]
     dim = algebra.dim
     if draw(st.booleans()):
@@ -264,8 +264,19 @@ def _rings_and_operands(draw):
                 i, j = draw(st.integers(0, dim - 1)), draw(st.integers(1, dim - 1))
                 rows[i][j] = draw(_SCALARS)
         sigma, delta = AdditiveMap(sigma_rows, "sigma"), AdditiveMap(delta_rows, "delta")
-    ring = FlipPolyRing(algebra, sigma, delta, flipped=draw(st.booleans()))
-    coeff = st.lists(_SCALARS, min_size=dim, max_size=dim).map(AlgebraElement)
+    return FlipPolyRing(algebra, sigma, delta, flipped=draw(st.booleans()))
+
+
+def _coefficients(dim):
+    return st.lists(_SCALARS, min_size=dim, max_size=dim).map(AlgebraElement)
+
+
+@st.composite
+def _rings_and_operands(draw):
+    """A ring from ``_rings``; plus a left operand of degree <= 12 and a right
+    operand with dense mixed-denominator coefficients."""
+    ring = draw(_rings())
+    coeff = _coefficients(ring.coeff_algebra.dim)
     left = draw(st.dictionaries(st.integers(0, 12), coeff, min_size=1, max_size=2))
     right = draw(st.dictionaries(st.integers(0, 4), coeff, min_size=1, max_size=2))
     return ring, Poly(left), Poly(right)
@@ -290,6 +301,46 @@ def test_ring_mul_matches_pi_oracle_route(case):
     assert ring.mul(p, q) == _oracle_product(ring, p, q)
 
 
+def _sorted_and_zero_free(p):
+    return list(p.coeffs) == sorted(p.coeffs) and not any(c.is_zero() for c in p.coeffs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rings(), st.data())
+def test_monomial_product_cache_is_transparent(ring, data):
+    """A cached product equals the product of a fresh ring and of the pi_oracle
+    route; what callers do to a returned product never reaches the cache."""
+    algebra = ring.coeff_algebra
+    coeff = _coefficients(algebra.dim)
+    m, n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 4))
+    a, b = data.draw(coeff), data.draw(coeff)
+    p, q = Poly({m: a}), Poly({n: b})
+    expected = _oracle_product(ring, p, q)
+    fresh = FlipPolyRing(algebra, ring.sigma, ring.delta, ring.flipped)
+    assert fresh.mul(p, q) == expected
+    first = ring.mul(p, q)  # a miss
+    assert first == expected and _sorted_and_zero_free(first)
+    first.coeffs.clear()
+    first.coeffs[m + n + 1] = algebra.unit
+    as_dict = ring.monomial_product(m, a, n, b)  # a hit
+    assert as_dict == expected.coeffs
+    as_dict.clear()
+    as_dict[0] = algebra.unit
+    again = ring.mul(p, q)
+    assert again == expected and _sorted_and_zero_free(again)
+    assert ring.monomial_product(m, a, n, b) == expected.coeffs
+    # a product of several terms, whose degrees the kernel meets out of order
+    wide_p, wide_q = p + Poly({m + 3: b}), q + Poly({n + 1: a})
+    wide = ring.mul(wide_p, wide_q)
+    assert wide == _oracle_product(ring, wide_p, wide_q) and _sorted_and_zero_free(wide)
+    short, long = AlgebraElement((1,) * (algebra.dim - 1)), AlgebraElement(b.coords + (1,))
+    for _ in range(2):  # a failed product is not cached
+        with pytest.raises(ValueError):
+            ring.mul(Poly({m: short}), q)
+        with pytest.raises(ValueError):
+            ring.monomial_product(m, a, n, long)
+
+
 def test_deep_degree_product(algebras):
     S = algebras["S"]
     e1, e2 = S.basis()[1:3]
@@ -308,11 +359,16 @@ def test_shared_ring_across_threads(algebras):
 
     fresh = make_ring()
     expected = {m: fresh.mul(Poly({m: one + k}), q) for m in degrees}
+    expected_single = {m: fresh.mul(Poly({m: j}), Poly({3: k})) for m in degrees}
     shared = make_ring()
     got = {}
+    single = []
 
     def work(m):
         got[m] = shared.mul(Poly({m: one + k}), q)
+        # every thread asks for the same single-term products, which the ring caches
+        for d in degrees:
+            single.append((d, shared.mul(Poly({d: j}), Poly({3: k}))))
 
     threads = [threading.Thread(target=work, args=(m,)) for m in degrees]
     interval = sys.getswitchinterval()
@@ -326,6 +382,8 @@ def test_shared_ring_across_threads(algebras):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == expected
+    assert len(single) == len(degrees) ** 2
+    assert all(product == expected_single[d] for d, product in single)
     top = max(degrees)
     assert all(shared.pi_matrix(i, top) == fresh.pi_matrix(i, top) for i in range(top + 1))
 

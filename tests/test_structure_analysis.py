@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from flipcayley import Poly, QuotientRing, alpha, linalg, star_skew_ring, tower
+from flipcayley import AlgebraElement, Poly, QuotientRing, alpha, linalg, star_skew_ring, tower
 from flipcayley import structure_analysis as sa
 from flipcayley.flip_poly import AdditiveMap, FlipPolyRing
 
@@ -178,3 +180,82 @@ def test_corollary_patterns_small_bound():
         for i in range(5):
             expected = A.dim if n <= 1 else (1 if i % 2 == 0 else 0)
             assert len(nucleus.per_degree[i]) == expected
+
+
+# ------------------------------------------------- reduced row spaces per kind
+def _raw_solve(A, kinds):
+    """Nullspace of the concatenated raw rows of every kind."""
+    rows = [row for kind in kinds for row in A._rows(kind)]
+    return tuple(AlgebraElement(v) for v in linalg.nullspace(rows, A.dim))
+
+
+def test_row_space_route_matches_raw_rows(algebras):
+    cases = list(algebras.items()) + [
+        ("tower(1/2, 3, -1)", tower([Fraction(1, 2), 3, -1])),
+        ("tower(1, 1, 1)", tower([1, 1, 1])),
+    ]
+    tuples = {kinds for pair in sa._KIND_ROWS.values() for kinds in pair}
+    nuclei = ("nucleus_left", "nucleus_middle", "nucleus_right")
+    for name, A in cases:
+        for kinds in sorted(tuples):
+            assert A._solve(kinds) == _raw_solve(A, kinds), (name, kinds)
+        public = [
+            (A.commuter_basis(), ("commuter",)),
+            (A.nucleus_basis(), nuclei),
+            (A.center_basis(), ("commuter",) + nuclei),
+            (A.c_star_basis(), ("commuter", "star_fixed")),
+            (A.z_star_basis(), ("commuter",) + nuclei + ("star_fixed",)),
+        ]
+        public += [(A.nucleus_basis(side), (f"nucleus_{side}",)) for side in sa.X_SIDES]
+        for got, kinds in public:
+            assert got == _raw_solve(A, kinds), (name, kinds)
+
+
+def _raw_brute_rows(ring, degree, primitive):
+    """The brute-force oracle's constraint rows, rebuilt from ``ring.mul``."""
+    A = ring.coeff_algebra
+    n = A.dim
+    window = range(sa.BRUTE_DEGREE_WINDOW + 1)
+    mul = ring.mul
+
+    def commutator(x, y):
+        return mul(x, y) - mul(y, x)
+
+    def associator(x, y, z):
+        return mul(mul(x, y), z) - mul(x, mul(y, z))
+
+    if primitive == "commuter":
+        maps = [
+            lambda x, y=Poly({j: b}): commutator(x, y) for j in window for b in A.basis()
+        ]
+    else:
+        place = {
+            "left": lambda x, y, z: (x, y, z),
+            "middle": lambda x, y, z: (y, x, z),
+            "right": lambda x, y, z: (y, z, x),
+        }[primitive]
+        maps = [
+            lambda x, y=Poly({j: b}), z=Poly({k: c}): associator(*place(x, y, z))
+            for j in window
+            for k in window
+            for b in A.basis()
+            for c in A.basis()
+        ]
+    rows = []
+    for f in maps:
+        images = [f(Poly({degree: a})) for a in A.basis()]
+        for d in sorted({d for img in images for d in img.coeffs}):
+            cols = [img.coeff(d, n).coords for img in images]
+            rows.extend(tuple(col[r] for col in cols) for r in range(n))
+    return rows
+
+
+def test_brute_row_spaces_span_the_raw_rows(algebras):
+    H = algebras["H"]
+    ring = star_skew_ring(H)
+    for degree in range(sa.BRUTE_DEGREE_WINDOW + 1):
+        for primitive in ("commuter", "left", "middle", "right"):
+            raw = _raw_brute_rows(ring, degree, primitive)
+            assert len(raw) > H.dim, (degree, primitive)
+            got = sa._brute_primitive_rows(H, ring, degree, primitive)
+            assert got == linalg.row_space(raw, H.dim), (degree, primitive)
