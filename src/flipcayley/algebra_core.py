@@ -7,9 +7,12 @@ star-fixed parts) are nullspaces of commutator/associator constraint maps and
 are computed by exact elimination.  Returned bases are in reduced row echelon
 form, the canonical subspace representative used throughout the package.
 
-Basis-triple predicates and the nucleus constraint rows use a sparse
-associator kernel that walks the multiplication table directly; the public
-``mul``/``associator`` route is kept as the reference the tests compare it to.
+Every constraint kind, and the brute-force oracle of ``structure_analysis``,
+hands ``StarAlgebra.constraint_rows`` blocks of sparse basis images; it keeps
+only the distinct nonzero rows, and each kind is cached as its reduced row
+space alone.  Basis-triple predicates and the nucleus rows use a sparse
+associator kernel that walks the multiplication table directly; the tests
+compare them with dense rows built from the public ``mul``/``associator``.
 """
 
 from __future__ import annotations
@@ -322,65 +325,75 @@ class StarAlgebra:
         return self.cached("alternative", lambda: self.alternativity_witness() is None)
 
     # ------------------------------------------------------ structural subspaces
-    def constraint_rows(self, maps):
-        """Stacked rows of the matrices of the given linear maps."""
-        basis = self.basis()
-        n = self.dim
-        rows = []
-        for apply_map in maps:
-            cols = [apply_map(e).coords for e in basis]
-            for r in range(n):
-                rows.append(tuple(cols[c][r] for c in range(n)))
-        return tuple(rows)
+    def constraint_rows(self, blocks):
+        """The distinct nonzero rows of stacked linear maps, given sparsely.
+
+        Each block lists the images of e_0, ..., e_(dim-1) under one linear
+        map, each image as ``(r, v)`` pairs (zero ``v`` allowed).  Its rows
+        are the transposed ``{x: v}``; zero rows and rows seen before are
+        dropped, and only the survivors are made dense, in first-seen order.
+        """
+        rows = {}  # sparse row -> None: an ordered set
+        for images in blocks:
+            block = {}
+            for x, image in enumerate(images):
+                for r, v in image:
+                    if v:
+                        block.setdefault(r, []).append((x, v))
+            rows.update(dict.fromkeys(tuple(row) for row in block.values()))
+        return tuple(
+            tuple(entries.get(x, 0) for x in range(self.dim))
+            for entries in map(dict, rows)
+        )
 
     def _rows(self, kind):
-        """Constraint rows on an unknown x, one block per condition, cached by kind.
+        """The distinct constraint rows of one kind on an unknown x.
 
         ``commuter``: xb = bx; ``star_fixed``: x* = x; ``negation_fixed``:
         -x = x; ``nucleus_*``: the associator with x in that slot vanishes;
         ``kill_star_skew``: x(b* - b) = 0; ``kill_commutators``: x(bc - cb) = 0;
-        the kinds of ``_PAIR_IDENTITIES``: the identity named there.
+        the kinds of ``_PAIR_IDENTITIES``: the identity named there.  The two
+        kill kinds ask x w = 0 only for w in a basis of the span of those
+        vectors, which is the same condition since the product is bilinear.
         """
+        n = self.dim
+        basis = self.basis()
+        mul = self.mul
 
-        def build():
-            n = self.dim
-            if kind == "star_fixed":
-                return linalg.mat_sub(self.involution.matrix, linalg.identity_matrix(n))
-            if kind == "negation_fixed":
-                return tuple(tuple(-2 if i == j else 0 for j in range(n)) for i in range(n))
-            if kind in _NUCLEUS_TRIPLES:
-                triple = _NUCLEUS_TRIPLES[kind]
-                rows = []
-                for b in range(n):
-                    for c in range(n):
-                        block = [[0] * n for _ in range(n)]
-                        for x in range(n):
-                            for r, v in self._basis_associator(*triple(x, b, c)).items():
-                                block[r][x] = v
-                        rows.extend(tuple(row) for row in block)
-                return tuple(rows)
-            basis = self.basis()
-            mul = self.mul
-            if kind == "commuter":
-                maps = [lambda x, b=b: self.commutator(x, b) for b in basis]
-            elif kind == "kill_star_skew":
-                maps = [lambda x, b=b: mul(x, self.star(b) - b) for b in basis]
-            elif kind == "kill_commutators":
-                maps = [
-                    lambda x, b=b, c=c: mul(x, self.commutator(b, c))
-                    for i, b in enumerate(basis)
-                    for c in basis[i + 1:]
-                ]
-            elif kind in _PAIR_IDENTITIES:
-                identity = _PAIR_IDENTITIES[kind]
-                maps = [
-                    lambda x, b=b, c=c: identity(mul, x, b, c) for b in basis for c in basis
-                ]
-            else:
-                raise ValueError(f"unknown constraint kind {kind!r}")
-            return self.constraint_rows(maps)
+        def images(f):
+            return [enumerate(f(e).coords) for e in basis]
 
-        return self.cached(("rows", kind), build)
+        def killing(vectors):
+            span = linalg.row_space([v.coords for v in vectors], n)
+            return (images(lambda x, w=AlgebraElement(w): mul(x, w)) for w in span)
+
+        if kind == "star_fixed":
+            blocks = [images(lambda x: self.star(x) - x)]
+        elif kind == "negation_fixed":
+            blocks = [images(lambda x: x.scaled(-2))]
+        elif kind in _NUCLEUS_TRIPLES:
+            triple = _NUCLEUS_TRIPLES[kind]
+            blocks = (
+                [self._basis_associator(*triple(x, b, c)).items() for x in range(n)]
+                for b in range(n)
+                for c in range(n)
+            )
+        elif kind == "commuter":
+            blocks = (images(lambda x, b=b: self.commutator(x, b)) for b in basis)
+        elif kind == "kill_star_skew":
+            blocks = killing([self.star(b) - b for b in basis])
+        elif kind == "kill_commutators":
+            blocks = killing(
+                [self.commutator(b, c) for i, b in enumerate(basis) for c in basis[i + 1:]]
+            )
+        elif kind in _PAIR_IDENTITIES:
+            identity = _PAIR_IDENTITIES[kind]
+            blocks = (
+                images(lambda x, b=b, c=c: identity(mul, x, b, c)) for b in basis for c in basis
+            )
+        else:
+            raise ValueError(f"unknown constraint kind {kind!r}")
+        return self.constraint_rows(blocks)
 
     def _solve(self, kinds):
         """Basis of the elements meeting every row kind in ``kinds``, cached by the tuple.

@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Vectors and matrix rows are sequences of ints or Fractions.  Division only
-ever happens through ``Fraction``, so every result is exact.  The canonical
-representative of a subspace is the reduced row echelon basis of its span;
-two subspaces are equal iff their canonical bases are equal tuples.
+Vectors and matrix rows are dense sequences of ints or Fractions.  Division
+only ever happens through ``Fraction``, so every result is exact.  The
+canonical representative of a subspace is the reduced row echelon basis of
+its span; two subspaces are equal iff their canonical bases are equal tuples.
 ``RowReducer`` keeps that basis as sparse tails after each pivot, with
-integral entries kept as ``int``, and rejects rows whose length is not its
-column count with ``ValueError``.  ``LinearMap`` is the one sparse type for
-linear self-maps: integer columns over one common denominator.
+integral entries kept as ``int``, answers membership in the span, and
+rejects rows whose length is not its column count with ``ValueError``.
+``LinearMap`` is the one sparse type for linear self-maps: integer columns
+over one common denominator.
 """
 
 from __future__ import annotations
@@ -122,10 +123,6 @@ class LinearMap:
         return NotImplemented
 
 
-def identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def mat_vec(matrix, vector):
     out = []
     for row in matrix:
@@ -135,25 +132,6 @@ def mat_vec(matrix, vector):
                 acc += a * x
         out.append(acc)
     return tuple(out)
-
-
-def mat_mul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def is_zero_matrix(matrix):
-    return all(not x for row in matrix for x in row)
 
 
 class RowReducer:
@@ -191,11 +169,6 @@ class RowReducer:
                 else:
                     del work[j]
         return work
-
-    def residual(self, vector):
-        """Reduce ``vector`` against the current basis; the remainder is returned."""
-        rest = self._remainder(vector)
-        return [rest.get(j, 0) for j in range(self.ncols)]
 
     def contains(self, vector):
         return not self._remainder(vector)
@@ -259,29 +232,3 @@ def nullspace(rows, ncols):
     red = RowReducer(ncols)
     red.add_many(rows)
     return red.nullspace()
-
-
-def subspace_contains(basis, vector, ncols):
-    red = RowReducer(ncols)
-    red.add_many(basis)
-    return red.contains(vector)
-
-
-def subspace_le(inner, outer, ncols):
-    red = RowReducer(ncols)
-    red.add_many(outer)
-    return all(red.contains(v) for v in inner)
-
-
-def subspace_eq(a, b, ncols):
-    return row_space(a, ncols) == row_space(b, ncols)
-
-
-def subspace_intersect(a, b, ncols):
-    rows = list(nullspace(a, ncols))
-    rows.extend(nullspace(b, ncols))
-    return nullspace(rows, ncols)
-
-
-def subspace_sum(a, b, ncols):
-    return row_space(list(a) + list(b), ncols)

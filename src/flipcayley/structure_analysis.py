@@ -12,7 +12,11 @@ safety margin).  The test suites require the two routes to coincide.
 Generator membership in the one-sided nuclei and the inheritance of
 commutativity/associativity/flexibility/alternativity by the ring are
 decided by closed criteria on the coefficient algebra, each paired with a
-brute-force or quotient-based cross-check elsewhere in the package.
+brute-force or quotient-based cross-check elsewhere in the package.  The
+criteria are stated for flipped rings; an unflipped ring is the same ring
+only over a commutative algebra, so ``x_in_nucleus`` and
+``ring_is_associative_criterion`` raise ``ValueError`` for an unflipped ring
+over a non-commutative one.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra_core import AlgebraElement
+from .algebra_core import _NUCLEUS_TRIPLES, AlgebraElement
 from .flip_poly import star_skew_ring
 
 SET_KINDS = ("commuter", "left_right_nucleus", "middle_nucleus", "nucleus", "center")
@@ -79,6 +83,15 @@ def delta_is_right_sigma_derivation(ring):
 
 
 # ------------------------------------------------------- generator nucleus tests
+def _check_criteria_domain(ring):
+    """The closed criteria are stated for flipped rings.  An unflipped ring is
+    the same ring only when its coefficient algebra commutes."""
+    if not ring.flipped and not ring.coeff_algebra.is_commutative():
+        raise ValueError(
+            "the closed criteria need a flipped ring or a commutative coefficient algebra"
+        )
+
+
 def x_in_nucleus(ring, side):
     """Generator membership in a one-sided nucleus, by the closed criteria.
 
@@ -90,6 +103,7 @@ def x_in_nucleus(ring, side):
     """
     if side not in X_SIDES:
         raise ValueError(f"side must be one of {X_SIDES}")
+    _check_criteria_domain(ring)
     algebra = ring.coeff_algebra
     if side == "left":
         return (
@@ -107,11 +121,9 @@ def x_in_nucleus(ring, side):
             for row in reducer.rows():
                 if reducer.add(ring.delta.linear.apply(row)):
                     changed = True
-        commuter = [e.coords for e in algebra.commuter_basis()]
-        return all(
-            linalg.subspace_contains(commuter, row, algebra.dim)
-            for row in reducer.rows()
-        )
+        commuter = linalg.RowReducer(algebra.dim)
+        commuter.add_many(e.coords for e in algebra.commuter_basis())
+        return all(commuter.contains(row) for row in reducer.rows())
     return algebra.is_commutative()
 
 
@@ -146,6 +158,7 @@ def x_in_nucleus_bruteforce(ring, side, degree_bound=4):
 # ------------------------------------------------------------ inheritance criteria
 def ring_is_associative_criterion(ring):
     """Associativity of the flipped ring, decided on the coefficient algebra."""
+    _check_criteria_domain(ring)
     algebra = ring.coeff_algebra
     return (
         algebra.is_associative()
@@ -157,12 +170,13 @@ def ring_is_associative_criterion(ring):
 
 def _norms_commute(algebra):
     """a a* commutes with everything, decided through its char-0 polarization."""
-    commuter = [e.coords for e in algebra.commuter_basis()]
+    commuter = linalg.RowReducer(algebra.dim)
+    commuter.add_many(e.coords for e in algebra.commuter_basis())
     basis = algebra.basis()
     for i, a in enumerate(basis):
         for b in basis[i:]:
             v = algebra.mul(a, algebra.star(b)) + algebra.mul(b, algebra.star(a))
-            if not linalg.subspace_contains(commuter, v.coords, algebra.dim):
+            if not commuter.contains(v.coords):
                 return False
     return True
 
@@ -190,10 +204,11 @@ def b_alternative_criterion(algebra):
         return False
     if not _norms_commute(algebra):
         return False
-    nucleus = [e.coords for e in algebra.nucleus_basis("full")]
+    nucleus = linalg.RowReducer(algebra.dim)
+    nucleus.add_many(e.coords for e in algebra.nucleus_basis("full"))
     for a in algebra.basis():
         v = a.scaled(2) + algebra.star(a)
-        if not linalg.subspace_contains(nucleus, v.coords, algebra.dim):
+        if not nucleus.contains(v.coords):
             return False
     return True
 
@@ -279,43 +294,32 @@ def _brute_primitive_rows(algebra, ring, degree, primitive):
         n = algebra.dim
         window = range(BRUTE_DEGREE_WINDOW + 1)
         monomials = {(d, e): ring.monomial(d, e) for d in {degree, *window} for e in basis}
-        constraints = []
+        mul = ring.mul
         if primitive == "commuter":
-            for j in window:
-                for b in basis:
-                    constraints.append(("c", b, j, None, None))
+            maps = [
+                lambda p, q=monomials[j, b]: mul(p, q) - mul(q, p) for j in window for b in basis
+            ]
         else:
-            for j in window:
-                for k in window:
-                    for b in basis:
-                        for c in basis:
-                            constraints.append((primitive, b, j, c, k))
+            slots = _NUCLEUS_TRIPLES[f"nucleus_{primitive}"]
 
-        def value(kind, a, b, j, c, k):
-            pa = monomials[degree, a]
-            pb = monomials[j, b]
-            if kind == "c":
-                return ring.mul(pa, pb) - ring.mul(pb, pa)
-            pc = monomials[k, c]
-            if kind == "left":
-                slots = (pa, pb, pc)
-            elif kind == "middle":
-                slots = (pb, pa, pc)
-            else:
-                slots = (pb, pc, pa)
-            return ring.mul(ring.mul(slots[0], slots[1]), slots[2]) - ring.mul(
-                slots[0], ring.mul(slots[1], slots[2])
-            )
+            def associator(x, y, z):
+                return mul(mul(x, y), z) - mul(x, mul(y, z))
 
-        rows = []
-        for kind, b, j, c, k in constraints:
-            images = [value(kind, a, b, j, c, k) for a in basis]
-            support = sorted({d for img in images for d in img.coeffs})
-            for d in support:
-                cols = [img.coeff(d, n).coords for img in images]
-                for r in range(n):
-                    rows.append(tuple(cols[u][r] for u in range(n)))
-        return linalg.row_space(rows, n)
+            maps = [
+                lambda p, q=monomials[j, b], r=monomials[k, c]: associator(*slots(p, q, r))
+                for j in window
+                for k in window
+                for b in basis
+                for c in basis
+            ]
+
+        def blocks():
+            for f in maps:
+                images = [f(monomials[degree, a]) for a in basis]
+                for d in sorted({d for img in images for d in img.coeffs}):
+                    yield [enumerate(img.coeff(d, n).coords) for img in images]
+
+        return linalg.row_space(algebra.constraint_rows(blocks()), n)
 
     return algebra.cached(("brute_rows", degree, primitive), build)
 

@@ -1,6 +1,11 @@
+"""Shared fixtures and the dense references the tests compare the library to."""
+
+import random
+from fractions import Fraction
+
 import pytest
 
-from flipcayley import named
+from flipcayley import Involution, StarAlgebra, StructureConstants, linalg, named
 
 ALL_NAMES = ("R", "C", "C'", "H", "H'", "O", "O'", "S")
 
@@ -9,3 +14,150 @@ ALL_NAMES = ("R", "C", "C'", "H", "H'", "O", "O'", "S")
 def algebras():
     """Named algebras built once; their internal caches are shared by all tests."""
     return {name: named(name) for name in ALL_NAMES}
+
+
+# ------------------------------------------------------- dense linear algebra
+def identity_matrix(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def is_zero_matrix(matrix):
+    return all(not x for row in matrix for x in row)
+
+
+def subspace_le(inner, outer, ncols):
+    red = linalg.RowReducer(ncols)
+    red.add_many(outer)
+    return all(red.contains(v) for v in inner)
+
+
+def subspace_eq(a, b, ncols):
+    return linalg.row_space(a, ncols) == linalg.row_space(b, ncols)
+
+
+def subspace_intersect(a, b, ncols):
+    rows = list(linalg.nullspace(a, ncols)) + list(linalg.nullspace(b, ncols))
+    return linalg.nullspace(rows, ncols)
+
+
+def subspace_sum(a, b, ncols):
+    return linalg.row_space(list(a) + list(b), ncols)
+
+
+# ------------------------------------------------ constraint rows, densely
+def constraint_rows(A, maps):
+    """Stacked rows of the matrices of the given linear maps, every row kept."""
+    basis = A.basis()
+    rows = []
+    for f in maps:
+        cols = [f(e).coords for e in basis]
+        rows.extend(tuple(col[r] for col in cols) for r in range(A.dim))
+    return rows
+
+
+def raw_rows(A, kind):
+    """The rows of one constraint kind of ``StarAlgebra._rows``, every row kept,
+    built from the public ``mul``, ``associator`` and ``star``."""
+    e = A.basis()
+    mul, star = A.mul, A.star
+
+    def comm(x, y):
+        return mul(x, y) - mul(y, x)
+
+    pairs = [(b, c) for b in e for c in e]
+    maps = {
+        "commuter": lambda: [lambda x, b=b: comm(x, b) for b in e],
+        "star_fixed": lambda: [lambda x: star(x) - x],
+        "negation_fixed": lambda: [lambda x: -x - x],
+        "nucleus_left": lambda: [lambda x, b=b, c=c: A.associator(x, b, c) for b, c in pairs],
+        "nucleus_middle": lambda: [lambda x, b=b, c=c: A.associator(b, x, c) for b, c in pairs],
+        "nucleus_right": lambda: [lambda x, b=b, c=c: A.associator(b, c, x) for b, c in pairs],
+        "kill_star_skew": lambda: [lambda x, b=b: mul(x, star(b) - b) for b in e],
+        "kill_commutators": lambda: [
+            lambda x, b=b, c=c: mul(x, comm(b, c)) for i, b in enumerate(e) for c in e[i + 1:]
+        ],
+        "swap_right": lambda: [
+            lambda x, b=b, c=c: mul(mul(x, b), c) - mul(x, mul(c, b)) for b, c in pairs
+        ],
+        "outer_twist": lambda: [
+            lambda x, b=b, c=c: mul(mul(b, c), x) - mul(c, mul(b, x)) for b, c in pairs
+        ],
+        "exchange_right": lambda: [
+            lambda x, b=b, c=c: mul(mul(x, b), c) - mul(mul(x, c), b) for b, c in pairs
+        ],
+        "exchange_left": lambda: [
+            lambda x, b=b, c=c: mul(b, mul(c, x)) - mul(c, mul(b, x)) for b, c in pairs
+        ],
+    }[kind]()
+    return constraint_rows(A, maps)
+
+
+# --------------------------------------------------- algebras off the tower
+def exchange_algebra(rng, d):
+    """A + A^op with the swap star, for a random unital d-dimensional algebra A.
+
+    Basis: (1, 1), then (e_i, 0) for i >= 1, (1, 0), then (0, e_i) for i >= 1.
+    """
+    def scalar():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    unit = [tuple(int(k == j) for k in range(d)) for j in range(d)]
+    a_table = [
+        [
+            unit[i or j] if i * j == 0 else tuple(scalar() for _ in range(d))
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+
+    def a_mul(x, y):
+        out = [0] * d
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                for k, t in enumerate(a_table[i][j]):
+                    out[k] += xi * yj * t
+        return out
+
+    def pair(k):
+        x, y = [0] * d, [0] * d
+        if k == 0:
+            x[0] = y[0] = 1
+        elif k < d:
+            x[k] = 1
+        elif k == d:
+            x[0] = 1
+        else:
+            y[k - d] = 1
+        return x, y
+
+    def coords(x, y):
+        return [y[0], *x[1:], x[0] - y[0], *y[1:]]
+
+    pairs = [pair(k) for k in range(2 * d)]
+    table = [
+        [coords(a_mul(x1, x2), a_mul(y2, y1)) for x2, y2 in pairs] for x1, y1 in pairs
+    ]
+    star_cols = [coords(y, x) for x, y in pairs]
+    star = [[col[i] for col in star_cols] for i in range(2 * d)]
+    return StarAlgebra(StructureConstants(2 * d, table), Involution(star))
+
+
+def exchange_algebras(seed=20261017):
+    """Five exchange algebras of dimensions 4 and 6, with multi-term tables."""
+    rng = random.Random(seed)
+    return [
+        (f"exchange d={d} #{n}", exchange_algebra(rng, d)) for n, d in enumerate((2, 3, 3, 3, 3))
+    ]

@@ -9,10 +9,18 @@ from flipcayley import (
     StarAlgebra,
     StructureConstants,
     basis_element,
+    linalg,
     tower,
     zero_element,
 )
-from flipcayley.linalg import subspace_eq
+from conftest import (
+    constraint_rows,
+    exchange_algebras,
+    identity_matrix,
+    mat_mul,
+    subspace_eq,
+    subspace_intersect,
+)
 
 
 def _span(elements):
@@ -84,8 +92,6 @@ def test_nucleus_bases(algebras):
 
 
 def test_nucleus_is_intersection_of_sides(algebras):
-    from flipcayley.linalg import subspace_intersect
-
     for name in ("C'", "H", "O"):
         A = algebras[name]
         left = _span(A.nucleus_basis("left"))
@@ -99,8 +105,6 @@ def test_nucleus_is_intersection_of_sides(algebras):
 
 
 def test_center_is_commuter_cap_nucleus(algebras):
-    from flipcayley.linalg import subspace_intersect
-
     for name in ("H", "O"):
         A = algebras[name]
         expected = subspace_intersect(
@@ -209,8 +213,6 @@ def test_involution_invariants_hold_on_towers():
     for n in range(6):  # up to dimension 32
         A = tower([-1] * n)
         m = A.involution.matrix
-        from flipcayley.linalg import identity_matrix, mat_mul
-
         assert mat_mul(m, m) == identity_matrix(A.dim)
         assert A.star(A.unit) == A.unit
         for a in A.basis():
@@ -283,72 +285,18 @@ def _mul_route_nucleus_rows(A, side):
         "middle": lambda x, b, c: (b, x, c),
         "right": lambda x, b, c: (b, c, x),
     }[side]
-    return A.constraint_rows(
-        [lambda x, b=b, c=c: A.associator(*place(x, b, c)) for b in e for c in e]
+    return constraint_rows(
+        A, [lambda x, b=b, c=c: A.associator(*place(x, b, c)) for b in e for c in e]
     )
 
 
-def _exchange_algebra(rng, d):
-    """A + A^op with the swap star, for a random unital d-dimensional algebra A.
-
-    Basis: (1, 1), then (e_i, 0) for i >= 1, (1, 0), then (0, e_i) for i >= 1.
-    """
-    def scalar():
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-
-    unit = [tuple(int(k == j) for k in range(d)) for j in range(d)]
-    a_table = [
-        [
-            unit[i or j] if i * j == 0 else tuple(scalar() for _ in range(d))
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-
-    def a_mul(x, y):
-        out = [0] * d
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                for k, t in enumerate(a_table[i][j]):
-                    out[k] += xi * yj * t
-        return out
-
-    def pair(k):
-        x, y = [0] * d, [0] * d
-        if k == 0:
-            x[0] = y[0] = 1
-        elif k < d:
-            x[k] = 1
-        elif k == d:
-            x[0] = 1
-        else:
-            y[k - d] = 1
-        return x, y
-
-    def coords(x, y):
-        return [y[0], *x[1:], x[0] - y[0], *y[1:]]
-
-    pairs = [pair(k) for k in range(2 * d)]
-    table = [
-        [coords(a_mul(x1, x2), a_mul(y2, y1)) for x2, y2 in pairs] for x1, y1 in pairs
-    ]
-    star_cols = [coords(y, x) for x, y in pairs]
-    star = [[col[i] for col in star_cols] for i in range(2 * d)]
-    return StarAlgebra(StructureConstants(2 * d, table), Involution(star))
-
-
 def _kernel_cases(algebras):
-    rng = random.Random(20261017)
     cases = list(algebras.items())
     cases += [
         ("tower(1/2, 3, -1)", tower([Fraction(1, 2), 3, -1])),
         ("tower(1, 1, 1)", tower([1, 1, 1])),
     ]
-    cases += [
-        (f"exchange d={d} #{n}", _exchange_algebra(rng, d))
-        for n, d in enumerate((2, 3, 3, 3, 3))
-    ]
-    return cases
+    return cases + exchange_algebras()
 
 
 def test_associator_kernel_matches_mul_route(algebras):
@@ -369,7 +317,18 @@ def test_associator_kernel_matches_mul_route(algebras):
             if witness is not None:
                 assert isinstance(witness[-1], AlgebraElement), name
         for side in ("left", "middle", "right"):
-            expected_rows = _mul_route_nucleus_rows(A, side)
-            assert A._rows(f"nucleus_{side}") == expected_rows, (name, side)
+            expected = linalg.row_space(_mul_route_nucleus_rows(A, side), A.dim)
+            got = linalg.row_space(A._rows(f"nucleus_{side}"), A.dim)
+            assert got == expected, (name, side)
     # the exchange algebras reach every non-None witness path
     assert all(found), found
+
+
+def test_constraint_rows_transpose_and_drop_zero_and_repeated_rows(algebras):
+    C = algebras["C"]
+    blocks = [
+        [[(0, 2), (1, 0)], [(0, 3)]],  # rows (2, 3) and a zero row
+        [{1: 2, 0: 3}.items(), {0: 0}.items()],  # rows (2, 0) and (3, 0)
+        [[(1, 2)], [(1, 3)]],  # (2, 3) again
+    ]
+    assert C.constraint_rows(blocks) == ((2, 3), (2, 0), (3, 0))

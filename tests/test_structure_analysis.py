@@ -2,9 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from flipcayley import AlgebraElement, Poly, QuotientRing, alpha, linalg, star_skew_ring, tower
+from flipcayley import (
+    AlgebraElement,
+    Poly,
+    QuotientRing,
+    alpha,
+    linalg,
+    ordinary_ring,
+    star_skew_ring,
+    tower,
+)
 from flipcayley import structure_analysis as sa
 from flipcayley.flip_poly import AdditiveMap, FlipPolyRing
+from conftest import exchange_algebras, raw_rows
 
 
 # --------------------------------------------------------- generator in nuclei
@@ -60,9 +70,21 @@ def test_middle_chain_with_nonzero_delta(algebras):
 def test_associativity_criterion(algebras):
     assert sa.ring_is_associative_criterion(star_skew_ring(algebras["C"]))
     assert not sa.ring_is_associative_criterion(star_skew_ring(algebras["H"]))
-    from flipcayley import ordinary_ring
-
     assert sa.ring_is_associative_criterion(ordinary_ring(algebras["R"]))
+
+
+def test_criteria_reject_unflipped_rings_over_noncommutative_algebras(algebras):
+    # H[X] is associative with X central, which the flipped criteria would deny
+    ring = ordinary_ring(algebras["H"])
+    with pytest.raises(ValueError):
+        sa.ring_is_associative_criterion(ring)
+    for side in sa.X_SIDES:
+        with pytest.raises(ValueError):
+            sa.x_in_nucleus(ring, side)
+    # over a commutative algebra the flip changes nothing, so the answer stands
+    ring = ordinary_ring(algebras["C"])
+    for side in sa.X_SIDES:
+        assert sa.x_in_nucleus(ring, side) == sa.x_in_nucleus_bruteforce(ring, side, 2)
 
 
 def test_flexible_and_alternative_criteria(algebras):
@@ -185,15 +207,19 @@ def test_corollary_patterns_small_bound():
 # ------------------------------------------------- reduced row spaces per kind
 def _raw_solve(A, kinds):
     """Nullspace of the concatenated raw rows of every kind."""
-    rows = [row for kind in kinds for row in A._rows(kind)]
+    rows = [row for kind in kinds for row in raw_rows(A, kind)]
     return tuple(AlgebraElement(v) for v in linalg.nullspace(rows, A.dim))
 
 
+_TOWERS = [
+    ("tower(1/2, 3, -1)", tower([Fraction(1, 2), 3, -1])),
+    ("tower(1, 1, 1)", tower([1, 1, 1])),
+]
+_ROW_KINDS = sorted({kind for pair in sa._KIND_ROWS.values() for kinds in pair for kind in kinds})
+
+
 def test_row_space_route_matches_raw_rows(algebras):
-    cases = list(algebras.items()) + [
-        ("tower(1/2, 3, -1)", tower([Fraction(1, 2), 3, -1])),
-        ("tower(1, 1, 1)", tower([1, 1, 1])),
-    ]
+    cases = list(algebras.items()) + _TOWERS + exchange_algebras()
     tuples = {kinds for pair in sa._KIND_ROWS.values() for kinds in pair}
     nuclei = ("nucleus_left", "nucleus_middle", "nucleus_right")
     for name, A in cases:
@@ -209,6 +235,14 @@ def test_row_space_route_matches_raw_rows(algebras):
         public += [(A.nucleus_basis(side), (f"nucleus_{side}",)) for side in sa.X_SIDES]
         for got, kinds in public:
             assert got == _raw_solve(A, kinds), (name, kinds)
+
+
+def test_constraint_rows_are_distinct_and_nonzero(algebras):
+    for name, A in list(algebras.items()) + _TOWERS:
+        for kind in _ROW_KINDS:
+            rows = A._rows(kind)
+            assert all(any(row) for row in rows), (name, kind)
+            assert len(set(rows)) == len(rows), (name, kind)
 
 
 def _raw_brute_rows(ring, degree, primitive):
