@@ -106,22 +106,23 @@ def raw_rows(A, kind):
 
 
 # --------------------------------------------------- algebras off the tower
-def exchange_algebra(rng, d):
+def exchange_algebra(rng, d, density=1):
     """A + A^op with the swap star, for a random unital d-dimensional algebra A.
 
+    Each product of two non-unit basis elements of A is nonzero with
+    probability ``density``.
     Basis: (1, 1), then (e_i, 0) for i >= 1, (1, 0), then (0, e_i) for i >= 1.
     """
     def scalar():
         return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
+    def product():
+        if density < 1 and rng.random() >= density:
+            return (0,) * d
+        return tuple(scalar() for _ in range(d))
+
     unit = [tuple(int(k == j) for k in range(d)) for j in range(d)]
-    a_table = [
-        [
-            unit[i or j] if i * j == 0 else tuple(scalar() for _ in range(d))
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
+    a_table = [[unit[i or j] if i * j == 0 else product() for j in range(d)] for i in range(d)]
 
     def a_mul(x, y):
         out = [0] * d
@@ -161,3 +162,14 @@ def exchange_algebras(seed=20261017):
     return [
         (f"exchange d={d} #{n}", exchange_algebra(rng, d)) for n, d in enumerate((2, 3, 3, 3, 3))
     ]
+
+
+def sparse_exchange_algebras(seed=20261029):
+    """Two exchange algebras of dimension 6 where A has few nonzero products.
+
+    On them the pair row kinds of ``StarAlgebra._rows`` have ranks strictly
+    between 0 and 6, and the odd-degree left/right nucleus of the second is
+    nonzero.
+    """
+    rng = random.Random(seed)
+    return [(f"sparse exchange d=3 #{n}", exchange_algebra(rng, 3, 1 / 4)) for n in range(2)]

@@ -14,7 +14,7 @@ from flipcayley import (
 )
 from flipcayley import structure_analysis as sa
 from flipcayley.flip_poly import AdditiveMap, FlipPolyRing
-from conftest import exchange_algebras, raw_rows
+from conftest import exchange_algebras, raw_rows, sparse_exchange_algebras
 
 
 # --------------------------------------------------------- generator in nuclei
@@ -235,6 +235,21 @@ def test_row_space_route_matches_raw_rows(algebras):
         public += [(A.nucleus_basis(side), (f"nucleus_{side}",)) for side in sa.X_SIDES]
         for got, kinds in public:
             assert got == _raw_solve(A, kinds), (name, kinds)
+
+
+def test_each_row_kind_matches_raw_rows(algebras):
+    # a wrong kind can hide in the joint nullspace of a kind tuple, so each kind
+    # is compared on its own; a kind of rank 0 or dim cannot tell a wrong
+    # identity from a right one, so the pair kinds must meet a proper rank
+    cases = list(algebras.items()) + _TOWERS + exchange_algebras() + sparse_exchange_algebras()
+    proper = set()
+    for name, A in cases:
+        for kind in _ROW_KINDS:
+            got = linalg.row_space(A._rows(kind), A.dim)
+            assert got == linalg.row_space(raw_rows(A, kind), A.dim), (name, kind)
+            if 0 < len(got) < A.dim:
+                proper.add(kind)
+    assert {"swap_right", "outer_twist", "exchange_right", "exchange_left"} <= proper
 
 
 def test_constraint_rows_are_distinct_and_nonzero(algebras):
