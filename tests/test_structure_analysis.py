@@ -32,9 +32,22 @@ def test_x_in_nucleus_quaternion_base(algebras):
     assert not sa.x_in_nucleus(ring, "right")
 
 
+def _off_named_set():
+    """Algebras outside the named set, for cross-checking the criteria."""
+    return (
+        exchange_algebras()
+        + sparse_exchange_algebras()
+        + [
+            ("tower(1/2, 3)", tower([Fraction(1, 2), 3])),
+            ("tower(2/3, -1, 5)", tower([Fraction(2, 3), -1, 5])),
+        ]
+    )
+
+
 def test_x_in_nucleus_cross_validation(algebras):
-    for name in ("C", "C'", "H", "H'", "O", "S"):
-        ring = star_skew_ring(algebras[name])
+    names = ("C", "C'", "H", "H'", "O", "S")
+    for name, A in [(name, algebras[name]) for name in names] + _off_named_set():
+        ring = star_skew_ring(A)
         for side in sa.X_SIDES:
             assert sa.x_in_nucleus(ring, side) == sa.x_in_nucleus_bruteforce(
                 ring, side, 2
@@ -95,14 +108,24 @@ def test_flexible_and_alternative_criteria(algebras):
 
 
 def test_criteria_agree_with_quotient_evaluation(algebras):
-    for name in ("C", "H", "O"):
-        A = algebras[name]
-        flexible = sa.b_flexible_criterion(A)
-        alternative = sa.b_alternative_criterion(A)
-        for mu in (-1, 1):
-            quotient_algebra = QuotientRing(A, mu).to_star_algebra()
-            assert quotient_algebra.is_flexible() == flexible, (name, mu)
-            assert quotient_algebra.is_alternative() == alternative, (name, mu)
+    for name, A in [(name, algebras[name]) for name in ("C", "H", "O")] + _off_named_set():
+        predicted = (
+            sa.b_commutative_criterion(A),
+            sa.ring_is_associative_criterion(star_skew_ring(A)),
+            sa.b_flexible_criterion(A),
+            sa.b_alternative_criterion(A),
+            sa.alpha_trivial_criterion(A),
+        )
+        for mu in (-1, 1, Fraction(2, 3)):
+            Q = QuotientRing(A, mu).to_star_algebra()
+            actual = (
+                Q.is_commutative(),
+                Q.is_associative(),
+                Q.is_flexible(),
+                Q.is_alternative(),
+                Q.involution.is_identity(),
+            )
+            assert actual == predicted, (name, mu)
 
 
 def test_commutativity_and_alpha_criteria(algebras):
@@ -133,8 +156,7 @@ def test_degreewise_set_full_for_associative_commutative(algebras):
 
 
 def test_degreewise_cross_validation_small(algebras):
-    for name in ("R", "C", "H"):
-        A = algebras[name]
+    for name, A in [(name, algebras[name]) for name in ("R", "C", "H")] + _off_named_set():
         for kind in sa.SET_KINDS:
             assert sa.degreewise_set(A, kind, 2) == sa.degreewise_set_bruteforce(
                 A, kind, 2
