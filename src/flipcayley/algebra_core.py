@@ -7,34 +7,79 @@ star-fixed parts) are nullspaces of commutator/associator constraint maps and
 are computed by exact elimination.  Returned bases are in reduced row echelon
 form, the canonical subspace representative used throughout the package.
 
-Every constraint kind, and the brute-force oracle of ``structure_analysis``,
-hands ``StarAlgebra.constraint_rows`` blocks of sparse basis images; it keeps
-only the distinct nonzero rows, and each kind is cached as its reduced row
-space alone.  Basis-triple predicates and the nucleus rows use a sparse
-associator kernel that walks the multiplication table directly; the tests
-compare them with dense rows built from the public ``mul``/``associator``.
+Every multilinear identity behind these sets and the property predicates is
+written once, in ``IDENTITIES``, as signed bracketed words.  One sparse
+kernel, ``StarAlgebra._identity``, evaluates them at basis indices from the
+table for the constraint rows and the predicates; ``evaluate_identity`` reads
+them with any product for the brute-force oracles of ``structure_analysis``.
+``StarAlgebra.constraint_rows`` keeps only the distinct nonzero rows of each
+kind, and each kind is cached as its reduced row space alone.  The tests
+compare the kernel with dense rows built from the public ``mul``/``associator``.
 """
 
 from __future__ import annotations
+
+import re
+from itertools import product
 
 from . import linalg
 from .scalars import format_rational, parse_rational, simplify
 
 NUCLEUS_SIDES = ("left", "middle", "right", "full")
 _NUCLEI = ("nucleus_left", "nucleus_middle", "nucleus_right")
-# slot of the unknown x in the associator behind each nucleus row kind
-_NUCLEUS_TRIPLES = {
-    "nucleus_left": lambda x, b, c: (x, b, c),
-    "nucleus_middle": lambda x, b, c: (b, x, c),
-    "nucleus_right": lambda x, b, c: (b, c, x),
+# Signed bracketed words in an unknown x and basis elements b, c.  A row kind
+# asks its identity to hold for all b, c; a predicate asks it for all x, b, c.
+IDENTITIES = {
+    "commuter": "xb - bx",
+    "nucleus_left": "(xb)c - x(bc)",
+    "nucleus_middle": "(bx)c - b(xc)",
+    "nucleus_right": "(bc)x - b(cx)",
+    "swap_right": "(xb)c - x(cb)",
+    "outer_twist": "(bc)x - c(bx)",
+    "exchange_right": "(xb)c - (xc)b",
+    "exchange_left": "b(cx) - c(bx)",
+    # the linearized flexible and alternative laws (valid in characteristic 0)
+    "flexible": "(xb)c - x(bc) + (cb)x - c(bx)",
+    "alternative_left": "(xb)c - x(bc) + (bx)c - b(xc)",
+    "alternative_right": "(xb)c - x(bc) + (xc)b - x(cb)",
 }
-# row kinds asking an identity in the unknown x to hold for all basis pairs b, c
-_PAIR_IDENTITIES = {
-    "swap_right": lambda mul, x, b, c: mul(mul(x, b), c) - mul(x, mul(c, b)),
-    "outer_twist": lambda mul, x, b, c: mul(mul(b, c), x) - mul(c, mul(b, x)),
-    "exchange_right": lambda mul, x, b, c: mul(mul(x, b), c) - mul(mul(x, c), b),
-    "exchange_left": lambda mul, x, b, c: mul(b, mul(c, x)) - mul(c, mul(b, x)),
-}
+_LETTERS = "xbc"
+
+
+def _parse_identity(text):
+    """Terms ``(positive, p, q, r, inner_left)`` of signed words ``(pq)r``, ``r(pq)``
+    or ``pq``: slots p and q are multiplied first, then that product by slot r
+    (if any), on the right if ``inner_left`` and on the left otherwise."""
+    terms = []
+    for sign, word in re.findall(r"([+-]?)\s*([^\s+-]+)", text):
+        slots = [_LETTERS.index(ch) for ch in word if ch not in "()"]
+        if word.startswith("("):
+            (p, q, r), inner_left = slots, True
+        elif word.endswith(")"):
+            (r, p, q), inner_left = slots, False
+        else:
+            (p, q), r, inner_left = slots, None, True
+        terms.append((sign != "-", p, q, r, inner_left))
+    return tuple(terms)
+
+
+_TERMS = {kind: _parse_identity(text) for kind, text in IDENTITIES.items()}
+# the number of letters (x, then b and perhaps c) of each identity
+IDENTITY_ARITY = {kind: len(set(text) & set(_LETTERS)) for kind, text in IDENTITIES.items()}
+
+
+def evaluate_identity(kind, values, mul):
+    """The identity ``kind`` at ``values`` (for x, b, c), from the product ``mul``."""
+    total = None
+    for positive, p, q, r, inner_left in _TERMS[kind]:
+        v = mul(values[p], values[q])
+        if r is not None:
+            v = mul(v, values[r]) if inner_left else mul(values[r], v)
+        if total is None:
+            total = v if positive else -v
+        else:
+            total = total + v if positive else total - v
+    return total
 
 
 class AlgebraElement:
@@ -239,78 +284,62 @@ class StarAlgebra:
                 if self.star(self.mul(a, b)) != self.mul(self.star(b), self.star(a)):
                     raise ValueError("involution must be anti-multiplicative")
 
-    def _basis_associator(self, a, b, c):
-        """Associator of e_a, e_b, e_c as a sparse ``{k: coeff}``, from the table."""
+    def _identity(self, kind, indices):
+        """The identity ``kind`` at basis indices (x, b, c), as a sparse
+        ``{k: coeff}`` read off the table (zero coefficients may remain)."""
         sparse = self._sparse
         out = {}
-        for m, s in sparse[a][b]:
-            for k, t in sparse[m][c]:
-                out[k] = out.get(k, 0) + s * t
-        for m, s in sparse[b][c]:
-            for k, t in sparse[a][m]:
-                out[k] = out.get(k, 0) - s * t
-        return {k: v for k, v in out.items() if v}
+        for positive, p, q, r, inner_left in _TERMS[kind]:
+            for m, s in sparse[indices[p]][indices[q]]:
+                if r is None:
+                    products = ((m, 1),)
+                elif inner_left:
+                    products = sparse[m][indices[r]]
+                else:
+                    products = sparse[indices[r]][m]
+                if positive:
+                    for k, t in products:
+                        out[k] = out.get(k, 0) + s * t
+                else:
+                    for k, t in products:
+                        out[k] = out.get(k, 0) - s * t
+        return out
 
-    def _associator_witness(self, groups):
-        """First ``(indices, triples)`` whose associators do not sum to zero.
-
-        Returns the basis elements at ``indices`` followed by the sum.
-        """
-        for indices, triples in groups:
-            v = {}
-            for triple in triples:
-                for k, x in self._basis_associator(*triple).items():
-                    v[k] = v.get(k, 0) + x
+    def _witness(self, kind, index_tuples):
+        """The basis elements at the first indices where the identity ``kind``
+        fails, followed by its value there; None if it never fails."""
+        for indices in index_tuples:
+            v = self._identity(kind, indices)
             if any(v.values()):
-                basis = self.basis()
-                total = AlgebraElement(v.get(k, 0) for k in range(self.dim))
-                return tuple(basis[i] for i in indices) + (total,)
+                value = AlgebraElement(v.get(k, 0) for k in range(self.dim))
+                return tuple(basis_element(self.dim, i) for i in indices) + (value,)
         return None
 
     # ------------------------------------------------------ predicate witnesses
     def commutativity_witness(self):
-        basis = self.basis()
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                c = self.commutator(basis[i], basis[j])
-                if not c.is_zero():
-                    return (basis[i], basis[j], c)
-        return None
+        n = self.dim
+        return self._witness("commuter", ((i, j) for i in range(n) for j in range(i + 1, n)))
 
     def associativity_witness(self):
-        r = range(self.dim)
-        return self._associator_witness(
-            ((a, b, c), ((a, b, c),)) for a in r for b in r for c in r
-        )
+        return self._witness("nucleus_left", product(range(self.dim), repeat=3))
 
     def flexibility_witness(self):
         """First basis triple violating the linearized flexible law (char-0 valid)."""
         n = self.dim
-        return self._associator_witness(
-            ((i, j, k), ((i, j, k), (k, j, i)))
-            for i in range(n)
-            for k in range(i, n)
-            for j in range(n)
+        return self._witness(
+            "flexible", ((i, j, k) for i in range(n) for k in range(i, n) for j in range(n))
         )
 
     def alternativity_witness(self):
         """First basis triple violating a linearized alternative law (char-0 valid)."""
         n = self.dim
-        left = self._associator_witness(
-            ((i, j, k), ((i, j, k), (j, i, k)))
-            for i in range(n)
-            for j in range(i, n)
-            for k in range(n)
-        )
-        if left is not None:
-            return ("left",) + left
-        right = self._associator_witness(
-            ((i, j, k), ((i, j, k), (i, k, j)))
-            for i in range(n)
-            for j in range(n)
-            for k in range(j, n)
-        )
-        return None if right is None else ("right",) + right
+        left = ((i, j, k) for i in range(n) for j in range(i, n) for k in range(n))
+        right = ((i, j, k) for i in range(n) for j in range(n) for k in range(j, n))
+        for side, index_tuples in (("left", left), ("right", right)):
+            witness = self._witness(f"alternative_{side}", index_tuples)
+            if witness is not None:
+                return (side,) + witness
+        return None
 
     def is_commutative(self):
         return self.cached("commutative", lambda: self.commutativity_witness() is None)
@@ -349,47 +378,37 @@ class StarAlgebra:
     def _rows(self, kind):
         """The distinct constraint rows of one kind on an unknown x.
 
-        ``commuter``: xb = bx; ``star_fixed``: x* = x; ``negation_fixed``:
-        -x = x; ``nucleus_*``: the associator with x in that slot vanishes;
-        ``kill_star_skew``: x(b* - b) = 0; ``kill_commutators``: x(bc - cb) = 0;
-        the kinds of ``_PAIR_IDENTITIES``: the identity named there.  The two
-        kill kinds ask x w = 0 only for w in a basis of the span of those
-        vectors, which is the same condition since the product is bilinear.
+        The kinds of ``IDENTITIES``: that identity holds for all basis
+        elements b (and c); ``star_fixed``: x* = x; ``negation_fixed``:
+        -x = x; ``kill_star_skew``: x(b* - b) = 0; ``kill_commutators``:
+        x(bc - cb) = 0.  The two kill kinds ask x w = 0 only for w in a basis
+        of the span of those vectors, which is the same condition since the
+        product is bilinear.
         """
         n = self.dim
         basis = self.basis()
-        mul = self.mul
 
         def images(f):
             return [enumerate(f(e).coords) for e in basis]
 
         def killing(vectors):
             span = linalg.row_space([v.coords for v in vectors], n)
-            return (images(lambda x, w=AlgebraElement(w): mul(x, w)) for w in span)
+            return (images(lambda x, w=AlgebraElement(w): self.mul(x, w)) for w in span)
 
-        if kind == "star_fixed":
+        if kind in IDENTITIES:
+            blocks = (
+                [self._identity(kind, (x,) + rest).items() for x in range(n)]
+                for rest in product(range(n), repeat=IDENTITY_ARITY[kind] - 1)
+            )
+        elif kind == "star_fixed":
             blocks = [images(lambda x: self.star(x) - x)]
         elif kind == "negation_fixed":
             blocks = [images(lambda x: x.scaled(-2))]
-        elif kind in _NUCLEUS_TRIPLES:
-            triple = _NUCLEUS_TRIPLES[kind]
-            blocks = (
-                [self._basis_associator(*triple(x, b, c)).items() for x in range(n)]
-                for b in range(n)
-                for c in range(n)
-            )
-        elif kind == "commuter":
-            blocks = (images(lambda x, b=b: self.commutator(x, b)) for b in basis)
         elif kind == "kill_star_skew":
             blocks = killing([self.star(b) - b for b in basis])
         elif kind == "kill_commutators":
             blocks = killing(
                 [self.commutator(b, c) for i, b in enumerate(basis) for c in basis[i + 1:]]
-            )
-        elif kind in _PAIR_IDENTITIES:
-            identity = _PAIR_IDENTITIES[kind]
-            blocks = (
-                images(lambda x, b=b, c=c: identity(mul, x, b, c)) for b in basis for c in basis
             )
         else:
             raise ValueError(f"unknown constraint kind {kind!r}")

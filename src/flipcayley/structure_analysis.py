@@ -7,7 +7,10 @@ solves those conditions exactly.  ``degreewise_set_bruteforce`` is the
 independent oracle: it multiplies actual monomials in the ring and solves
 the resulting constraint systems, using test degrees up to 2 in the other
 slots (degrees 0 and 1 already generate every constraint; one more is a
-safety margin).  The test suites require the two routes to coincide.
+safety margin).  The test suites require the two routes to coincide.  The
+oracles (this one and ``x_in_nucleus_bruteforce``) read the commutator and
+associators from ``algebra_core.IDENTITIES``, the words behind the criteria's
+row kinds, and take every product from ``ring.mul``.
 
 Generator membership in the one-sided nuclei and the inheritance of
 commutativity/associativity/flexibility/alternativity by the ring are
@@ -22,9 +25,10 @@ over a non-commutative one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import linalg
-from .algebra_core import _NUCLEUS_TRIPLES, AlgebraElement
+from .algebra_core import IDENTITY_ARITY, AlgebraElement, evaluate_identity
 from .flip_poly import star_skew_ring
 
 SET_KINDS = ("commuter", "left_right_nucleus", "middle_nucleus", "nucleus", "center")
@@ -133,26 +137,15 @@ def x_in_nucleus_bruteforce(ring, side, degree_bound=4):
         raise ValueError(f"side must be one of {X_SIDES}")
     if not 0 <= degree_bound <= BRUTE_BOUND_LIMIT:
         raise ValueError(f"degree_bound must be between 0 and {BRUTE_BOUND_LIMIT}")
-    algebra = ring.coeff_algebra
+    kind = f"nucleus_{side}"
     x_poly = ring.x()
-    basis = algebra.basis()
-    for j in range(degree_bound + 1):
-        for k in range(degree_bound + 1):
-            for b in basis:
-                for c in basis:
-                    p = ring.monomial(j, b)
-                    q = ring.monomial(k, c)
-                    if side == "left":
-                        slots = (x_poly, p, q)
-                    elif side == "middle":
-                        slots = (p, x_poly, q)
-                    else:
-                        slots = (p, q, x_poly)
-                    left = ring.mul(ring.mul(slots[0], slots[1]), slots[2])
-                    right = ring.mul(slots[0], ring.mul(slots[1], slots[2]))
-                    if left != right:
-                        return False
-    return True
+    basis = ring.coeff_algebra.basis()
+    degrees = range(degree_bound + 1)
+    return all(
+        evaluate_identity(kind, (x_poly, ring.monomial(j, b), ring.monomial(k, c)), ring.mul)
+        .is_zero()
+        for j, k, b, c in product(degrees, degrees, basis, basis)
+    )
 
 
 # ------------------------------------------------------------ inheritance criteria
@@ -294,28 +287,20 @@ def _brute_primitive_rows(algebra, ring, degree, primitive):
         n = algebra.dim
         window = range(BRUTE_DEGREE_WINDOW + 1)
         monomials = {(d, e): ring.monomial(d, e) for d in {degree, *window} for e in basis}
-        mul = ring.mul
-        if primitive == "commuter":
-            maps = [
-                lambda p, q=monomials[j, b]: mul(p, q) - mul(q, p) for j in window for b in basis
-            ]
-        else:
-            slots = _NUCLEUS_TRIPLES[f"nucleus_{primitive}"]
-
-            def associator(x, y, z):
-                return mul(mul(x, y), z) - mul(x, mul(y, z))
-
-            maps = [
-                lambda p, q=monomials[j, b], r=monomials[k, c]: associator(*slots(p, q, r))
-                for j in window
-                for k in window
-                for b in basis
-                for c in basis
-            ]
+        kind = primitive if primitive == "commuter" else f"nucleus_{primitive}"
+        others = IDENTITY_ARITY[kind] - 1
+        rests = [
+            tuple(monomials[d, e] for d, e in zip(ds, es))
+            for ds in product(window, repeat=others)
+            for es in product(basis, repeat=others)
+        ]
 
         def blocks():
-            for f in maps:
-                images = [f(monomials[degree, a]) for a in basis]
+            for rest in rests:
+                images = [
+                    evaluate_identity(kind, (monomials[degree, a],) + rest, ring.mul)
+                    for a in basis
+                ]
                 for d in sorted({d for img in images for d in img.coeffs}):
                     yield [enumerate(img.coeff(d, n).coords) for img in images]
 

@@ -294,30 +294,25 @@ def suite_axioms(algebra=None, mu=None, bound=None):
     )
 
     unflipped_h = FlipPolyRing(H, ring_h.sigma, ring_h.delta, flipped=False)
-    witness = None
     basis = H.basis()
-    for m in range(3):
-        for n in range(3):
-            for r in basis:
-                for s in basis:
-                    if ring_h.monomial_product(m, r, n, s) != unflipped_h.monomial_product(
-                        m, r, n, s
-                    ):
-                        witness = (m, n, r, s)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(
+        (
+            (m, n)
+            for m in range(3)
+            for n in range(3)
+            for r in basis
+            for s in basis
+            if ring_h.monomial_product(m, r, n, s) != unflipped_h.monomial_product(m, r, n, s)
+        ),
+        None,
+    )
     if witness is None:
         result.failure = (
             "flipped and unflipped products coincide over the quaternions, "
             "which would make the flip vacuous on a noncommutative base"
         )
         return result
-    m, n, r, s = witness
+    m, n = witness
     result.lines.append(
         f"flipped != unflipped over the quaternions; witness degrees (m={m}, n={n})"
     )
