@@ -258,6 +258,34 @@ def test_text_output_is_pinned(argv, expected, capsys, monkeypatch):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (
+            ["check", "--algebra=H", "--family=N", "--bound=2"],
+            1,
+            "family N, bound 2: 304 identities checked, 108 failed; first: [N3] "
+            "(bX^0, cX^0, X) != 0 for b=(0, 1, 0, 0) c=(0, 0, 1, 0): [0,0,0,2]*X\n",
+        ),
+        (
+            ["check", "--algebra=H", "--family=O", "--bound=2"],
+            1,
+            "family O, bound 2: 1744 identities checked, 456 failed; first: [O3] "
+            "(aX^0, bX^0, cX^1) != 0 for a=(0, 1, 0, 0) b=(0, 0, 1, 0) c=(1, 0, 0, 0): "
+            "[0,0,0,2]*X\n",
+        ),
+        (
+            ["check", "--algebra=C", "--family=O", "--bound=2"],
+            0,
+            "family O, bound 2: 224 identities checked, all hold\n",
+        ),
+    ],
+)
+def test_check_output_and_exit_code_are_pinned(argv, code, expected, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr().out == expected
+
+
 # ------------------------------------------------------------------- fuzzing
 _JUNK = ("", " ", ",", "[", "]", "1/0", "e9", "*X", "[1/0,1]")
 
@@ -348,3 +376,4 @@ def test_main_keeps_the_exit_code_contract(argv, monkeypatch):
         validating = command == "involution" and any(a.startswith("--validate=") for a in argv)
         cross_checking = command == "analyze" and "--cross-check" in argv
         assert command in ("check", "verify") or validating or cross_checking, argv
+

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -450,12 +451,28 @@ def test_axioms_f_family_holds_with_nonzero_delta(algebras):
     assert check_axioms(ring, "F", 2).passed
 
 
+def _failures_digest(report):
+    """SHA-256 of the full list of ``(axiom, witness)`` pairs, in report order."""
+    failures = [(f.axiom, f.witness) for f in report.failures]
+    return hashlib.sha256(repr(failures).encode()).hexdigest()
+
+
 def test_axioms_n_family_fails_on_quaternion_ring(algebras):
     report = check_axioms(star_skew_ring(algebras["H"]), "N", 2)
     assert not report.passed
     first = report.first_counterexample()
     assert first.axiom == "N3"
-    assert "!= 0" in first.witness
+    assert first.witness == (
+        "(bX^0, cX^0, X) != 0 for b=(0, 1, 0, 0) c=(0, 0, 1, 0): [0,0,0,2]*X"
+    )
+    assert (report.checked, len(report.failures)) == (304, 108)
+    assert sum(", X, c" in f.witness for f in report.failures) == 54
+    assert report.failures[-1].witness == (
+        "(bX^2, X, cX^2) != 0 for b=(0, 0, 0, 1) c=(0, 0, 1, 0): [0,2,0,0]*X^5"
+    )
+    assert _failures_digest(report) == (
+        "5bdba1aa15a5843d9222fccd95b741a1c9c0d22947b0fe4fcb438b5360a1a194"
+    )
 
 
 def test_axioms_o_family_on_complex_ring(algebras):
@@ -466,6 +483,32 @@ def test_axioms_o_family_fails_on_quaternion_ring(algebras):
     report = check_axioms(star_skew_ring(algebras["H"]), "O", 2)
     assert not report.passed
     assert report.first_counterexample().axiom == "O3"
+    assert (report.checked, len(report.failures)) == (1744, 456)
+    assert {f.axiom for f in report.failures} == {"O3"}
+    assert report.failures[-1].witness == (
+        "(aX^2, bX^2, cX^1) != 0 for a=(0, 0, 0, 1) b=(0, 0, 1, 0) c=(0, 0, 0, 1): "
+        "[0,0,-2,0]*X^5"
+    )
+    assert _failures_digest(report) == (
+        "0fad58a64519e83d2920984e86e9b6d44da91391f236b15e15c920ff39d959ff"
+    )
+
+
+def test_axioms_f_family_fails_without_the_flip(algebras):
+    # the unflipped ring over H multiplies constants by odd-degree monomials in
+    # order, while F3b asks for the reversed product
+    H = algebras["H"]
+    ring = FlipPolyRing(H, AdditiveMap.from_star(H), AdditiveMap.zero(4), flipped=False)
+    report = check_axioms(ring, "F", 2)
+    assert report.checked == 208
+    assert [(f.axiom, f.witness) for f in report.failures] == [
+        ("F3b", "n=1 r=(0, 1, 0, 0) s=(0, 0, 1, 0): [0,0,0,1]*X vs [0,0,0,-1]*X"),
+        ("F3b", "n=1 r=(0, 1, 0, 0) s=(0, 0, 0, 1): [0,0,-1,0]*X vs [0,0,1,0]*X"),
+        ("F3b", "n=1 r=(0, 0, 1, 0) s=(0, 1, 0, 0): [0,0,0,-1]*X vs [0,0,0,1]*X"),
+        ("F3b", "n=1 r=(0, 0, 1, 0) s=(0, 0, 0, 1): [0,1,0,0]*X vs [0,-1,0,0]*X"),
+        ("F3b", "n=1 r=(0, 0, 0, 1) s=(0, 1, 0, 0): [0,0,1,0]*X vs [0,0,-1,0]*X"),
+        ("F3b", "n=1 r=(0, 0, 0, 1) s=(0, 0, 1, 0): [0,-1,0,0]*X vs [0,1,0,0]*X"),
+    ]
 
 
 def test_axioms_validation():
