@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .algebra_core import AlgebraElement, zero_element
+from .algebra_core import AlgebraElement, evaluate_identity, zero_element
 from .scalars import format_rational, parse_rational, simplify
 
 ORACLE_DEGREE_LIMIT = 12
@@ -484,131 +484,85 @@ class AxiomReport:
         return head + f", {len(self.failures)} failed; first: [{first.axiom}] {first.witness}"
 
 
-def _poly_associator(ring, p, q, r):
-    return ring.mul(ring.mul(p, q), r) - ring.mul(p, ring.mul(q, r))
-
-
 def check_axioms(ring, family, degree_bound):
     """Exhaustively test one axiom family on basis coefficients up to the bound.
 
     Families: "O" (generator reduction plus an associativity sample over all
     monomial triples), "N" (same generator axioms plus vanishing associators
     with the generator in the middle or right slot), "F" (the recursive
-    product identities of the flipped rings).
+    product identities of the flipped rings).  The associators are the
+    ``nucleus_*`` words of ``algebra_core.IDENTITIES`` read with ``ring.mul``.
     """
     if family not in AXIOM_FAMILIES:
         raise ValueError(f"family must be one of {AXIOM_FAMILIES}")
     if not 0 <= degree_bound <= AXIOM_DEGREE_LIMIT:
         raise ValueError(f"degree_bound must be between 0 and {AXIOM_DEGREE_LIMIT}")
-    algebra = ring.coeff_algebra
-    basis = algebra.basis()
-    x_poly = ring.x()
     report = AxiomReport(family, degree_bound)
-
-    def record(ok, axiom, witness):
+    for axiom, ok, witness in _axiom_checks(ring, family, degree_bound):
         report.checked += 1
         if not ok:
             report.failures.append(AxiomFailure(axiom, witness()))
+    return report
 
+
+def _axiom_checks(ring, family, degree_bound):
+    """Yield ``(axiom, ok, witness)`` for each identity of the family, in report order.
+
+    ``witness()`` renders the failure text from the generator's current
+    values, so it must be called before the next check is drawn.
+    """
+    basis = ring.coeff_algebra.basis()
+    degrees = range(degree_bound + 1)
+    mono, mul, x = ring.monomial, ring.mul, ring.x()
     # power basis: (r X^m) X = r X^(m+1)
-    for m in range(degree_bound + 1):
-        for r in basis:
-            lhs = ring.mul(ring.monomial(m, r), x_poly)
-            rhs = ring.monomial(m + 1, r)
-            record(
-                lhs == rhs,
-                f"{family}1",
-                lambda m=m, r=r, lhs=lhs: f"(rX^{m})X != rX^{m + 1} for r={r.coords}: got {poly_to_text(lhs)}",
-            )
-
+    for m, r in itertools.product(degrees, basis):
+        lhs = mul(mono(m, r), x)
+        yield f"{family}1", lhs == mono(m + 1, r), lambda: (
+            f"(rX^{m})X != rX^{m + 1} for r={r.coords}: got {poly_to_text(lhs)}"
+        )
     # generator reduction: X r = sigma(r) X + delta(r)
     for r in basis:
-        lhs = ring.mul(x_poly, ring.constant(r))
-        rhs = ring.monomial(1, ring.sigma(r)) + ring.constant(ring.delta(r))
-        record(
-            lhs == rhs,
-            f"{family}2",
-            lambda r=r, lhs=lhs, rhs=rhs: f"Xr != sigma(r)X + delta(r) for r={r.coords}: {poly_to_text(lhs)} vs {poly_to_text(rhs)}",
+        lhs = mul(x, ring.constant(r))
+        rhs = mono(1, ring.sigma(r)) + ring.constant(ring.delta(r))
+        yield f"{family}2", lhs == rhs, lambda: (
+            f"Xr != sigma(r)X + delta(r) for r={r.coords}: "
+            f"{poly_to_text(lhs)} vs {poly_to_text(rhs)}"
         )
-
     if family == "F":
-        for m in range(degree_bound + 1):
-            for n in range(degree_bound + 1):
-                for r in basis:
-                    for s in basis:
-                        lhs = ring.mul(ring.monomial(m + 1, r), ring.monomial(n, s))
-                        rhs = ring.mul(
-                            ring.mul(ring.monomial(m, r), ring.monomial(n, ring.sigma(s))),
-                            x_poly,
-                        ) + ring.mul(ring.monomial(m, r), ring.monomial(n, ring.delta(s)))
-                        record(
-                            lhs == rhs,
-                            "F3a",
-                            lambda m=m, n=n, r=r, s=s, lhs=lhs, rhs=rhs: (
-                                f"m={m} n={n} r={r.coords} s={s.coords}: "
-                                f"{poly_to_text(lhs)} vs {poly_to_text(rhs)}"
-                            ),
-                        )
-        for n in range(degree_bound + 1):
-            for r in basis:
-                for s in basis:
-                    lhs = ring.mul(ring.constant(r), ring.monomial(n, s))
-                    rhs = ring.monomial(n, ring.tau(n, r, s))
-                    record(
-                        lhs == rhs,
-                        "F3b",
-                        lambda n=n, r=r, s=s, lhs=lhs, rhs=rhs: (
-                            f"n={n} r={r.coords} s={s.coords}: "
-                            f"{poly_to_text(lhs)} vs {poly_to_text(rhs)}"
-                        ),
-                    )
+        for m, n, r, s in itertools.product(degrees, degrees, basis, basis):
+            lhs = mul(mono(m + 1, r), mono(n, s))
+            rhs = mul(mul(mono(m, r), mono(n, ring.sigma(s))), x) + mul(
+                mono(m, r), mono(n, ring.delta(s))
+            )
+            yield "F3a", lhs == rhs, lambda: (
+                f"m={m} n={n} r={r.coords} s={s.coords}: "
+                f"{poly_to_text(lhs)} vs {poly_to_text(rhs)}"
+            )
+        for n, r, s in itertools.product(degrees, basis, basis):
+            lhs = mul(ring.constant(r), mono(n, s))
+            rhs = mono(n, ring.tau(n, r, s))
+            yield "F3b", lhs == rhs, lambda: (
+                f"n={n} r={r.coords} s={s.coords}: {poly_to_text(lhs)} vs {poly_to_text(rhs)}"
+            )
     elif family == "N":
-        for j in range(degree_bound + 1):
-            for k in range(degree_bound + 1):
-                for b in basis:
-                    for c in basis:
-                        p = ring.monomial(j, b)
-                        q = ring.monomial(k, c)
-                        right = _poly_associator(ring, p, q, x_poly)
-                        record(
-                            right.is_zero(),
-                            "N3",
-                            lambda j=j, k=k, b=b, c=c, right=right: (
-                                f"(bX^{j}, cX^{k}, X) != 0 for b={b.coords} c={c.coords}: "
-                                f"{poly_to_text(right)}"
-                            ),
-                        )
-                        middle = _poly_associator(ring, p, x_poly, q)
-                        record(
-                            middle.is_zero(),
-                            "N3",
-                            lambda j=j, k=k, b=b, c=c, middle=middle: (
-                                f"(bX^{j}, X, cX^{k}) != 0 for b={b.coords} c={c.coords}: "
-                                f"{poly_to_text(middle)}"
-                            ),
-                        )
+        # (X, p, q) in nucleus_right is (p, q, X); in nucleus_middle, (p, X, q)
+        for j, k, b, c in itertools.product(degrees, degrees, basis, basis):
+            values = (x, mono(j, b), mono(k, c))
+            right = evaluate_identity("nucleus_right", values, mul)
+            yield "N3", right.is_zero(), lambda: (
+                f"(bX^{j}, cX^{k}, X) != 0 for b={b.coords} c={c.coords}: {poly_to_text(right)}"
+            )
+            middle = evaluate_identity("nucleus_middle", values, mul)
+            yield "N3", middle.is_zero(), lambda: (
+                f"(bX^{j}, X, cX^{k}) != 0 for b={b.coords} c={c.coords}: {poly_to_text(middle)}"
+            )
     else:  # "O": associativity sampled over all bounded monomial triples
-        for i in range(degree_bound + 1):
-            for j in range(degree_bound + 1):
-                for k in range(degree_bound + 1):
-                    for a in basis:
-                        for b in basis:
-                            for c in basis:
-                                value = _poly_associator(
-                                    ring,
-                                    ring.monomial(i, a),
-                                    ring.monomial(j, b),
-                                    ring.monomial(k, c),
-                                )
-                                record(
-                                    value.is_zero(),
-                                    "O3",
-                                    lambda i=i, j=j, k=k, a=a, b=b, c=c, value=value: (
-                                        f"(aX^{i}, bX^{j}, cX^{k}) != 0 for a={a.coords} "
-                                        f"b={b.coords} c={c.coords}: {poly_to_text(value)}"
-                                    ),
-                                )
-    return report
+        for i, j, k, a, b, c in itertools.product(degrees, degrees, degrees, basis, basis, basis):
+            value = evaluate_identity("nucleus_left", (mono(i, a), mono(j, b), mono(k, c)), mul)
+            yield "O3", value.is_zero(), lambda: (
+                f"(aX^{i}, bX^{j}, cX^{k}) != 0 for a={a.coords} b={b.coords} c={c.coords}: "
+                f"{poly_to_text(value)}"
+            )
 
 
 # ------------------------------------------------------------------------ grading
