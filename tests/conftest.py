@@ -173,3 +173,36 @@ def sparse_exchange_algebras(seed=20261029):
     """
     rng = random.Random(seed)
     return [(f"sparse exchange d=3 #{n}", exchange_algebra(rng, 3, 1 / 4)) for n in range(2)]
+
+
+def matrix_algebra(involution):
+    """M_2(Q) on the basis 1, E12, E21, E11 - E22, with the ``"transpose"`` or
+    the ``"adjugate"`` involution.
+
+    The adjugate is a scalar involution (a a* = det a), so its norms commute;
+    the norms of the transpose do not.
+    """
+    basis = [((1, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (0, -1))]
+
+    def coords(m):
+        (p, q), (r, s) = m
+        return [Fraction(p + s, 2), q, r, Fraction(p - s, 2)]
+
+    def mat_mul(x, y):
+        return tuple(
+            tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)) for i in range(2)
+        )
+
+    def star(m):
+        (p, q), (r, s) = m
+        return ((p, r), (q, s)) if involution == "transpose" else ((s, -q), (-r, p))
+
+    table = [[coords(mat_mul(x, y)) for y in basis] for x in basis]
+    star_cols = [coords(star(m)) for m in basis]
+    star_rows = [[col[i] for col in star_cols] for i in range(4)]
+    return StarAlgebra(StructureConstants(4, table), Involution(star_rows))
+
+
+def matrix_algebras():
+    """M_2(Q) with the transpose and with the adjugate involution."""
+    return [(f"M_2(Q) {name}", matrix_algebra(name)) for name in ("transpose", "adjugate")]

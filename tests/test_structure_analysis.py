@@ -14,7 +14,7 @@ from flipcayley import (
 )
 from flipcayley import structure_analysis as sa
 from flipcayley.flip_poly import AdditiveMap, FlipPolyRing
-from conftest import exchange_algebras, raw_rows, sparse_exchange_algebras
+from conftest import exchange_algebras, matrix_algebras, raw_rows, sparse_exchange_algebras
 
 
 # --------------------------------------------------------- generator in nuclei
@@ -37,6 +37,7 @@ def _off_named_set():
     return (
         exchange_algebras()
         + sparse_exchange_algebras()
+        + matrix_algebras()
         + [
             ("tower(1/2, 3)", tower([Fraction(1, 2), 3])),
             ("tower(2/3, -1, 5)", tower([Fraction(2, 3), -1, 5])),
