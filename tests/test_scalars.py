@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flipcayley import AdditiveMap, named, tower
 from flipcayley.scalars import (
     format_rational,
     parse_rational,
@@ -41,6 +42,26 @@ def test_whole_numbers_collapse_to_int():
     assert simplify(Fraction(4, 2)) == 2
     assert isinstance(simplify(Fraction(4, 2)), int)
     assert isinstance(simplify(Fraction(1, 2) + Fraction(1, 2)), int)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, "1/2", None, complex(1, 0)])
+def test_non_rational_scalars_rejected(value):
+    with pytest.raises(TypeError):
+        simplify(value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: tower([0.5]),
+        lambda: named("H").element([0.5, 0, 0, 0.1]),
+        lambda: AdditiveMap([[0.5]], "sigma"),
+    ],
+    ids=["tower", "element", "additive_map"],
+)
+def test_float_entry_points_rejected(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_parse_and_format():
