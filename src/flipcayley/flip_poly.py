@@ -22,6 +22,8 @@ survives as the independent test oracle ``pi_oracle``.
 Each ring caches the products of single-term operands by degrees and
 coordinate values (the product depends on nothing else, as a ring never
 changes); ``mul`` and ``monomial_product`` both read it and return copies.
+
+``check_axioms`` reads its associators from ``algebra_core.IDENTITIES``.
 """
 
 from __future__ import annotations
@@ -530,10 +532,8 @@ def _axiom_checks(ring, family, degree_bound):
         )
     if family == "F":
         for m, n, r, s in itertools.product(degrees, degrees, basis, basis):
-            lhs = mul(mono(m + 1, r), mono(n, s))
-            rhs = mul(mul(mono(m, r), mono(n, ring.sigma(s))), x) + mul(
-                mono(m, r), mono(n, ring.delta(s))
-            )
+            p, lhs = mono(m, r), mul(mono(m + 1, r), mono(n, s))
+            rhs = mul(mul(p, mono(n, ring.sigma(s))), x) + mul(p, mono(n, ring.delta(s)))
             yield "F3a", lhs == rhs, lambda: (
                 f"m={m} n={n} r={r.coords} s={s.coords}: "
                 f"{poly_to_text(lhs)} vs {poly_to_text(rhs)}"

@@ -14,19 +14,13 @@ from fractions import Fraction
 
 
 def simplify(value):
-    """Collapse a Fraction with denominator 1 to a plain int.
-
-    This is the gate every scalar entering an algebra, a map or a doubling
-    passes: anything but an ``int`` or a ``Fraction`` (a ``float`` above all,
-    which would round) raises ``TypeError``.
-    """
-    if type(value) is int:
-        return value
+    """Collapse a Fraction with denominator 1 to a plain int; any other type
+    than ``int`` or ``Fraction`` (a float, say) raises ``TypeError``."""
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
-        return value
-    raise TypeError(f"scalars must be int or Fraction, not {type(value).__name__}")
+    if not isinstance(value, int):
+        raise TypeError(f"scalars must be int or Fraction, not {type(value).__name__}")
+    return value
 
 
 def rat(numerator, denominator=1):
