@@ -376,4 +376,3 @@ def test_main_keeps_the_exit_code_contract(argv, monkeypatch):
         validating = command == "involution" and any(a.startswith("--validate=") for a in argv)
         cross_checking = command == "analyze" and "--cross-check" in argv
         assert command in ("check", "verify") or validating or cross_checking, argv
-
