@@ -16,6 +16,8 @@ from fractions import Fraction
 def simplify(value):
     """Collapse a Fraction with denominator 1 to a plain int; any other type
     than ``int`` or ``Fraction`` (a float, say) raises ``TypeError``."""
+    if type(value) is int:  # the common case, tested first
+        return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if not isinstance(value, int):
