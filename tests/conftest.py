@@ -188,11 +188,6 @@ def matrix_algebra(involution):
         (p, q), (r, s) = m
         return [Fraction(p + s, 2), q, r, Fraction(p - s, 2)]
 
-    def mat_mul(x, y):
-        return tuple(
-            tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-        )
-
     def star(m):
         (p, q), (r, s) = m
         return ((p, r), (q, s)) if involution == "transpose" else ((s, -q), (-r, p))
