@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,58 @@ def test_middle_chain_with_nonzero_delta(algebras):
             flipped=True,
         )
         assert sa.x_in_nucleus(ring, "middle") == A.is_commutative()
+
+
+def _map_of(A, f, kind):
+    """The ``AdditiveMap`` of the given kind whose column j is f(e_j)."""
+    cols = [f(e).coords for e in A.basis()]
+    return AdditiveMap([[col[i] for col in cols] for i in range(A.dim)], kind)
+
+
+def _sparse_fraction_map(rng, A, kind):
+    """A seeded map with a few Fraction entries off column 0, which is e_0
+    for a sigma (it must fix 1) and zero for a delta (it must kill 1)."""
+    rows = [[0] * A.dim for _ in range(A.dim)]
+    if kind == "sigma":
+        rows[0][0] = 1
+    for _ in range(A.dim):
+        rows[rng.randrange(A.dim)][rng.randrange(1, A.dim)] = Fraction(
+            rng.randint(-3, 3), rng.randint(1, 3)
+        )
+    return AdditiveMap(rows, kind)
+
+
+def test_x_in_nucleus_with_random_sigma_and_delta(algebras):
+    # the left criterion needs delta to be a sigma-derivation on both sides;
+    # x -> ax - sigma(x)a is one on the left only and x -> xa - a sigma(x) on
+    # the right only, when sigma is an automorphism such as x -> u x u^-1
+    rng = random.Random(20261018)
+    seen = {side: set() for side in sa.X_SIDES}
+    for name in ("C", "C'", "H", "H'"):
+        A = algebras[name]
+        u = A.unit + A.basis()[1].scaled(2)
+        u_inv = A.star(u).scaled(Fraction(1, A.mul(u, A.star(u)).coords[0]))
+        a = A.element(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(A.dim))
+        sigmas = [
+            AdditiveMap.identity(A.dim),
+            AdditiveMap.from_star(A),
+            _map_of(A, lambda x: A.mul(A.mul(u, x), u_inv), "sigma"),
+            _sparse_fraction_map(rng, A, "sigma"),
+        ]
+        for s, sigma in enumerate(sigmas):
+            deltas = [
+                AdditiveMap.zero(A.dim),
+                _map_of(A, lambda x: A.mul(a, x) - A.mul(sigma(x), a), "delta"),
+                _map_of(A, lambda x: A.mul(x, a) - A.mul(a, sigma(x)), "delta"),
+                _sparse_fraction_map(rng, A, "delta"),
+            ]
+            for d, delta in enumerate(deltas):
+                ring = FlipPolyRing(A, sigma, delta, flipped=True)
+                for side in sa.X_SIDES:
+                    got = sa.x_in_nucleus(ring, side)
+                    assert got == sa.x_in_nucleus_bruteforce(ring, side, 2), (name, s, d, side)
+                    seen[side].add(got)
+    assert all(answers == {True, False} for answers in seen.values()), seen
 
 
 # -------------------------------------------------------- inheritance criteria
