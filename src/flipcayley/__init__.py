@@ -39,7 +39,6 @@ from .quotient_iso import (
     psi,
     psi_inv,
 )
-from .scalars import rat, rat_inv
 
 __version__ = "0.1.0"
 
@@ -72,8 +71,6 @@ __all__ = [
     "poly_to_text",
     "psi",
     "psi_inv",
-    "rat",
-    "rat_inv",
     "rational_base",
     "rules_agree",
     "star_skew_ring",

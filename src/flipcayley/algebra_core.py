@@ -20,6 +20,7 @@ compare the kernel with dense rows built from the public ``mul``/``associator``.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from itertools import product
 
 from . import linalg
@@ -82,13 +83,19 @@ def evaluate_identity(kind, values, mul):
     return total
 
 
+_EXACT = frozenset((int, Fraction))  # coordinate types kept without a check
+
+
 class AlgebraElement:
     """Immutable coordinate vector relative to the parent algebra's basis."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        self.coords = tuple(coords)
+        coords = tuple(coords)
+        if not _EXACT.issuperset(map(type, coords)):
+            coords = tuple(map(simplify, coords))  # a float raises TypeError
+        self.coords = coords
 
     def __add__(self, other):
         return AlgebraElement(
@@ -199,7 +206,7 @@ class StarAlgebra:
 
     __slots__ = ("sc", "involution", "_sparse", "_cache")
 
-    def __init__(self, sc, involution, check=True):
+    def __init__(self, sc, involution):
         if involution.linear.dim != sc.dim:
             raise ValueError("involution dimension mismatch")
         self.sc = sc
@@ -212,8 +219,7 @@ class StarAlgebra:
             for row in sc.table
         )
         self._cache = {}
-        if check:
-            self._check_involution()
+        self._check_involution()
 
     # ------------------------------------------------------------------ basics
     @property

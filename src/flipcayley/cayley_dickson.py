@@ -34,6 +34,8 @@ NAMED_TOWERS = {
     "S": (-1, -1, -1, -1),
 }
 
+ZERO_DIVISOR_BUDGET = 500_000
+
 
 def rational_base():
     """The scalars as a one-dimensional algebra with the trivial involution."""
@@ -108,17 +110,17 @@ def _sparse_candidates(algebra):
     return singles + pairs
 
 
-def find_zero_divisor(algebra, search_budget=500_000):
+def find_zero_divisor(algebra):
     """Search sparse +-1 vectors for a pair of nonzero elements with zero product.
 
-    A hit is a genuine witness; exhausting the budget proves nothing and is
-    reported as None.
+    A hit is a genuine witness; exhausting the budget of
+    ``ZERO_DIVISOR_BUDGET`` pairs proves nothing and is reported as None.
     """
     candidates = _sparse_candidates(algebra)
     tested = 0
     for x in candidates:
         for y in candidates:
-            if tested >= search_budget:
+            if tested >= ZERO_DIVISOR_BUDGET:
                 return None
             tested += 1
             if algebra.mul(x, y).is_zero():

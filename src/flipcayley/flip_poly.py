@@ -72,12 +72,12 @@ class AdditiveMap:
             raise ValueError("delta must map the unit to zero")
 
     @classmethod
-    def identity(cls, dim, kind="sigma"):
-        return cls(linalg.LinearMap.identity(dim), kind)
+    def identity(cls, dim):
+        return cls(linalg.LinearMap.identity(dim), "sigma")
 
     @classmethod
-    def zero(cls, dim, kind="delta"):
-        return cls(linalg.LinearMap(dim, ((),) * dim), kind)
+    def zero(cls, dim):
+        return cls(linalg.LinearMap(dim, ((),) * dim), "delta")
 
     @classmethod
     def from_star(cls, algebra):
@@ -107,9 +107,6 @@ class Poly:
         p = object.__new__(cls)
         p.coeffs = coeffs
         return p
-
-    def support(self):
-        return tuple(self.coeffs)
 
     def coeff(self, degree, dim):
         return self.coeffs.get(degree, zero_element(dim))
@@ -355,15 +352,10 @@ def star_skew_ring(algebra):
     )
 
 
-def ordinary_ring(algebra, sigma=None, delta=None):
-    """Unflipped generalized polynomial ring; defaults to the plain one."""
+def ordinary_ring(algebra):
+    """The plain polynomial ring: sigma the identity, delta zero, no flip."""
     dim = algebra.dim
-    return FlipPolyRing(
-        algebra,
-        sigma if sigma is not None else AdditiveMap.identity(dim),
-        delta if delta is not None else AdditiveMap.zero(dim),
-        flipped=False,
-    )
+    return FlipPolyRing(algebra, AdditiveMap.identity(dim), AdditiveMap.zero(dim), flipped=False)
 
 
 # ------------------------------------------------------------------ product rules
@@ -375,15 +367,14 @@ class ProductRule:
     constructed by ``tabulated`` only answers inside its degree window.
     """
 
-    def __init__(self, algebra, eval_fn, label="rule", window=None):
+    def __init__(self, algebra, eval_fn, window=None):
         self.algebra = algebra
         self._eval = eval_fn
-        self.label = label
         self.window = window
 
     def __call__(self, m, n, a, b):
         if self.window is not None and (m > self.window or n > self.window):
-            raise ValueError(f"{self.label} is only defined for degrees <= {self.window}")
+            raise ValueError(f"the rule is only defined for degrees <= {self.window}")
         return {k: v for k, v in self._eval(m, n, a, b).items() if not v.is_zero()}
 
     def flipped(self):
@@ -394,7 +385,7 @@ class ProductRule:
                 return self._eval(m, n, b, a)
             return self._eval(m, n, a, b)
 
-        return ProductRule(self.algebra, ev, f"flip({self.label})", self.window)
+        return ProductRule(self.algebra, ev, self.window)
 
     def tabulated(self, max_degree):
         """Freeze the rule into a stored basis-pair table for m, n <= max_degree."""
@@ -420,29 +411,11 @@ class ProductRule:
                         acc[k] = acc[k] + part if k in acc else part
             return acc
 
-        return ProductRule(self.algebra, ev, f"table({self.label})", max_degree)
+        return ProductRule(self.algebra, ev, max_degree)
 
     @classmethod
-    def of_ring(cls, ring, label=None):
-        return cls(
-            ring.coeff_algebra,
-            lambda m, n, a, b: ring.monomial_product(m, a, n, b),
-            label or ("flipped ring rule" if ring.flipped else "ring rule"),
-        )
-
-    @classmethod
-    def from_family(cls, algebra, family, degree_window, support_limit):
-        """Wrap a raw (m, n, k, a, b) -> coefficient family with explicit finite bounds."""
-
-        def ev(m, n, a, b):
-            out = {}
-            for k in range(support_limit + 1):
-                v = family(m, n, k, a, b)
-                if not v.is_zero():
-                    out[k] = v
-            return out
-
-        return cls(algebra, ev, "family rule", degree_window)
+    def of_ring(cls, ring):
+        return cls(ring.coeff_algebra, lambda m, n, a, b: ring.monomial_product(m, a, n, b))
 
 
 def rules_agree(rule_a, rule_b, max_degree):

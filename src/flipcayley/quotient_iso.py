@@ -2,14 +2,12 @@
 
 The quotient of the flipped star-skew ring by X^2 - mu keeps the canonical
 representative a + bX of every class, folding X^(2n) into mu^n and
-X^(2n+1) into mu^n X.  On representatives the induced product is exactly
-the doubling formula
-
-    (a, b)(c, d) = (ac + mu d*b, da + bc*),
-
-and the coordinate map (a, b) -> a-coords ++ b-coords identifies the
-quotient with the doubled algebra built by `cayley_dickson` (same basis
-ordering, by construction).
+X^(2n+1) into mu^n X.  ``QuotientRing`` multiplies two classes and applies
+the involution alpha in the ring itself, then reduces; it holds no formula
+of its own.  Theorem 1 says the result is the doubling formula of
+``cayley_dickson.cayley_double``, and the coordinate map
+(a, b) -> a-coords ++ b-coords identifies the quotient with that doubled
+algebra (same basis ordering, by construction).
 
 The un-quotiented ring is itself a double: of the ordinary polynomial
 algebra in a central variable t, with t as the doubling scalar.  The
@@ -55,7 +53,7 @@ class QuotientRing:
         self.ring = star_skew_ring(algebra)
 
     def lift(self, u):
-        return Poly({0: u.a}) + Poly({1: u.b})
+        return Poly({0: u.a, 1: u.b})
 
     def reduce(self, p):
         """Fold each X^(2n) term into mu^n and each X^(2n+1) term into mu^n X."""
@@ -69,22 +67,11 @@ class QuotientRing:
         return QuotElement(a, b)
 
     def mul(self, u, v):
-        """(a, b)(c, d) = (ac + mu d*b, da + bc*)."""
-        mul, star = self.algebra.mul, self.algebra.star
-        a, b, c, d = u.a, u.b, v.a, v.b
-        first = mul(a, c) + mul(star(d), b).scaled(self.mu)
-        second = mul(d, a) + mul(b, star(c))
-        return QuotElement(first, second)
-
-    def mul_via_reduction(self, u, v):
-        """Independent route: multiply representatives in the ring, then reduce."""
+        """Multiply the representatives in the ring, then reduce."""
         return self.reduce(self.ring.mul(self.lift(u), self.lift(v)))
 
     def star(self, u):
-        """(a, b) -> (a*, -b), the involution alpha pushes down to the quotient."""
-        return QuotElement(self.algebra.star(u.a), -u.b)
-
-    def star_via_reduction(self, u):
+        """The involution alpha of the ring, pushed down to the quotient."""
         return self.reduce(alpha(self.ring, self.lift(u)))
 
     def phi(self, u):
@@ -103,7 +90,7 @@ class QuotientRing:
         out.extend(QuotElement(zero, e) for e in self.algebra.basis())
         return out
 
-    def to_star_algebra(self, check=True):
+    def to_star_algebra(self):
         """Structure constants of the quotient under the coordinate identification."""
         basis = self.basis()
         n = len(basis)
@@ -114,7 +101,7 @@ class QuotientRing:
         star_cols = [self.phi(self.star(b)).coords for b in basis]
         star = [tuple(star_cols[j][i] for j in range(n)) for i in range(n)]
         sc = StructureConstants(n, table, self.algebra.sc.unit_index)
-        return StarAlgebra(sc, Involution(star), check=check)
+        return StarAlgebra(sc, Involution(star))
 
 
 # ----------------------------------------------- the double of the polynomial ring
@@ -140,10 +127,6 @@ def cayley_t_mul(algebra, u, v):
 
 def cayley_t_star(algebra, u):
     return PolyPair(_star_coeffwise(algebra, u.p), -u.q)
-
-
-def cayley_t_unit(algebra):
-    return PolyPair(Poly({0: algebra.unit}), Poly())
 
 
 def psi(algebra, pair):

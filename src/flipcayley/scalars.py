@@ -25,18 +25,6 @@ def simplify(value):
     return value
 
 
-def rat(numerator, denominator=1):
-    """Build a scalar in canonical form."""
-    return simplify(Fraction(numerator, denominator))
-
-
-def rat_inv(a):
-    """Multiplicative inverse; 0 has none."""
-    if a == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse")
-    return simplify(Fraction(1) / a)
-
-
 def parse_rational(text):
     """Parse the textual form ``p`` or ``p/q``."""
     return simplify(Fraction(str(text).strip()))

@@ -244,6 +244,16 @@ _KIND_ROWS = {
     "z_star": (_CENTER_ROWS[0], _CENTER_ROWS[1] + ("negation_fixed",)),
 }
 
+# identity kinds whose ring-product rows the brute-force oracle solves for each
+# set, one nullspace per tuple; the left/right set must get the same from both
+_BRUTE_KINDS = {
+    "commuter": (("commuter",),),
+    "left_right_nucleus": (("nucleus_left",), ("nucleus_right",)),
+    "middle_nucleus": (("nucleus_middle",),),
+    "nucleus": (_Z_ROWS[1:],),
+    "center": (_Z_ROWS,),
+}
+
 
 def _solve_by_parity(algebra, which, bound):
     if not 0 <= bound <= CRITERIA_BOUND_LIMIT:
@@ -278,16 +288,15 @@ def z_star_of_b(algebra, bound):
 
 
 # ----------------------------------------------------- degreewise sets: brute force
-def _brute_primitive_rows(algebra, ring, degree, primitive):
-    """The reduced row space of the constraint rows on the degree-``degree``
-    coefficient, built from real ring products."""
+def _brute_primitive_rows(algebra, ring, degree, kind):
+    """The reduced row space of the rows of the identity ``kind`` on the
+    degree-``degree`` coefficient, built from real ring products."""
 
     def build():
         basis = algebra.basis()
         n = algebra.dim
         window = range(BRUTE_DEGREE_WINDOW + 1)
         monomials = {(d, e): ring.monomial(d, e) for d in {degree, *window} for e in basis}
-        kind = primitive if primitive == "commuter" else f"nucleus_{primitive}"
         others = IDENTITY_ARITY[kind] - 1
         rests = [
             tuple(monomials[d, e] for d, e in zip(ds, es))
@@ -306,13 +315,13 @@ def _brute_primitive_rows(algebra, ring, degree, primitive):
 
         return linalg.row_space(algebra.constraint_rows(blocks()), n)
 
-    return algebra.cached(("brute_rows", degree, primitive), build)
+    return algebra.cached(("brute_rows", degree, kind), build)
 
 
-def _brute_nullspace(algebra, ring, degree, primitives):
+def _brute_nullspace(algebra, ring, degree, kinds):
     rows = []
-    for primitive in primitives:
-        rows.extend(_brute_primitive_rows(algebra, ring, degree, primitive))
+    for kind in kinds:
+        rows.extend(_brute_primitive_rows(algebra, ring, degree, kind))
     return tuple(AlgebraElement(v) for v in linalg.nullspace(rows, algebra.dim))
 
 
@@ -330,24 +339,14 @@ def degreewise_set_bruteforce(algebra, which, bound):
     ring = algebra.cached("star_skew_ring", lambda: star_skew_ring(algebra))
     per_degree = {}
     for degree in range(bound + 1):
-        if which == "commuter":
-            basis = _brute_nullspace(algebra, ring, degree, ("commuter",))
-        elif which == "middle_nucleus":
-            basis = _brute_nullspace(algebra, ring, degree, ("middle",))
-        elif which == "left_right_nucleus":
-            left = _brute_nullspace(algebra, ring, degree, ("left",))
-            right = _brute_nullspace(algebra, ring, degree, ("right",))
-            if left != right:
+        first, *others = (
+            _brute_nullspace(algebra, ring, degree, kinds) for kinds in _BRUTE_KINDS[which]
+        )
+        for other in others:
+            if other != first:
                 raise ValueError(
                     f"left and right nucleus disagree at degree {degree}: "
-                    f"{[e.coords for e in left]} vs {[e.coords for e in right]}"
+                    f"{[e.coords for e in first]} vs {[e.coords for e in other]}"
                 )
-            basis = left
-        elif which == "nucleus":
-            basis = _brute_nullspace(algebra, ring, degree, ("left", "middle", "right"))
-        else:  # center
-            basis = _brute_nullspace(
-                algebra, ring, degree, ("commuter", "left", "middle", "right")
-            )
-        per_degree[degree] = basis
+        per_degree[degree] = first
     return DegreewiseSet(which, bound, per_degree)

@@ -4,6 +4,7 @@ import pytest
 
 from flipcayley import (
     basis_element,
+    cayley_dickson,
     cayley_double,
     find_zero_divisor,
     named,
@@ -122,8 +123,9 @@ def test_split_octonions_have_zero_divisors(algebras):
     assert pair is not None
 
 
-def test_search_budget_exhaustion(algebras):
-    assert find_zero_divisor(algebras["S"], search_budget=1) is None
+def test_search_budget_exhaustion(algebras, monkeypatch):
+    monkeypatch.setattr(cayley_dickson, "ZERO_DIVISOR_BUDGET", 1)
+    assert find_zero_divisor(algebras["S"]) is None
 
 
 def test_double_validates_star_axioms():

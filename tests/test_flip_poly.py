@@ -194,7 +194,7 @@ def test_differential_specialization(algebras):
     # sigma = id: binomial expansion in powers of delta
     H = algebras["H"]
     delta = shift_map(4)
-    ring = ordinary_ring(H, delta=delta)
+    ring = FlipPolyRing(H, AdditiveMap.identity(4), delta, flipped=False)
     for m in range(5):
         for n in range(3):
             for r in H.basis():
@@ -425,18 +425,6 @@ def test_tabulated_rule(algebras):
         table(4, 0, a, b)
 
 
-def test_rule_from_family(algebras):
-    C = algebras["C"]
-    ring = star_skew_ring(C)
-
-    def family(m, n, k, a, b):
-        got = ring.monomial_product(m, a, n, b)
-        return got.get(k, C.zero())
-
-    wrapped = ProductRule.from_family(C, family, degree_window=3, support_limit=8)
-    assert rules_agree(wrapped, ProductRule.of_ring(ring), 3)
-
-
 # ----------------------------------------------------------------- axiom suites
 def test_axioms_f_family_holds_on_quaternion_ring(algebras):
     ring = star_skew_ring(algebras["H"])
@@ -570,7 +558,7 @@ def test_poly_text_round_trip(algebras):
 def test_poly_text_parse_accepts_signed_terms():
     p = parse_poly("[1,0] - [0,2]*X + [0,1]*X^3", 2)
     assert p.coeffs[1] == AlgebraElement((0, -2))
-    assert p.support() == (0, 1, 3)
+    assert tuple(p.coeffs) == (0, 1, 3)
 
 
 def test_poly_parse_errors():

@@ -336,7 +336,7 @@ def test_constraint_rows_are_distinct_and_nonzero(algebras):
             assert len(set(rows)) == len(rows), (name, kind)
 
 
-def _raw_brute_rows(ring, degree, primitive):
+def _raw_brute_rows(ring, degree, kind):
     """The brute-force oracle's constraint rows, rebuilt from ``ring.mul``."""
     A = ring.coeff_algebra
     n = A.dim
@@ -349,16 +349,16 @@ def _raw_brute_rows(ring, degree, primitive):
     def associator(x, y, z):
         return mul(mul(x, y), z) - mul(x, mul(y, z))
 
-    if primitive == "commuter":
+    if kind == "commuter":
         maps = [
             lambda x, y=Poly({j: b}): commutator(x, y) for j in window for b in A.basis()
         ]
     else:
         place = {
-            "left": lambda x, y, z: (x, y, z),
-            "middle": lambda x, y, z: (y, x, z),
-            "right": lambda x, y, z: (y, z, x),
-        }[primitive]
+            "nucleus_left": lambda x, y, z: (x, y, z),
+            "nucleus_middle": lambda x, y, z: (y, x, z),
+            "nucleus_right": lambda x, y, z: (y, z, x),
+        }[kind]
         maps = [
             lambda x, y=Poly({j: b}), z=Poly({k: c}): associator(*place(x, y, z))
             for j in window
@@ -379,8 +379,8 @@ def test_brute_row_spaces_span_the_raw_rows(algebras):
     H = algebras["H"]
     ring = star_skew_ring(H)
     for degree in range(sa.BRUTE_DEGREE_WINDOW + 1):
-        for primitive in ("commuter", "left", "middle", "right"):
-            raw = _raw_brute_rows(ring, degree, primitive)
-            assert len(raw) > H.dim, (degree, primitive)
-            got = sa._brute_primitive_rows(H, ring, degree, primitive)
-            assert got == linalg.row_space(raw, H.dim), (degree, primitive)
+        for kind in ("commuter", "nucleus_left", "nucleus_middle", "nucleus_right"):
+            raw = _raw_brute_rows(ring, degree, kind)
+            assert len(raw) > H.dim, (degree, kind)
+            got = sa._brute_primitive_rows(H, ring, degree, kind)
+            assert got == linalg.row_space(raw, H.dim), (degree, kind)
