@@ -83,9 +83,6 @@ def evaluate_identity(kind, values, mul):
     return total
 
 
-_EXACT = frozenset((int, Fraction))  # coordinate types kept without a check
-
-
 class AlgebraElement:
     """Immutable coordinate vector relative to the parent algebra's basis."""
 
@@ -93,22 +90,29 @@ class AlgebraElement:
 
     def __init__(self, coords):
         coords = tuple(coords)
-        if not _EXACT.issuperset(map(type, coords)):
+        if not {int, Fraction}.issuperset(map(type, coords)):
             coords = tuple(map(simplify, coords))  # a float raises TypeError
         self.coords = coords
 
+    @classmethod
+    def _trusted(cls, coords):
+        """Wrap a tuple of ints and Fractions, unchecked (for exact results)."""
+        elem = object.__new__(cls)
+        elem.coords = coords
+        return elem
+
     def __add__(self, other):
-        return AlgebraElement(
-            a + b for a, b in zip(self.coords, other.coords, strict=True)
+        return AlgebraElement._trusted(
+            tuple(a + b for a, b in zip(self.coords, other.coords, strict=True))
         )
 
     def __sub__(self, other):
-        return AlgebraElement(
-            a - b for a, b in zip(self.coords, other.coords, strict=True)
+        return AlgebraElement._trusted(
+            tuple(a - b for a, b in zip(self.coords, other.coords, strict=True))
         )
 
     def __neg__(self):
-        return AlgebraElement(-a for a in self.coords)
+        return AlgebraElement._trusted(tuple(-a for a in self.coords))
 
     def scaled(self, scalar):
         return AlgebraElement(scalar * a for a in self.coords)
@@ -132,11 +136,11 @@ class AlgebraElement:
 
 
 def zero_element(dim):
-    return AlgebraElement((0,) * dim)
+    return AlgebraElement._trusted((0,) * dim)
 
 
 def basis_element(dim, index):
-    return AlgebraElement(tuple(1 if i == index else 0 for i in range(dim)))
+    return AlgebraElement._trusted(tuple(1 if i == index else 0 for i in range(dim)))
 
 
 class StructureConstants:
@@ -190,7 +194,7 @@ class Involution:
         return self.linear.matrix
 
     def apply(self, elem):
-        return AlgebraElement(self.linear.apply(elem.coords))
+        return AlgebraElement._trusted(self.linear.apply(elem.coords))
 
     def is_identity(self):
         return self.linear == linalg.LinearMap.identity(self.linear.dim)
@@ -267,7 +271,7 @@ class StarAlgebra:
                 c = xi * yj
                 for k, t in row[j]:
                     out[k] += c * t
-        return AlgebraElement(out)
+        return AlgebraElement._trusted(tuple(out))
 
     def star(self, x):
         return self.involution.apply(x)

@@ -14,6 +14,8 @@ sedenions; the +1 doublings give their split variants.
 
 from __future__ import annotations
 
+from itertools import islice, product
+
 from .algebra_core import (
     AlgebraElement,
     Involution,
@@ -117,12 +119,7 @@ def find_zero_divisor(algebra):
     ``ZERO_DIVISOR_BUDGET`` pairs proves nothing and is reported as None.
     """
     candidates = _sparse_candidates(algebra)
-    tested = 0
-    for x in candidates:
-        for y in candidates:
-            if tested >= ZERO_DIVISOR_BUDGET:
-                return None
-            tested += 1
-            if algebra.mul(x, y).is_zero():
-                return (x, y)
+    for x, y in islice(product(candidates, repeat=2), ZERO_DIVISOR_BUDGET):
+        if algebra.mul(x, y).is_zero():
+            return (x, y)
     return None

@@ -62,7 +62,7 @@ class AdditiveMap:
         return self.linear.matrix
 
     def __call__(self, elem):
-        return AlgebraElement(self.linear.apply(elem.coords))
+        return AlgebraElement._trusted(self.linear.apply(elem.coords))
 
     def check_unit_constraint(self, algebra):
         image = self(algebra.unit)
@@ -284,8 +284,8 @@ class FlipPolyRing:
         for k, (den, out) in sorted(acc.items()):
             if any(out):
                 d = den * whole
-                result[k] = AlgebraElement(
-                    out if d == 1 else (simplify(Fraction(x, d)) for x in out)
+                result[k] = AlgebraElement._trusted(
+                    tuple(out) if d == 1 else tuple(simplify(Fraction(x, d)) for x in out)
                 )
         return result
 
