@@ -2,7 +2,6 @@
 
 from .algebra_core import (
     AlgebraElement,
-    Involution,
     StarAlgebra,
     StructureConstants,
     basis_element,
@@ -21,12 +20,10 @@ from .flip_poly import (
     AxiomReport,
     FlipPolyRing,
     Poly,
-    ProductRule,
     check_axioms,
     ordinary_ring,
     parse_poly,
     poly_to_text,
-    rules_agree,
     star_skew_ring,
 )
 from .involutions import alpha, beta, degree_one_extension_violations
@@ -47,11 +44,9 @@ __all__ = [
     "AlgebraElement",
     "AxiomReport",
     "FlipPolyRing",
-    "Involution",
     "NAMED_TOWERS",
     "Poly",
     "PolyPair",
-    "ProductRule",
     "QuotElement",
     "QuotientRing",
     "StarAlgebra",
@@ -72,7 +67,6 @@ __all__ = [
     "psi",
     "psi_inv",
     "rational_base",
-    "rules_agree",
     "star_skew_ring",
     "tower",
     "zero_element",

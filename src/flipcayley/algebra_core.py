@@ -181,27 +181,9 @@ class StructureConstants:
                 raise ValueError(f"unit axiom fails: e{j}*e{u} != e{j}")
 
 
-class Involution:
-    """The star map, held as a sparse ``linalg.LinearMap`` on coordinate columns."""
-
-    __slots__ = ("linear",)
-
-    def __init__(self, matrix):
-        self.linear = linalg.LinearMap.from_rows(matrix)
-
-    @property
-    def matrix(self):
-        return self.linear.matrix
-
-    def apply(self, elem):
-        return AlgebraElement._trusted(self.linear.apply(elem.coords))
-
-    def is_identity(self):
-        return self.linear == linalg.LinearMap.identity(self.linear.dim)
-
-
 class StarAlgebra:
-    """Structure constants plus an involution; the workhorse algebra object.
+    """Structure constants plus an involution (a ``linalg.LinearMap`` on
+    coordinate columns); the workhorse algebra object.
 
     Instances are immutable once constructed.  Derived data (subspace bases,
     property flags) is memoized; a duplicated computation under concurrent
@@ -211,7 +193,9 @@ class StarAlgebra:
     __slots__ = ("sc", "involution", "_sparse", "_cache")
 
     def __init__(self, sc, involution):
-        if involution.linear.dim != sc.dim:
+        if not isinstance(involution, linalg.LinearMap):
+            raise TypeError("the involution must be a linalg.LinearMap")
+        if involution.dim != sc.dim:
             raise ValueError("involution dimension mismatch")
         self.sc = sc
         self.involution = involution
@@ -274,7 +258,7 @@ class StarAlgebra:
         return AlgebraElement._trusted(tuple(out))
 
     def star(self, x):
-        return self.involution.apply(x)
+        return AlgebraElement._trusted(self.involution.apply(x.coords))
 
     def commutator(self, x, y):
         return self.mul(x, y) - self.mul(y, x)
@@ -283,8 +267,8 @@ class StarAlgebra:
         return self.mul(self.mul(x, y), z) - self.mul(x, self.mul(y, z))
 
     def _check_involution(self):
-        star = self.involution.linear
-        if star.compose(star) != linalg.LinearMap.identity(self.dim):
+        star = self.involution
+        if not star.compose(star).is_identity():
             raise ValueError("involution must square to the identity")
         if self.star(self.unit) != self.unit:
             raise ValueError("involution must fix the unit")
@@ -479,4 +463,4 @@ class StarAlgebra:
         ]
         star = [[parse_rational(c) for c in row] for row in data["star"]]
         sc = StructureConstants(data["dim"], table, data["unit_index"])
-        return cls(sc, Involution(star))
+        return cls(sc, linalg.LinearMap.from_rows(star))

@@ -16,13 +16,8 @@ from __future__ import annotations
 
 from itertools import islice, product
 
-from .algebra_core import (
-    AlgebraElement,
-    Involution,
-    StarAlgebra,
-    StructureConstants,
-    basis_element,
-)
+from .algebra_core import AlgebraElement, StarAlgebra, StructureConstants, basis_element
+from .linalg import LinearMap
 from .scalars import simplify
 
 NAMED_TOWERS = {
@@ -42,7 +37,7 @@ ZERO_DIVISOR_BUDGET = 500_000
 def rational_base():
     """The scalars as a one-dimensional algebra with the trivial involution."""
     sc = StructureConstants(1, (((1,),),), 0)
-    return StarAlgebra(sc, Involution(((1,),)))
+    return StarAlgebra(sc, LinearMap.from_rows(((1,),)))
 
 
 def _pad(coords, n, first):
@@ -75,7 +70,7 @@ def cayley_double(algebra, mu):
         for i in range(2 * n)
     ]
     sc = StructureConstants(2 * n, table, algebra.sc.unit_index)
-    return StarAlgebra(sc, Involution(block))
+    return StarAlgebra(sc, LinearMap.from_rows(block))
 
 
 def tower(mus):

@@ -180,7 +180,7 @@ def _parse_poly(text, dim):
 def cmd_algebra(args):
     algebra = _build_algebra(args)
     if args.json:
-        print(json.dumps(algebra.to_json_dict(), indent=2))
+        _print_algebra(algebra, True)
         return 0
     print(f"dim: {algebra.dim}")
     print(f"unit: e{algebra.sc.unit_index}")
@@ -386,10 +386,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_algebra(p):
+    def with_algebra(p, emits_json=True):
         p.add_argument("--algebra", help=f"named algebra: {', '.join(NAMED_TOWERS)}")
         p.add_argument("--mus", help="doubling scalars, e.g. --mus=-1,-1,1")
-        p.add_argument("--json", action="store_true", help="emit JSON")
+        if emits_json:
+            p.add_argument("--json", action="store_true", help="emit JSON")
         return p
 
     p = with_algebra(sub.add_parser("algebra", help="build an algebra and describe it"))
@@ -415,7 +416,7 @@ def build_parser():
     p.set_defaults(func=cmd_table)
 
     p = with_algebra(
-        sub.add_parser("check", help="run an axiom family on the flipped ring")
+        sub.add_parser("check", help="run an axiom family on the flipped ring"), emits_json=False
     )
     p.add_argument("--family", choices=("O", "N", "F"), required=True)
     p.add_argument("--bound", type=int, help="degree bound (default 4)")

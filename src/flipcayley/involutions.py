@@ -22,7 +22,7 @@ def _require_star_skew(ring):
     algebra = ring.coeff_algebra
     if (
         not ring.flipped
-        or ring.sigma.linear != algebra.involution.linear
+        or ring.sigma.linear != algebra.involution
         or not ring.delta.linear.is_zero()
     ):
         raise ValueError(

@@ -7,8 +7,9 @@ its span; two subspaces are equal iff their canonical bases are equal tuples.
 ``RowReducer`` keeps that basis as sparse tails after each pivot, with
 integral entries kept as ``int``, answers membership in the span, and
 rejects rows whose length is not its column count with ``ValueError``.
-``LinearMap`` is the one sparse type for linear self-maps: integer columns
-over one common denominator.
+``LinearMap`` is the one sparse type for linear self-maps (an algebra's star
+map, sigma and delta, the pi table): integer columns over one common
+denominator.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ class LinearMap:
 
     def is_zero(self):
         return not any(self.cols)
+
+    def is_identity(self):
+        return self == LinearMap.identity(self.dim)
 
     def numerators(self, pairs):
         """``den`` times the image of the sparse vector ``[(j, x), ...]``, as a list."""

@@ -7,7 +7,9 @@ the involution alpha in the ring itself, then reduces; it holds no formula
 of its own.  Theorem 1 says the result is the doubling formula of
 ``cayley_dickson.cayley_double``, and the coordinate map
 (a, b) -> a-coords ++ b-coords identifies the quotient with that doubled
-algebra (same basis ordering, by construction).
+algebra (same basis ordering, by construction).  The ring does not depend
+on mu: every quotient of one algebra reads the algebra's cached
+``star_skew_ring``, the ring the brute-force oracles also use.
 
 The un-quotiented ring is itself a double: of the ordinary polynomial
 algebra in a central variable t, with t as the doubling scalar.  The
@@ -19,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra_core import AlgebraElement, Involution, StarAlgebra, StructureConstants
+from .algebra_core import AlgebraElement, StarAlgebra, StructureConstants
 from .flip_poly import Poly, ordinary_ring, star_skew_ring
 from .involutions import alpha
+from .linalg import LinearMap
 from .scalars import simplify
 
 
@@ -50,7 +53,7 @@ class QuotientRing:
             raise ValueError("mu must be a cancellable (nonzero) scalar")
         self.algebra = algebra
         self.mu = mu
-        self.ring = star_skew_ring(algebra)
+        self.ring = algebra.cached("star_skew_ring", lambda: star_skew_ring(algebra))
 
     def lift(self, u):
         return Poly({0: u.a, 1: u.b})
@@ -101,7 +104,7 @@ class QuotientRing:
         star_cols = [self.phi(self.star(b)).coords for b in basis]
         star = [tuple(star_cols[j][i] for j in range(n)) for i in range(n)]
         sc = StructureConstants(n, table, self.algebra.sc.unit_index)
-        return StarAlgebra(sc, Involution(star))
+        return StarAlgebra(sc, LinearMap.from_rows(star))
 
 
 # ----------------------------------------------- the double of the polynomial ring

@@ -12,6 +12,8 @@ oracles (this one and ``x_in_nucleus_bruteforce``) read the commutator and
 associators from ``algebra_core.IDENTITIES``, the words behind the criteria's
 row kinds, and take every product from ``ring.mul``.
 
+The map-shape predicates (sigma an endomorphism, delta a left or right
+sigma-derivation) are laws checked on every basis pair by one loop.
 Generator membership in the one-sided nuclei and the inheritance of
 commutativity/associativity/flexibility/alternativity by the ring are
 decided by closed criteria on the coefficient algebra, each paired with a
@@ -29,7 +31,7 @@ from itertools import product
 
 from . import linalg
 from .algebra_core import IDENTITY_ARITY, AlgebraElement, evaluate_identity
-from .flip_poly import star_skew_ring
+from .flip_poly import Poly, star_skew_ring
 
 SET_KINDS = ("commuter", "left_right_nucleus", "middle_nucleus", "nucleus", "center")
 X_SIDES = ("left", "middle", "right")
@@ -51,39 +53,32 @@ class DegreewiseSet:
 
 
 # ----------------------------------------------------------- map-shape predicates
-def sigma_is_endomorphism(ring):
+def _holds_on_basis_pairs(ring, law):
+    """Whether ``law(mul, r, s)`` holds for all basis elements r, s of the coefficients."""
     algebra = ring.coeff_algebra
     basis = algebra.basis()
+    return all(law(algebra.mul, r, s) for r in basis for s in basis)
+
+
+def sigma_is_endomorphism(ring):
     sigma = ring.sigma
-    for r in basis:
-        for s in basis:
-            if sigma(algebra.mul(r, s)) != algebra.mul(sigma(r), sigma(s)):
-                return False
-    return True
+    return _holds_on_basis_pairs(
+        ring, lambda mul, r, s: sigma(mul(r, s)) == mul(sigma(r), sigma(s))
+    )
 
 
 def delta_is_left_sigma_derivation(ring):
-    algebra = ring.coeff_algebra
-    basis = algebra.basis()
     sigma, delta = ring.sigma, ring.delta
-    for r in basis:
-        for s in basis:
-            expected = algebra.mul(sigma(r), delta(s)) + algebra.mul(delta(r), s)
-            if delta(algebra.mul(r, s)) != expected:
-                return False
-    return True
+    return _holds_on_basis_pairs(
+        ring, lambda mul, r, s: delta(mul(r, s)) == mul(sigma(r), delta(s)) + mul(delta(r), s)
+    )
 
 
 def delta_is_right_sigma_derivation(ring):
-    algebra = ring.coeff_algebra
-    basis = algebra.basis()
     sigma, delta = ring.sigma, ring.delta
-    for r in basis:
-        for s in basis:
-            expected = algebra.mul(delta(r), sigma(s)) + algebra.mul(r, delta(s))
-            if delta(algebra.mul(r, s)) != expected:
-                return False
-    return True
+    return _holds_on_basis_pairs(
+        ring, lambda mul, r, s: delta(mul(r, s)) == mul(delta(r), sigma(s)) + mul(r, delta(s))
+    )
 
 
 # ------------------------------------------------------- generator nucleus tests
@@ -142,7 +137,7 @@ def x_in_nucleus_bruteforce(ring, side, degree_bound=4):
     basis = ring.coeff_algebra.basis()
     degrees = range(degree_bound + 1)
     return all(
-        evaluate_identity(kind, (x_poly, ring.monomial(j, b), ring.monomial(k, c)), ring.mul)
+        evaluate_identity(kind, (x_poly, Poly({j: b}), Poly({k: c})), ring.mul)
         .is_zero()
         for j, k, b, c in product(degrees, degrees, basis, basis)
     )
@@ -296,7 +291,7 @@ def _brute_primitive_rows(algebra, ring, degree, kind):
         basis = algebra.basis()
         n = algebra.dim
         window = range(BRUTE_DEGREE_WINDOW + 1)
-        monomials = {(d, e): ring.monomial(d, e) for d in {degree, *window} for e in basis}
+        monomials = {(d, e): Poly({d: e}) for d in {degree, *window} for e in basis}
         others = IDENTITY_ARITY[kind] - 1
         rests = [
             tuple(monomials[d, e] for d, e in zip(ds, es))

@@ -2,7 +2,8 @@
 
 Each suite checks one structural statement end to end and reports PASS or
 FAIL with the first counterexample.  Suites are deterministic: the same
-inputs always produce a byte-identical report.
+inputs always produce a byte-identical report.  The ``axioms`` suite compares
+ring products through ``monomial_product`` alone.
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ from itertools import product
 
 from . import structure_analysis as sa
 from .cayley_dickson import cayley_double, named, tower
-from .flip_poly import (
-    FlipPolyRing,
-    Poly,
-    ProductRule,
-    check_axioms,
-    poly_to_text,
-    rules_agree,
-    star_skew_ring,
-)
+from .flip_poly import FlipPolyRing, Poly, check_axioms, poly_to_text, star_skew_ring
 from .quotient_iso import (
     PolyPair,
     QuotientRing,
@@ -239,6 +232,21 @@ def suite_corollary(algebra=None, mu=None, bound=None):
     return result
 
 
+def _first_difference(product_a, product_b, algebra, max_degree):
+    """The first ``(m, n, r, s)``, with degrees <= max_degree and r, s basis
+    elements, at which two ``monomial_product`` callables differ; None if none."""
+    degrees = range(max_degree + 1)
+    basis = algebra.basis()
+    return next(
+        (
+            (m, n, r, s)
+            for m, n, r, s in product(degrees, degrees, basis, basis)
+            if product_a(m, r, n, s) != product_b(m, r, n, s)
+        ),
+        None,
+    )
+
+
 def suite_axioms(algebra=None, mu=None, bound=None):
     """Ring axiom families and the flip/unflip coincidence over commutative bases."""
     result = SuiteResult("axioms", "ring-axioms")
@@ -261,7 +269,7 @@ def suite_axioms(algebra=None, mu=None, bound=None):
             "(the generator should fail the right-slot axiom)"
         )
         return result
-    first = rep.first_counterexample()
+    first = rep.failures[0]
     result.lines.append(
         f"N-family on the quaternion ring fails as predicted; witness: "
         f"[{first.axiom}] {first.witness}"
@@ -274,9 +282,7 @@ def suite_axioms(algebra=None, mu=None, bound=None):
     result.lines.append(f"O-family on the complex ring: {rep.summary()}")
 
     unflipped_c = FlipPolyRing(C, ring_c.sigma, ring_c.delta, flipped=False)
-    if not rules_agree(
-        ProductRule.of_ring(ring_c), ProductRule.of_ring(unflipped_c), 5
-    ):
+    if _first_difference(ring_c.monomial_product, unflipped_c.monomial_product, C, 5) is not None:
         result.failure = "flipped and unflipped products differ over the complex numbers"
         return result
     result.lines.append(
@@ -284,31 +290,33 @@ def suite_axioms(algebra=None, mu=None, bound=None):
     )
 
     unflipped_h = FlipPolyRing(H, ring_h.sigma, ring_h.delta, flipped=False)
-    basis = H.basis()
-    witness = next(
-        (
-            (m, n)
-            for m in range(3)
-            for n in range(3)
-            for r in basis
-            for s in basis
-            if ring_h.monomial_product(m, r, n, s) != unflipped_h.monomial_product(m, r, n, s)
-        ),
-        None,
-    )
+    witness = _first_difference(ring_h.monomial_product, unflipped_h.monomial_product, H, 2)
     if witness is None:
         result.failure = (
             "flipped and unflipped products coincide over the quaternions, "
             "which would make the flip vacuous on a noncommutative base"
         )
         return result
-    m, n = witness
+    m, n, _, _ = witness
     result.lines.append(
         f"flipped != unflipped over the quaternions; witness degrees (m={m}, n={n})"
     )
 
-    rule = ProductRule.of_ring(ring_h).tabulated(4)
-    if not rules_agree(rule.flipped().flipped(), rule, 4):
+    # the flip of a product rule swaps its coefficients when n is odd
+    basis = H.basis()
+    degrees, indices = range(5), range(H.dim)
+    rule = {
+        (m, n, i, j): ring_h.monomial_product(m, basis[i], n, basis[j])
+        for m, n, i, j in product(degrees, degrees, indices, indices)
+    }
+
+    def flip(table):
+        return {
+            (m, n, i, j): table[m, n, j, i] if n % 2 else v
+            for (m, n, i, j), v in table.items()
+        }
+
+    if flip(flip(rule)) != rule:
         result.failure = "double flip of the tabulated rule is not the identity"
         return result
     result.lines.append("double flip of the tabulated rule returns the rule (degrees <= 4)")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from flipcayley import Involution, StarAlgebra, StructureConstants, linalg, named
+from flipcayley import StarAlgebra, StructureConstants, linalg, named
 
 ALL_NAMES = ("R", "C", "C'", "H", "H'", "O", "O'", "S")
 
@@ -153,7 +153,7 @@ def exchange_algebra(rng, d, density=1):
     ]
     star_cols = [coords(y, x) for x, y in pairs]
     star = [[col[i] for col in star_cols] for i in range(2 * d)]
-    return StarAlgebra(StructureConstants(2 * d, table), Involution(star))
+    return StarAlgebra(StructureConstants(2 * d, table), linalg.LinearMap.from_rows(star))
 
 
 def exchange_algebras(seed=20261017):
@@ -195,7 +195,7 @@ def matrix_algebra(involution):
     table = [[coords(mat_mul(x, y)) for y in basis] for x in basis]
     star_cols = [coords(star(m)) for m in basis]
     star_rows = [[col[i] for col in star_cols] for i in range(4)]
-    return StarAlgebra(StructureConstants(4, table), Involution(star_rows))
+    return StarAlgebra(StructureConstants(4, table), linalg.LinearMap.from_rows(star_rows))
 
 
 def matrix_algebras():

@@ -24,12 +24,11 @@ from flipcayley import (
     check_axioms,
     psi,
     psi_inv,
-    rules_agree,
     star_skew_ring,
     tower,
 )
 from flipcayley import structure_analysis as sa
-from flipcayley.flip_poly import ProductRule, even_square_ring
+from flipcayley.flip_poly import even_square_ring
 
 
 @contextmanager
@@ -215,8 +214,8 @@ def test_criterion_8_involutions(algebras):
                 assert alpha(ring, alpha(ring, p)) == p
                 assert beta(ring, beta(ring, p)) == p
             for a in A.basis():
-                assert alpha(ring, ring.constant(a)) == ring.constant(A.star(a))
-                assert beta(ring, ring.constant(a)) == ring.constant(A.star(a))
+                assert alpha(ring, Poly({0: a})) == Poly({0: A.star(a)})
+                assert beta(ring, Poly({0: a})) == Poly({0: A.star(a)})
 
 
 def test_criterion_9_axiom_suites(algebras):
@@ -227,19 +226,20 @@ def test_criterion_9_axiom_suites(algebras):
         assert check_axioms(ring_h, "F", 4).passed
         failing = check_axioms(ring_h, "N", 4)
         assert not failing.passed
-        assert failing.first_counterexample().axiom == "N3"
+        assert failing.failures[0].axiom == "N3"
+
+        def agree(ring, plain, algebra):
+            basis = algebra.basis()
+            return all(
+                ring.monomial_product(m, r, n, s) == plain.monomial_product(m, r, n, s)
+                for m, n, r, s in product(range(6), range(6), basis, basis)
+            )
+
         # flipped and unflipped coincide exactly over the commutative base
         plain_c = FlipPolyRing(C, ring_c.sigma, ring_c.delta, flipped=False)
-        assert rules_agree(
-            ProductRule.of_ring(ring_c), ProductRule.of_ring(plain_c), 5
-        )
+        assert agree(ring_c, plain_c, C)
         plain_h = FlipPolyRing(H, ring_h.sigma, ring_h.delta, flipped=False)
-        assert not rules_agree(
-            ProductRule.of_ring(ring_h), ProductRule.of_ring(plain_h), 5
-        )
-        # double flip restores the rule
-        rule = ProductRule.of_ring(ring_h).tabulated(4)
-        assert rules_agree(rule.flipped().flipped(), rule, 4)
+        assert not agree(ring_h, plain_h, H)
 
 
 def test_criterion_10_grading(algebras):

@@ -5,7 +5,6 @@ import pytest
 
 from flipcayley import (
     AlgebraElement,
-    Involution,
     StarAlgebra,
     StructureConstants,
     basis_element,
@@ -203,10 +202,13 @@ def test_involution_axioms_enforced():
     # negation is not an involution of the split-complex plane: it moves the unit
     sc = StructureConstants(2, [[(1, 0), (0, 1)], [(0, 1), (1, 0)]], 0)
     with pytest.raises(ValueError):
-        StarAlgebra(sc, Involution([[-1, 0], [0, -1]]))
+        StarAlgebra(sc, linalg.LinearMap.from_rows([[-1, 0], [0, -1]]))
     # transposition of coordinates is not multiplicative there either
     with pytest.raises(ValueError):
-        StarAlgebra(sc, Involution([[0, 1], [1, 0]]))
+        StarAlgebra(sc, linalg.LinearMap.from_rows([[0, 1], [1, 0]]))
+    # the star map is a LinearMap, not the rows of a matrix
+    with pytest.raises(TypeError):
+        StarAlgebra(sc, [[1, 0], [0, -1]])
 
 
 def test_involution_invariants_hold_on_towers():

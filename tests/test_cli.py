@@ -110,6 +110,19 @@ def test_check_family_exit_codes(capsys):
     assert "N3" in out
 
 
+def test_check_takes_no_json_flag(capsys):
+    # check prints only its text summary, so it has no --json to accept
+    assert main(["check", "--algebra=C", "--family=O", "--bound=1", "--json"]) == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+def test_algebra_json_is_the_table_json(capsys):
+    assert main(["algebra", "--algebra=H", "--json"]) == 0
+    described = capsys.readouterr().out
+    assert main(["table", "--algebra=H", "--json"]) == 0
+    assert capsys.readouterr().out == described
+
+
 def test_involution_commands(capsys):
     assert main(["involution", "--algebra=C", "--which=alpha", "[0,1]*X"]) == 0
     assert capsys.readouterr().out.strip() == "[0,-1]*X"

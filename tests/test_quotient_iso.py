@@ -6,6 +6,7 @@ import pytest
 
 from flipcayley import (
     AlgebraElement,
+    named,
     Poly,
     PolyPair,
     QuotElement,
@@ -19,6 +20,7 @@ from flipcayley import (
     star_skew_ring,
     tower,
 )
+from flipcayley import structure_analysis as sa
 
 
 def rand_poly(algebra, rng, max_degree):
@@ -28,6 +30,15 @@ def rand_poly(algebra, rng, max_degree):
             for d in range(max_degree + 1)
         }
     )
+
+
+def test_quotients_share_the_algebra_ring():
+    # the ring does not depend on mu; the brute-force oracle reads the same one
+    A = named("C")
+    ring = QuotientRing(A, -1).ring
+    assert QuotientRing(A, 1).ring is ring
+    sa.degreewise_set_bruteforce(A, "center", 0)
+    assert A.cached("star_skew_ring", None) is ring
 
 
 # ---------------------------------------------------------------------- reduce
