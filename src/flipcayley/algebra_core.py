@@ -9,9 +9,10 @@ form, the canonical subspace representative used throughout the package.
 
 Every multilinear identity behind these sets and the property predicates is
 written once, in ``IDENTITIES``, as signed bracketed words.  One sparse
-kernel, ``StarAlgebra._identity``, evaluates them at basis indices from the
-table for the constraint rows and the predicates; ``evaluate_identity`` reads
-them with any product for the brute-force oracles of ``structure_analysis``.
+kernel, ``identity_at``, evaluates them from a table of basis products: the
+algebra's, for the constraint rows and the predicates, or a ring's basis
+monomial products, for the brute-force oracles of ``structure_analysis``.
+``evaluate_identity`` reads them with any product, for ``check_axioms``.
 ``StarAlgebra.constraint_rows`` keeps only the distinct nonzero rows of each
 kind, and each kind is cached as its reduced row space alone.  The tests
 compare the kernel with dense rows built from the public ``mul``/``associator``.
@@ -81,6 +82,28 @@ def evaluate_identity(kind, values, mul):
         else:
             total = total + v if positive else total - v
     return total
+
+
+def identity_at(table, kind, slots):
+    """The identity ``kind`` at basis slots (x, b, c), as a sparse ``{k: coeff}``
+    (zero coefficients may remain).  ``table[p][q]`` lists the ``(k, coeff)``
+    of the product of slots p and q; every k is a slot again."""
+    out = {}
+    for positive, p, q, r, inner_left in _TERMS[kind]:
+        for m, s in table[slots[p]][slots[q]]:
+            if r is None:
+                products = ((m, 1),)
+            elif inner_left:
+                products = table[m][slots[r]]
+            else:
+                products = table[slots[r]][m]
+            if positive:
+                for k, t in products:
+                    out[k] = out.get(k, 0) + s * t
+            else:
+                for k, t in products:
+                    out[k] = out.get(k, 0) - s * t
+    return out
 
 
 class AlgebraElement:
@@ -278,32 +301,11 @@ class StarAlgebra:
                 if self.star(self.mul(a, b)) != self.mul(self.star(b), self.star(a)):
                     raise ValueError("involution must be anti-multiplicative")
 
-    def _identity(self, kind, indices):
-        """The identity ``kind`` at basis indices (x, b, c), as a sparse
-        ``{k: coeff}`` read off the table (zero coefficients may remain)."""
-        sparse = self._sparse
-        out = {}
-        for positive, p, q, r, inner_left in _TERMS[kind]:
-            for m, s in sparse[indices[p]][indices[q]]:
-                if r is None:
-                    products = ((m, 1),)
-                elif inner_left:
-                    products = sparse[m][indices[r]]
-                else:
-                    products = sparse[indices[r]][m]
-                if positive:
-                    for k, t in products:
-                        out[k] = out.get(k, 0) + s * t
-                else:
-                    for k, t in products:
-                        out[k] = out.get(k, 0) - s * t
-        return out
-
     def _witness(self, kind, index_tuples):
         """The basis elements at the first indices where the identity ``kind``
         fails, followed by its value there; None if it never fails."""
         for indices in index_tuples:
-            v = self._identity(kind, indices)
+            v = identity_at(self._sparse, kind, indices)
             if any(v.values()):
                 value = AlgebraElement(v.get(k, 0) for k in range(self.dim))
                 return tuple(basis_element(self.dim, i) for i in indices) + (value,)
@@ -391,7 +393,7 @@ class StarAlgebra:
 
         if kind in IDENTITIES:
             blocks = (
-                [self._identity(kind, (x,) + rest).items() for x in range(n)]
+                [identity_at(self._sparse, kind, (x,) + rest).items() for x in range(n)]
                 for rest in product(range(n), repeat=IDENTITY_ARITY[kind] - 1)
             )
         elif kind == "star_fixed":

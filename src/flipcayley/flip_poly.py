@@ -22,6 +22,7 @@ survives as the independent test oracle ``pi_oracle``.
 Each ring caches the products of single-term operands by degrees and
 coordinate values (the product depends on nothing else, as a ring never
 changes); ``mul`` and ``monomial_product`` both read it and return copies.
+``FlipPolyRing._identity`` reads a second cache, of basis-monomial products.
 
 ``check_axioms`` reads its associators from ``algebra_core.IDENTITIES``.
 """
@@ -34,7 +35,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .algebra_core import AlgebraElement, evaluate_identity, zero_element
+from .algebra_core import AlgebraElement, evaluate_identity, identity_at, zero_element
 from .scalars import format_rational, parse_rational, simplify
 
 ORACLE_DEGREE_LIMIT = 12
@@ -141,6 +142,29 @@ class Poly:
         return f"Poly({poly_to_text(self)!r})"
 
 
+class _BasisProducts(dict):
+    """Slot ``(m, i)`` -> slot ``(n, j)`` -> ``(e_i X^m)(e_j X^n)`` as sparse
+    ``(((degree, k), coeff), ...)``, each computed by ``FlipPolyRing._product``
+    on first use: a ring's table for ``algebra_core.identity_at``."""
+
+    __slots__ = ("ring", "left")
+
+    def __init__(self, ring, left=None):
+        self.ring, self.left = ring, left
+
+    def __missing__(self, slot):
+        if self.left is None:
+            value = self[slot] = _BasisProducts(self.ring, slot)
+            return value
+        (m, i), (n, j) = self.left, slot
+        e = self.ring.coeff_algebra.basis()
+        terms = self.ring._product({m: e[i]}, {n: e[j]}).items()
+        value = self[slot] = tuple(
+            ((d, k), v) for d, c in terms for k, v in enumerate(c.coords) if v
+        )
+        return value
+
+
 class FlipPolyRing:
     """Polynomial ring over a star-algebra, configured by (sigma, delta, flipped).
 
@@ -157,7 +181,9 @@ class FlipPolyRing:
     may compute one entry twice; both store equal values in one assignment.
     """
 
-    __slots__ = ("coeff_algebra", "sigma", "delta", "flipped", "_table", "_levels", "_products")
+    __slots__ = (
+        "coeff_algebra", "sigma", "delta", "flipped", "_table", "_levels", "_products", "_basis"
+    )
 
     def __init__(self, coeff_algebra, sigma, delta, flipped):
         if sigma.kind != "sigma" or delta.kind != "delta":
@@ -174,6 +200,7 @@ class FlipPolyRing:
         self._table = _integer_table(coeff_algebra)
         self._levels = ({0: linalg.LinearMap.identity(dim)},)
         self._products = {}
+        self._basis = _BasisProducts(self)
 
     def x(self):
         return Poly({1: self.coeff_algebra.unit})
@@ -286,6 +313,11 @@ class FlipPolyRing:
         if hit is None:
             hit = self._products[key] = self._product({m: a}, {n: b})
         return hit
+
+    def _identity(self, kind, slots):
+        """The identity ``kind`` at the monomials e_i X^d of the ``(d, i)`` slots
+        for x, b, c, as ``{(degree, k): coeff}`` (zero coefficients may remain)."""
+        return identity_at(self._basis, kind, slots)
 
     def monomial_product(self, m, a, n, b):
         """(a X^m)(b X^n) as a dict degree -> coefficient."""

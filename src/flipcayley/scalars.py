@@ -14,15 +14,15 @@ from fractions import Fraction
 
 
 def simplify(value):
-    """Collapse a Fraction with denominator 1 to a plain int; any other type
-    than ``int`` or ``Fraction`` (a float, say) raises ``TypeError``."""
+    """Collapse a Fraction with denominator 1 or an int subclass (bool) to an
+    int; any type but ``int`` or ``Fraction`` (a float, say) raises ``TypeError``."""
     if type(value) is int:  # the common case, tested first
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if not isinstance(value, int):
         raise TypeError(f"scalars must be int or Fraction, not {type(value).__name__}")
-    return value
+    return int(value)
 
 
 def parse_rational(text):

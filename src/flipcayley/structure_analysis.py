@@ -10,7 +10,8 @@ slots (degrees 0 and 1 already generate every constraint; one more is a
 safety margin).  The test suites require the two routes to coincide.  The
 oracles (this one and ``x_in_nucleus_bruteforce``) read the commutator and
 associators from ``algebra_core.IDENTITIES``, the words behind the criteria's
-row kinds, and take every product from ``ring.mul``.
+row kinds, through ``FlipPolyRing._identity``: every product they use is a
+cached ring product of two basis monomials.
 
 The map-shape predicates (sigma an endomorphism, delta a left or right
 sigma-derivation) are laws checked on every basis pair by one loop.
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import linalg
-from .algebra_core import IDENTITY_ARITY, AlgebraElement, evaluate_identity
-from .flip_poly import Poly, star_skew_ring
+from .algebra_core import IDENTITY_ARITY, AlgebraElement
+from .flip_poly import star_skew_ring
 
 SET_KINDS = ("commuter", "left_right_nucleus", "middle_nucleus", "nucleus", "center")
 X_SIDES = ("left", "middle", "right")
@@ -133,13 +134,11 @@ def x_in_nucleus_bruteforce(ring, side, degree_bound=4):
     if not 0 <= degree_bound <= BRUTE_BOUND_LIMIT:
         raise ValueError(f"degree_bound must be between 0 and {BRUTE_BOUND_LIMIT}")
     kind = f"nucleus_{side}"
-    x_poly = ring.x()
-    basis = ring.coeff_algebra.basis()
-    degrees = range(degree_bound + 1)
-    return all(
-        evaluate_identity(kind, (x_poly, Poly({j: b}), Poly({k: c})), ring.mul)
-        .is_zero()
-        for j, k, b, c in product(degrees, degrees, basis, basis)
+    x = (1, ring.coeff_algebra.sc.unit_index)
+    degrees, indices = range(degree_bound + 1), range(ring.coeff_algebra.dim)
+    return not any(
+        any(ring._identity(kind, (x, (j, b), (k, c))).values())
+        for j, k, b, c in product(degrees, degrees, indices, indices)
     )
 
 
@@ -284,31 +283,19 @@ def z_star_of_b(algebra, bound):
 
 # ----------------------------------------------------- degreewise sets: brute force
 def _brute_primitive_rows(algebra, ring, degree, kind):
-    """The reduced row space of the rows of the identity ``kind`` on the
-    degree-``degree`` coefficient, built from real ring products."""
+    """The reduced row space of the rows of the identity ``kind`` on the degree-
+    ``degree`` coefficient: one per (degree, coordinate) of its ring value."""
 
     def build():
-        basis = algebra.basis()
         n = algebra.dim
         window = range(BRUTE_DEGREE_WINDOW + 1)
-        monomials = {(d, e): Poly({d: e}) for d in {degree, *window} for e in basis}
         others = IDENTITY_ARITY[kind] - 1
-        rests = [
-            tuple(monomials[d, e] for d, e in zip(ds, es))
+        blocks = (
+            [ring._identity(kind, ((degree, a),) + tuple(zip(ds, es))).items() for a in range(n)]
             for ds in product(window, repeat=others)
-            for es in product(basis, repeat=others)
-        ]
-
-        def blocks():
-            for rest in rests:
-                images = [
-                    evaluate_identity(kind, (monomials[degree, a],) + rest, ring.mul)
-                    for a in basis
-                ]
-                for d in sorted({d for img in images for d in img.coeffs}):
-                    yield [enumerate(img.coeff(d, n).coords) for img in images]
-
-        return linalg.row_space(algebra.constraint_rows(blocks()), n)
+            for es in product(range(n), repeat=others)
+        )
+        return linalg.row_space(algebra.constraint_rows(blocks), n)
 
     return algebra.cached(("brute_rows", degree, kind), build)
 

@@ -23,6 +23,7 @@ from flipcayley import (
     star_skew_ring,
     tower,
 )
+from flipcayley.algebra_core import IDENTITIES, evaluate_identity
 from flipcayley.flip_poly import even_square_ring, poly_from_json, poly_to_json
 
 
@@ -297,6 +298,20 @@ def _oracle_product(ring, p, q):
 def test_ring_mul_matches_pi_oracle_route(case):
     ring, p, q = case
     assert ring.mul(p, q) == _oracle_product(ring, p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rings(), st.data())
+def test_identity_kernel_matches_ring_mul_route(ring, data):
+    """``FlipPolyRing._identity`` against the identity's words read with
+    ``ring.mul`` on monomial ``Poly`` operands."""
+    basis = ring.coeff_algebra.basis()
+    kind = data.draw(st.sampled_from(sorted(IDENTITIES)))
+    slot = st.tuples(st.integers(0, 3), st.integers(0, len(basis) - 1))
+    slots = tuple(data.draw(slot) for _ in range(3))
+    value = evaluate_identity(kind, [Poly({d: basis[i]}) for d, i in slots], ring.mul)
+    want = {(d, k): v for d, c in value.coeffs.items() for k, v in enumerate(c.coords) if v}
+    assert {key: v for key, v in ring._identity(kind, slots).items() if v} == want
 
 
 def _sorted_and_zero_free(p):

@@ -38,6 +38,14 @@ def test_whole_numbers_collapse_to_int():
     assert isinstance(simplify(Fraction(1, 2) + Fraction(1, 2)), int)
 
 
+def test_int_subclasses_collapse_to_int():
+    assert type(simplify(True)) is int and simplify(True) == 1
+    assert type(simplify(False)) is int
+    element = named("C").element([True, 0])
+    assert element.coords == (1, 0) and type(element.coords[0]) is int
+    assert format_rational(True) == "1"
+
+
 @pytest.mark.parametrize("value", [0.5, 1.0, "1/2", None, complex(1, 0)])
 def test_non_rational_scalars_rejected(value):
     with pytest.raises(TypeError):

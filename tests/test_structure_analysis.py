@@ -336,6 +336,9 @@ def test_constraint_rows_are_distinct_and_nonzero(algebras):
             assert len(set(rows)) == len(rows), (name, kind)
 
 
+_BRUTE_PRIMITIVES = ("commuter", "nucleus_left", "nucleus_middle", "nucleus_right")
+
+
 def _raw_brute_rows(ring, degree, kind):
     """The brute-force oracle's constraint rows, rebuilt from ``ring.mul``."""
     A = ring.coeff_algebra
@@ -376,11 +379,20 @@ def _raw_brute_rows(ring, degree, kind):
 
 
 def test_brute_row_spaces_span_the_raw_rows(algebras):
-    H = algebras["H"]
-    ring = star_skew_ring(H)
-    for degree in range(sa.BRUTE_DEGREE_WINDOW + 1):
-        for kind in ("commuter", "nucleus_left", "nucleus_middle", "nucleus_right"):
-            raw = _raw_brute_rows(ring, degree, kind)
-            assert len(raw) > H.dim, (degree, kind)
-            got = sa._brute_primitive_rows(H, ring, degree, kind)
-            assert got == linalg.row_space(raw, H.dim), (degree, kind)
+    # every kind must meet a proper rank somewhere, or it could not tell a
+    # wrong ring identity from a right one
+    cases = [(name, algebras[name]) for name in ("C'", "H", "H'")] + _off_named_set()
+    proper = set()
+    for name, A in cases:
+        ring = star_skew_ring(A)
+        top = sa.BRUTE_BOUND_LIMIT if A.dim <= 4 else sa.BRUTE_DEGREE_WINDOW
+        for degree in range(top + 1):
+            for kind in _BRUTE_PRIMITIVES:
+                got = sa._brute_primitive_rows(A, ring, degree, kind)
+                raw = _raw_brute_rows(ring, degree, kind)
+                if name == "H":
+                    assert len(raw) > A.dim, (degree, kind)
+                assert got == linalg.row_space(raw, A.dim), (name, degree, kind)
+                if 0 < len(got) < A.dim:
+                    proper.add(kind)
+    assert proper == set(_BRUTE_PRIMITIVES)
