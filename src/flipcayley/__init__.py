@@ -3,7 +3,6 @@
 from .algebra_core import (
     AlgebraElement,
     StarAlgebra,
-    StructureConstants,
     basis_element,
     zero_element,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "QuotElement",
     "QuotientRing",
     "StarAlgebra",
-    "StructureConstants",
     "alpha",
     "basis_element",
     "beta",

@@ -1,4 +1,5 @@
-"""Finite-dimensional unital algebras with involution, given by structure constants.
+"""Finite-dimensional unital algebras with involution, given by a sparse
+structure-constant table with unit e_0.
 
 Everything is exact over the rationals.  Additive self-maps of a
 finite-dimensional rational vector space are automatically linear, so the
@@ -10,8 +11,8 @@ form, the canonical subspace representative used throughout the package.
 Every multilinear identity behind these sets and the property predicates is
 written once, in ``IDENTITIES``, as signed bracketed words.  One sparse
 kernel, ``identity_at``, evaluates them from a table of basis products: the
-algebra's, for the constraint rows and the predicates, or a ring's basis
-monomial products, for the brute-force oracles of ``structure_analysis``.
+algebra's ``table``, for the constraint rows and the predicates, or a ring's
+basis monomial products, for the brute-force oracles of ``structure_analysis``.
 ``evaluate_identity`` reads them with any product, for ``check_axioms``.
 ``StarAlgebra.constraint_rows`` keeps only the distinct nonzero rows of each
 kind, and each kind is cached as its reduced row space alone.  The tests
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import linalg
-from .scalars import format_rational, parse_rational, simplify
+from .scalars import format_rational, simplify
 
 NUCLEUS_SIDES = ("left", "middle", "right", "full")
 _NUCLEI = ("nucleus_left", "nucleus_middle", "nucleus_right")
@@ -166,80 +167,57 @@ def basis_element(dim, index):
     return AlgebraElement._trusted(tuple(1 if i == index else 0 for i in range(dim)))
 
 
-class StructureConstants:
-    """Multiplication table: entry (i, j) holds the coordinates of e_i * e_j."""
-
-    __slots__ = ("dim", "table", "unit_index")
-
-    def __init__(self, dim, table, unit_index=0):
-        if dim <= 0:
-            raise ValueError("dim must be positive")
-        if not 0 <= unit_index < dim:
-            raise ValueError("unit_index out of range")
-        if len(table) != dim:
-            raise ValueError("table must have dim rows")
-        rows = []
-        for row in table:
-            if len(row) != dim:
-                raise ValueError("table must be square")
-            entries = []
-            for entry in row:
-                coords = tuple(simplify(c) for c in entry)
-                if len(coords) != dim:
-                    raise ValueError("table entries must have length dim")
-                entries.append(coords)
-            rows.append(tuple(entries))
-        self.dim = dim
-        self.table = tuple(rows)
-        self.unit_index = unit_index
-        self._check_unit()
-
-    def _check_unit(self):
-        u = self.unit_index
-        for j in range(self.dim):
-            ej = tuple(1 if i == j else 0 for i in range(self.dim))
-            if self.table[u][j] != ej:
-                raise ValueError(f"unit axiom fails: e{u}*e{j} != e{j}")
-            if self.table[j][u] != ej:
-                raise ValueError(f"unit axiom fails: e{j}*e{u} != e{j}")
-
-
 class StarAlgebra:
-    """Structure constants plus an involution (a ``linalg.LinearMap`` on
-    coordinate columns); the workhorse algebra object.
+    """A sparse structure-constant table plus an involution (a
+    ``linalg.LinearMap`` on coordinate columns); the workhorse algebra object.
 
-    Instances are immutable once constructed.  Derived data (subspace bases,
-    property flags) is memoized; a duplicated computation under concurrent
-    access is harmless because all values are value-equal.
+    ``table[i][j]`` lists the ``(k, c)`` pairs of e_i e_j = sum c e_k.  The
+    constructor accepts zero ``c`` and stores the canonical form: pairs
+    sorted by k, zeros dropped, scalars through ``simplify``.  e_0 must be a
+    two-sided unit.  Instances are immutable once constructed.  Derived data
+    (subspace bases, property flags) is memoized; a duplicated computation
+    under concurrent access is harmless because all values are value-equal.
     """
 
-    __slots__ = ("sc", "involution", "_sparse", "_cache")
+    __slots__ = ("table", "involution", "_cache")
 
-    def __init__(self, sc, involution):
+    def __init__(self, table, involution):
+        n = len(table)
+        if not n or any(len(row) != n for row in table):
+            raise ValueError("the table must be a nonempty square")
+        rows = []
+        for i, row in enumerate(table):
+            entries = []
+            for j, entry in enumerate(row):
+                coeffs = {}
+                for k, c in entry:
+                    if type(k) is not int or not 0 <= k < n:
+                        raise ValueError(f"index {k!r} out of range in e{i}*e{j}")
+                    if k in coeffs:
+                        raise ValueError(f"index {k} repeated in e{i}*e{j}")
+                    coeffs[k] = simplify(c)
+                entries.append(tuple(sorted((k, c) for k, c in coeffs.items() if c)))
+            rows.append(tuple(entries))
+        self.table = tuple(rows)
+        for j in range(n):
+            if self.table[0][j] != ((j, 1),) or self.table[j][0] != ((j, 1),):
+                raise ValueError(f"unit axiom fails: e0 is not a two-sided unit at e{j}")
         if not isinstance(involution, linalg.LinearMap):
             raise TypeError("the involution must be a linalg.LinearMap")
-        if involution.dim != sc.dim:
+        if involution.dim != n:
             raise ValueError("involution dimension mismatch")
-        self.sc = sc
         self.involution = involution
-        self._sparse = tuple(
-            tuple(
-                tuple((k, c) for k, c in enumerate(entry) if c)
-                for entry in row
-            )
-            for row in sc.table
-        )
         self._cache = {}
         self._check_involution()
 
     # ------------------------------------------------------------------ basics
     @property
     def dim(self):
-        return self.sc.dim
+        return len(self.table)
 
     @property
     def unit(self):
-        return basis_element(self.dim, self.sc.unit_index)
+        return basis_element(self.dim, 0)
 
     def basis(self):
         return [basis_element(self.dim, i) for i in range(self.dim)]
@@ -267,11 +245,11 @@ class StarAlgebra:
         if len(x.coords) != n or len(y.coords) != n:
             raise ValueError("dimension mismatch")
         out = [0] * n
-        sparse = self._sparse
+        table = self.table
         for i, xi in enumerate(x.coords):
             if not xi:
                 continue
-            row = sparse[i]
+            row = table[i]
             for j, yj in enumerate(y.coords):
                 if not yj:
                     continue
@@ -305,7 +283,7 @@ class StarAlgebra:
         """The basis elements at the first indices where the identity ``kind``
         fails, followed by its value there; None if it never fails."""
         for indices in index_tuples:
-            v = identity_at(self._sparse, kind, indices)
+            v = identity_at(self.table, kind, indices)
             if any(v.values()):
                 value = AlgebraElement(v.get(k, 0) for k in range(self.dim))
                 return tuple(basis_element(self.dim, i) for i in indices) + (value,)
@@ -393,7 +371,7 @@ class StarAlgebra:
 
         if kind in IDENTITIES:
             blocks = (
-                [identity_at(self._sparse, kind, (x,) + rest).items() for x in range(n)]
+                [identity_at(self.table, kind, (x,) + rest).items() for x in range(n)]
                 for rest in product(range(n), repeat=IDENTITY_ARITY[kind] - 1)
             )
         elif kind == "star_fixed":
@@ -445,24 +423,20 @@ class StarAlgebra:
 
     # ------------------------------------------------------------------------ io
     def to_json_dict(self):
+        """The dense table and star matrix in ``p/q`` strings; the unit is e_0."""
+        n = self.dim
+
+        def dense(entry):
+            coords = ["0"] * n
+            for k, c in entry:
+                coords[k] = format_rational(c)
+            return coords
+
         return {
-            "dim": self.dim,
-            "unit_index": self.sc.unit_index,
-            "table": [
-                [[format_rational(c) for c in entry] for entry in row]
-                for row in self.sc.table
-            ],
+            "dim": n,
+            "unit_index": 0,
+            "table": [[dense(entry) for entry in row] for row in self.table],
             "star": [
                 [format_rational(c) for c in row] for row in self.involution.matrix
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        table = [
-            [[parse_rational(c) for c in entry] for entry in row]
-            for row in data["table"]
-        ]
-        star = [[parse_rational(c) for c in row] for row in data["star"]]
-        sc = StructureConstants(data["dim"], table, data["unit_index"])
-        return cls(sc, linalg.LinearMap.from_rows(star))

@@ -7,6 +7,9 @@ product and involution of the double are
 
     (a, b)(c, d) = (ac + mu d*b, da + bc*),        (a, b)* = (a*, -b).
 
+The double's table is written as sparse pairs, copying the parent's entries
+(shifted by n for e_i (0, e_j) = (0, e_j e_i)) wherever no star enters.
+
 Folding doubles over the scalar sequence (-1, -1, ...) produces the
 rational forms of the complex numbers, quaternions, octonions and
 sedenions; the +1 doublings give their split variants.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from itertools import islice, product
 
-from .algebra_core import AlgebraElement, StarAlgebra, StructureConstants, basis_element
+from .algebra_core import AlgebraElement, StarAlgebra, basis_element
 from .linalg import LinearMap
 from .scalars import simplify
 
@@ -36,13 +39,7 @@ ZERO_DIVISOR_BUDGET = 500_000
 
 def rational_base():
     """The scalars as a one-dimensional algebra with the trivial involution."""
-    sc = StructureConstants(1, (((1,),),), 0)
-    return StarAlgebra(sc, LinearMap.from_rows(((1,),)))
-
-
-def _pad(coords, n, first):
-    zeros = (0,) * n
-    return tuple(coords) + zeros if first else zeros + tuple(coords)
+    return StarAlgebra([[[(0, 1)]]], LinearMap.identity(1))
 
 
 def cayley_double(algebra, mu):
@@ -51,26 +48,20 @@ def cayley_double(algebra, mu):
     if mu == 0:
         raise ValueError("mu must be a cancellable (nonzero) scalar")
     n = algebra.dim
-    basis = algebra.basis()
-    star = algebra.star
-    mul = algebra.mul
-    table = [[None] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        ei = basis[i]
-        for j in range(n):
-            ej = basis[j]
-            table[i][j] = _pad(mul(ei, ej).coords, n, True)
-            table[i][n + j] = _pad(mul(ej, ei).coords, n, False)
-            table[n + i][j] = _pad(mul(ei, star(ej)).coords, n, False)
-            table[n + i][n + j] = _pad(mul(star(ej), ei).scaled(mu).coords, n, True)
-    old = algebra.involution.matrix
-    block = [
-        tuple(old[i]) + (0,) * n if i < n else
-        (0,) * n + tuple(-1 if i - n == j else 0 for j in range(n))
-        for i in range(2 * n)
+    old, basis = algebra.table, algebra.basis()
+    stars = [algebra.star(e) for e in basis]
+    table = [
+        old[i] + tuple(tuple((k + n, c) for k, c in old[j][i]) for j in range(n))
+        for i in range(n)
     ]
-    sc = StructureConstants(2 * n, table, algebra.sc.unit_index)
-    return StarAlgebra(sc, LinearMap.from_rows(block))
+    for e in basis:  # zero coefficients are dropped by StarAlgebra
+        table.append(
+            [enumerate(algebra.mul(e, s).coords, n) for s in stars]
+            + [enumerate(algebra.mul(s, e).scaled(mu).coords) for s in stars]
+        )
+    star = algebra.involution
+    second = tuple(((n + j, -star.den),) for j in range(n))
+    return StarAlgebra(table, LinearMap(2 * n, star.cols + second, star.den))
 
 
 def tower(mus):
@@ -92,7 +83,7 @@ def named(name):
     return tower(mus)
 
 
-def _sparse_candidates(algebra):
+def _zero_divisor_candidates(algebra):
     """Vectors with one or two +-1 entries, first nonzero entry +1."""
     n = algebra.dim
     singles = [basis_element(n, i) for i in range(n)]
@@ -113,7 +104,7 @@ def find_zero_divisor(algebra):
     A hit is a genuine witness; exhausting the budget of
     ``ZERO_DIVISOR_BUDGET`` pairs proves nothing and is reported as None.
     """
-    candidates = _sparse_candidates(algebra)
+    candidates = _zero_divisor_candidates(algebra)
     for x, y in islice(product(candidates, repeat=2), ZERO_DIVISOR_BUDGET):
         if algebra.mul(x, y).is_zero():
             return (x, y)

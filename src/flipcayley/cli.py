@@ -52,7 +52,7 @@ def _rational(text, what):
         raise CliError(f"bad {what}: {exc}") from None
 
 
-def parse_element(text, dim, unit_index=0):
+def parse_element(text, dim):
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1].strip()
@@ -72,7 +72,7 @@ def parse_element(text, dim, unit_index=0):
                 raise CliError(f"basis symbol e{index} out of range for dim {dim}")
             coords[index] += sign * coefficient
         elif _SCALAR_TERM.match(term):
-            coords[unit_index] += sign * _rational(term, "coefficient")
+            coords[0] += sign * _rational(term, "coefficient")
         else:
             raise CliError(f"cannot parse element term {term!r}")
     return AlgebraElement(simplify(c) for c in coords)
@@ -183,7 +183,7 @@ def cmd_algebra(args):
         _print_algebra(algebra, True)
         return 0
     print(f"dim: {algebra.dim}")
-    print(f"unit: e{algebra.sc.unit_index}")
+    print("unit: e0")
     print(f"commutative: {algebra.is_commutative()}")
     print(f"associative: {algebra.is_associative()}")
     print(f"alternative: {algebra.is_alternative()}")
@@ -202,17 +202,17 @@ def cmd_algebra(args):
 
 def cmd_mul(args):
     algebra = _build_algebra(args)
-    x = parse_element(args.x, algebra.dim, algebra.sc.unit_index)
-    y = parse_element(args.y, algebra.dim, algebra.sc.unit_index)
+    x = parse_element(args.x, algebra.dim)
+    y = parse_element(args.y, algebra.dim)
     _print_element(algebra.mul(x, y), args.json)
     return 0
 
 
 def cmd_assoc(args):
     algebra = _build_algebra(args)
-    x = parse_element(args.x, algebra.dim, algebra.sc.unit_index)
-    y = parse_element(args.y, algebra.dim, algebra.sc.unit_index)
-    z = parse_element(args.z, algebra.dim, algebra.sc.unit_index)
+    x = parse_element(args.x, algebra.dim)
+    y = parse_element(args.y, algebra.dim)
+    z = parse_element(args.z, algebra.dim)
     _print_element(algebra.associator(x, y, z), args.json)
     return 0
 

@@ -353,16 +353,16 @@ def _cleared(coeffs, dim):
 
 
 def _integer_table(algebra):
-    """``(table, d)``: d times the algebra's sparse table, with int entries;
+    """``(table, d)``: d times the algebra's table, with int entries;
     an integral table is the algebra's own."""
-    sparse = algebra._sparse
+    table = algebra.table
     den = lcm(1, *(
-        t.denominator for row in sparse for entry in row for _, t in entry if type(t) is not int
+        t.denominator for row in table for entry in row for _, t in entry if type(t) is not int
     ))
     if den == 1:
-        return sparse, 1
+        return table, 1
     return tuple(
-        tuple(tuple((k, int(t * den)) for k, t in entry) for entry in row) for row in sparse
+        tuple(tuple((k, int(t * den)) for k, t in entry) for entry in row) for row in table
     ), den
 
 

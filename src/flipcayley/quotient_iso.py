@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra_core import AlgebraElement, StarAlgebra, StructureConstants
+from .algebra_core import AlgebraElement, StarAlgebra
 from .flip_poly import Poly, ordinary_ring, star_skew_ring
 from .involutions import alpha
 from .linalg import LinearMap
@@ -96,15 +96,9 @@ class QuotientRing:
     def to_star_algebra(self):
         """Structure constants of the quotient under the coordinate identification."""
         basis = self.basis()
-        n = len(basis)
-        table = [
-            [self.phi(self.mul(basis[i], basis[j])).coords for j in range(n)]
-            for i in range(n)
-        ]
-        star_cols = [self.phi(self.star(b)).coords for b in basis]
-        star = [tuple(star_cols[j][i] for j in range(n)) for i in range(n)]
-        sc = StructureConstants(n, table, self.algebra.sc.unit_index)
-        return StarAlgebra(sc, LinearMap.from_rows(star))
+        table = [[enumerate(self.phi(self.mul(u, v)).coords) for v in basis] for u in basis]
+        star_cols = [self.phi(self.star(u)).coords for u in basis]
+        return StarAlgebra(table, LinearMap.from_rows(zip(*star_cols)))
 
 
 # ----------------------------------------------- the double of the polynomial ring
@@ -119,9 +113,10 @@ def _t_shift(p):
 def cayley_t_mul(algebra, u, v):
     """Product in the double of the ordinary polynomial algebra, scalar t.
 
-    Multiplication by the doubling scalar is a degree shift in t.
+    Multiplication by the doubling scalar is a degree shift in t.  All calls
+    on one algebra share its cached ordinary ring.
     """
-    ring = ordinary_ring(algebra)
+    ring = algebra.cached("ordinary_ring", lambda: ordinary_ring(algebra))
     p, q, r, s = u.p, u.q, v.p, v.q
     first = ring.mul(p, r) + _t_shift(ring.mul(_star_coeffwise(algebra, s), q))
     second = ring.mul(s, p) + ring.mul(q, _star_coeffwise(algebra, r))

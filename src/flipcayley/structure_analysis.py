@@ -134,7 +134,7 @@ def x_in_nucleus_bruteforce(ring, side, degree_bound=4):
     if not 0 <= degree_bound <= BRUTE_BOUND_LIMIT:
         raise ValueError(f"degree_bound must be between 0 and {BRUTE_BOUND_LIMIT}")
     kind = f"nucleus_{side}"
-    x = (1, ring.coeff_algebra.sc.unit_index)
+    x = (1, 0)  # the generator X = e_0 X
     degrees, indices = range(degree_bound + 1), range(ring.coeff_algebra.dim)
     return not any(
         any(ring._identity(kind, (x, (j, b), (k, c))).values())

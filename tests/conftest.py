@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from flipcayley import StarAlgebra, StructureConstants, linalg, named
+from flipcayley import StarAlgebra, linalg, named
+from flipcayley.scalars import parse_rational
 
 ALL_NAMES = ("R", "C", "C'", "H", "H'", "O", "O'", "S")
 
@@ -105,6 +106,18 @@ def raw_rows(A, kind):
     return constraint_rows(A, maps)
 
 
+# -------------------------------------------------------------- json export
+def assert_json_is_algebra(data, A):
+    """The exported dict holds every product e_i e_j and the star matrix of
+    ``A`` as ``p/q`` strings, with the unit at e_0."""
+    assert (data["dim"], data["unit_index"]) == (A.dim, 0)
+    e = A.basis()
+    table = [[[parse_rational(c) for c in entry] for entry in row] for row in data["table"]]
+    assert table == [[list(A.mul(a, b).coords) for b in e] for a in e]
+    star = [[parse_rational(c) for c in row] for row in data["star"]]
+    assert star == [list(row) for row in A.involution.matrix]
+
+
 # --------------------------------------------------- algebras off the tower
 def exchange_algebra(rng, d, density=1):
     """A + A^op with the swap star, for a random unital d-dimensional algebra A.
@@ -149,11 +162,12 @@ def exchange_algebra(rng, d, density=1):
 
     pairs = [pair(k) for k in range(2 * d)]
     table = [
-        [coords(a_mul(x1, x2), a_mul(y2, y1)) for x2, y2 in pairs] for x1, y1 in pairs
+        [enumerate(coords(a_mul(x1, x2), a_mul(y2, y1))) for x2, y2 in pairs]
+        for x1, y1 in pairs
     ]
     star_cols = [coords(y, x) for x, y in pairs]
     star = [[col[i] for col in star_cols] for i in range(2 * d)]
-    return StarAlgebra(StructureConstants(2 * d, table), linalg.LinearMap.from_rows(star))
+    return StarAlgebra(table, linalg.LinearMap.from_rows(star))
 
 
 def exchange_algebras(seed=20261017):
@@ -192,10 +206,10 @@ def matrix_algebra(involution):
         (p, q), (r, s) = m
         return ((p, r), (q, s)) if involution == "transpose" else ((s, -q), (-r, p))
 
-    table = [[coords(mat_mul(x, y)) for y in basis] for x in basis]
+    table = [[enumerate(coords(mat_mul(x, y))) for y in basis] for x in basis]
     star_cols = [coords(star(m)) for m in basis]
     star_rows = [[col[i] for col in star_cols] for i in range(4)]
-    return StarAlgebra(StructureConstants(4, table), linalg.LinearMap.from_rows(star_rows))
+    return StarAlgebra(table, linalg.LinearMap.from_rows(star_rows))
 
 
 def matrix_algebras():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,13 +7,12 @@ import pytest
 from flipcayley import (
     AlgebraElement,
     StarAlgebra,
-    StructureConstants,
-    basis_element,
     linalg,
     tower,
     zero_element,
 )
 from conftest import (
+    assert_json_is_algebra,
     constraint_rows,
     exchange_algebras,
     identity_matrix,
@@ -191,24 +191,55 @@ def test_predicates_agree_with_quadratic_sampling(algebras):
 
 
 # ------------------------------------------------------------------ validation
+# the split-complex plane: e0 is a two-sided unit and e1*e1 = e0
+SPLIT_COMPLEX = [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]]
+
+
 def test_structure_constants_unit_axiom():
-    bad = [[(1, 0), (0, 1)], [(0, 1), (1, 1)]]
-    StructureConstants(2, bad, 0)  # e0 is a two-sided unit here
-    with pytest.raises(ValueError):
-        StructureConstants(2, [[(1, 0), (0, 1)], [(1, 0), (1, 1)]], 0)
+    identity = linalg.LinearMap.identity(2)
+    StarAlgebra([[[(0, 1)], [(1, 1)]], [[(1, 1)], [(1, 1)]]], identity)  # e1*e1 = e1
+    unit_row = [[(0, 1)], [(1, 1)]]
+    bad = [
+        (ValueError, []),  # empty
+        (ValueError, [unit_row, [[(1, 1)]]]),  # ragged
+        (ValueError, [unit_row, [[(1, 1)], [(2, 1)]]]),  # index past dim - 1
+        (ValueError, [unit_row, [[(1, 1)], [(-1, 1)]]]),  # negative index
+        (ValueError, [unit_row, [[(1, 1)], [(0, 1), (0, 0)]]]),  # index repeated
+        # commutative, so the identity is an involution, but e0 is not the unit
+        (ValueError, [[[(0, 1)], []], [[], [(1, 1)]]]),  # Q x Q: e0*e1 = 0
+        (ValueError, [[[(0, 1)], [(1, 2)]], [[(1, 2)], [(0, 1)]]]),  # e0*e1 = 2e1
+        (TypeError, [unit_row, [[(1, 1)], [(0, 1.0)]]]),  # a float is not exact
+    ]
+    for error, table in bad:
+        with pytest.raises(error):
+            StarAlgebra(table, identity)
+
+
+def test_table_is_stored_sparse_and_canonical():
+    # zero coefficients are dropped, pairs sorted, whole Fractions and bools made ints
+    noisy = [
+        [[(1, 0), (0, Fraction(2, 2))], [(0, 0), (1, 1)]],
+        [[(1, 1)], [(1, 0), (0, True)]],
+    ]
+    A = StarAlgebra(noisy, linalg.LinearMap.from_rows([[1, 0], [0, -1]]))
+    assert A.table == ((((0, 1),), ((1, 1),)), (((1, 1),), ((0, 1),)))
+    assert A.table == StarAlgebra(SPLIT_COMPLEX, A.involution).table
+    assert all(type(c) is int for row in A.table for entry in row for _, c in entry)
 
 
 def test_involution_axioms_enforced():
     # negation is not an involution of the split-complex plane: it moves the unit
-    sc = StructureConstants(2, [[(1, 0), (0, 1)], [(0, 1), (1, 0)]], 0)
     with pytest.raises(ValueError):
-        StarAlgebra(sc, linalg.LinearMap.from_rows([[-1, 0], [0, -1]]))
+        StarAlgebra(SPLIT_COMPLEX, linalg.LinearMap.from_rows([[-1, 0], [0, -1]]))
     # transposition of coordinates is not multiplicative there either
     with pytest.raises(ValueError):
-        StarAlgebra(sc, linalg.LinearMap.from_rows([[0, 1], [1, 0]]))
+        StarAlgebra(SPLIT_COMPLEX, linalg.LinearMap.from_rows([[0, 1], [1, 0]]))
+    # a star map of another dimension
+    with pytest.raises(ValueError):
+        StarAlgebra(SPLIT_COMPLEX, linalg.LinearMap.identity(3))
     # the star map is a LinearMap, not the rows of a matrix
     with pytest.raises(TypeError):
-        StarAlgebra(sc, [[1, 0], [0, -1]])
+        StarAlgebra(SPLIT_COMPLEX, [[1, 0], [0, -1]])
 
 
 def test_involution_invariants_hold_on_towers():
@@ -226,21 +257,14 @@ def test_involution_invariants_hold_on_towers():
 def test_json_round_trip(algebras):
     for name in ("C'", "H"):
         A = algebras[name]
-        data = A.to_json_dict()
-        back = StarAlgebra.from_json_dict(data)
-        assert back.sc.table == A.sc.table
-        assert back.involution.matrix == A.involution.matrix
-        assert back.sc.unit_index == A.sc.unit_index
+        assert_json_is_algebra(json.loads(json.dumps(A.to_json_dict())), A)
 
 
 def test_json_uses_fraction_strings():
     A = tower([Fraction(1, 2)])
     data = A.to_json_dict()
     assert data["table"][1][1] == ["1/2", "0"]
-    back = StarAlgebra.from_json_dict(data)
-    assert back.mul(basis_element(2, 1), basis_element(2, 1)) == A.unit.scaled(
-        Fraction(1, 2)
-    )
+    assert_json_is_algebra(data, A)
 
 
 # ------------------------------------------- sparse kernel against the mul route
@@ -304,7 +328,7 @@ def _kernel_cases(algebras):
 def test_associator_kernel_matches_mul_route(algebras):
     cases = _kernel_cases(algebras)
     # the exchange algebras have table entries with several terms
-    assert any(len(entry) > 1 for _, A in cases for row in A._sparse for entry in row)
+    assert any(len(entry) > 1 for _, A in cases for row in A.table for entry in row)
     found = [0, 0, 0]
     for name, A in cases:
         expected = _mul_route_witnesses(A)

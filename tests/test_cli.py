@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flipcayley import StarAlgebra, cayley_double, find_zero_divisor, named
+from flipcayley import cayley_double, find_zero_divisor, named
 from flipcayley.cli import format_element, main, parse_element
+from conftest import assert_json_is_algebra
 
 
 # -------------------------------------------------------------------- literals
@@ -59,9 +60,25 @@ def test_table_octonions(capsys):
 
 def test_table_json_round_trips(capsys):
     assert main(["table", "--algebra=H", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    rebuilt = StarAlgebra.from_json_dict(data)
-    assert rebuilt.sc.table == named("H").sc.table
+    assert_json_is_algebra(json.loads(capsys.readouterr().out), named("H"))
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["table", "--algebra=O", "--json"],
+            "f1c4e28699ba9ec1fa9e0a7fd263f9678dd74fd52472099a5699b247caeabde8",
+        ),
+        (
+            ["table", "--mus=1/2,3", "--json"],
+            "bf0a593d865fc1b79b477621303e8119444c5338da6d883025c213550106f24c",
+        ),
+    ],
+)
+def test_table_json_export_is_pinned(capsys, argv, digest):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_mul_command(capsys):
@@ -146,9 +163,7 @@ def test_quotient_commands(capsys):
 
 def test_quotient_table_matches_double(capsys):
     assert main(["quotient", "--algebra=C", "--mu=1", "table", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    rebuilt = StarAlgebra.from_json_dict(data)
-    assert rebuilt.sc.table == cayley_double(named("C"), 1).sc.table
+    assert_json_is_algebra(json.loads(capsys.readouterr().out), cayley_double(named("C"), 1))
 
 
 def test_analyze_command(capsys):

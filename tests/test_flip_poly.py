@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -312,6 +313,23 @@ def test_identity_kernel_matches_ring_mul_route(ring, data):
     value = evaluate_identity(kind, [Poly({d: basis[i]}) for d, i in slots], ring.mul)
     want = {(d, k): v for d, c in value.coeffs.items() for k, v in enumerate(c.coords) if v}
     assert {key: v for key, v in ring._identity(kind, slots).items() if v} == want
+
+
+def test_basis_products_keep_operand_order(algebras):
+    """Each cached basis-monomial product of degrees <= 3 over the
+    non-commutative H equals ``ring.mul`` of the same operands in the same
+    order, on the star-skew ring and on the flipped ring with sigma the
+    identity (which ``alpha`` does not map onto its opposite)."""
+    H = algebras["H"]
+    e = H.basis()
+    plain_flip = FlipPolyRing(H, AdditiveMap.identity(4), AdditiveMap.zero(4), flipped=True)
+    for ring in (star_skew_ring(H), plain_flip):
+        for m, i, n, j in itertools.product(range(4), repeat=4):
+            p = ring.mul(Poly({m: e[i]}), Poly({n: e[j]}))
+            want = tuple(
+                ((d, k), v) for d, c in p.coeffs.items() for k, v in enumerate(c.coords) if v
+            )
+            assert ring._basis[(m, i)][(n, j)] == want, (m, i, n, j)
 
 
 def _sorted_and_zero_free(p):

@@ -7,6 +7,7 @@ import pytest
 from flipcayley import (
     AlgebraElement,
     named,
+    ordinary_ring,
     Poly,
     PolyPair,
     QuotElement,
@@ -20,6 +21,7 @@ from flipcayley import (
     star_skew_ring,
     tower,
 )
+from flipcayley import quotient_iso
 from flipcayley import structure_analysis as sa
 
 
@@ -154,7 +156,7 @@ def test_quotient_isomorphism_on_quaternions(algebras):
 def test_tower_identity_octonions_from_quaternion_quotient(algebras):
     built = QuotientRing(algebras["H"], -1).to_star_algebra()
     octonions = tower([-1, -1, -1])
-    assert built.sc.table == octonions.sc.table
+    assert built.table == octonions.table
     assert built.involution.matrix == octonions.involution.matrix
 
 
@@ -183,6 +185,21 @@ def test_cayley_t_unit_is_neutral(algebras):
     pair = PolyPair(rand_poly(H, rng, 2), rand_poly(H, rng, 2))
     assert cayley_t_mul(H, one, pair) == pair
     assert cayley_t_mul(H, pair, one) == pair
+
+
+def test_cayley_t_mul_reuses_one_ordinary_ring(monkeypatch):
+    built = []
+
+    def counting(algebra):
+        built.append(algebra)
+        return ordinary_ring(algebra)
+
+    monkeypatch.setattr(quotient_iso, "ordinary_ring", counting)
+    H = tower([-1, -1])
+    pair = PolyPair(Poly({1: H.basis()[1]}), Poly({0: H.basis()[2]}))
+    first = cayley_t_mul(H, pair, pair)
+    assert cayley_t_mul(H, pair, pair) == first
+    assert built == [H]
 
 
 def test_psi_is_multiplicative_on_monomial_generators(algebras):
