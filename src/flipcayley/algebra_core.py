@@ -17,6 +17,11 @@ basis monomial products, for the brute-force oracles of ``structure_analysis``.
 ``StarAlgebra.constraint_rows`` keeps only the distinct nonzero rows of each
 kind, and each kind is cached as its reduced row space alone.  The tests
 compare the kernel with dense rows built from the public ``mul``/``associator``.
+
+A Cayley-Dickson tower is monomial: e_i e_j = g(i, j) e_(i xor j), g nonzero,
+with a diagonal star (a twisted group algebra of (Z/2)^n).  There every
+constraint row has one nonzero entry, so ``StarAlgebra._solve`` decides each
+basis element on its own; other algebras go through elimination, its oracle.
 """
 
 from __future__ import annotations
@@ -273,10 +278,17 @@ class StarAlgebra:
             raise ValueError("involution must square to the identity")
         if self.star(self.unit) != self.unit:
             raise ValueError("involution must fix the unit")
-        basis = self.basis()
-        for a in basis:
-            for b in basis:
-                if self.star(self.mul(a, b)) != self.mul(self.star(b), self.star(a)):
+        table, cols, den = self.table, star.cols, star.den
+        for i, row in enumerate(table):
+            for j, entry in enumerate(row):
+                diff = {}  # den^2 ((e_i e_j)* - e_j* e_i*), sparsely
+                for k, c in entry:
+                    for r, s in cols[k]:
+                        diff[r] = diff.get(r, 0) + den * c * s
+                for (p, s), (q, t) in product(cols[j], cols[i]):
+                    for r, c in table[p][q]:
+                        diff[r] = diff.get(r, 0) - s * t * c
+                if any(diff.values()):
                     raise ValueError("involution must be anti-multiplicative")
 
     def _witness(self, kind, index_tuples):
@@ -388,13 +400,55 @@ class StarAlgebra:
             raise ValueError(f"unknown constraint kind {kind!r}")
         return self.constraint_rows(blocks)
 
+    def _is_monomial(self):
+        """Whether each e_i e_j is a nonzero multiple of e_(i xor j) and each
+        e_j* is +-e_j, as in every Cayley-Dickson tower."""
+
+        def build():
+            den, cols = self.involution.den, self.involution.cols
+            return all(
+                len(entry) == 1 and entry[0][0] == i ^ j
+                for i, row in enumerate(self.table) for j, entry in enumerate(row)
+            ) and all(col in (((j, den),), ((j, -den),)) for j, col in enumerate(cols))
+
+        return self.cached("monomial", build)
+
+    def _vanishes_at(self, kind, a):
+        """Whether every row of ``_rows(kind)`` vanishes at e_a, on a monomial
+        algebra, where no product of basis elements is zero."""
+        if kind in IDENTITIES:
+            return not any(
+                any(identity_at(self.table, kind, (a,) + rest).values())
+                for rest in product(range(self.dim), repeat=IDENTITY_ARITY[kind] - 1)
+            )
+        if kind == "star_fixed":
+            return self.involution.cols[a] == ((a, self.involution.den),)
+        if kind == "negation_fixed":
+            return False
+        if kind == "kill_star_skew":  # each b* - b is 0 or -2b
+            return self.involution.is_identity()
+        if kind == "kill_commutators":  # each bc - cb is a multiple of e_(b xor c)
+            return self.is_commutative()
+        raise ValueError(f"unknown constraint kind {kind!r}")
+
     def _solve(self, kinds):
         """Basis of the elements meeting every row kind in ``kinds``, cached by the tuple.
 
-        Each kind enters as its cached reduced row space (at most dim rows).
+        On a monomial algebra each constraint map sends e_a to a multiple of
+        one basis element, a different one for each a (e_(a xor b xor c) for
+        an identity at (b, c)), so every row has one nonzero entry: the
+        solutions are spanned by the e_a at which every row vanishes, whose
+        ascending tuple is already the reduced echelon basis.  Otherwise each
+        kind enters as its cached reduced row space (at most dim rows).
         """
 
         def build():
+            if self._is_monomial():
+                return tuple(
+                    basis_element(self.dim, a)
+                    for a in range(self.dim)
+                    if all(self._vanishes_at(kind, a) for kind in kinds)
+                )
             rows = []
             for kind in kinds:
                 rows.extend(self.cached(

@@ -35,6 +35,8 @@ NAMED_TOWERS = {
 }
 
 ZERO_DIVISOR_BUDGET = 500_000
+# the most doublings ``tower`` accepts: dim 512, a table of 2^18 entries
+MAX_DOUBLINGS = 9
 
 
 def rational_base():
@@ -66,6 +68,9 @@ def cayley_double(algebra, mu):
 
 def tower(mus):
     """Fold doubles over the scalar sequence, starting from the rationals."""
+    mus = tuple(mus)
+    if len(mus) > MAX_DOUBLINGS:
+        raise ValueError(f"at most {MAX_DOUBLINGS} doublings are allowed, got {len(mus)}")
     algebra = rational_base()
     for mu in mus:
         algebra = cayley_double(algebra, mu)

@@ -242,6 +242,31 @@ def test_involution_axioms_enforced():
         StarAlgebra(SPLIT_COMPLEX, [[1, 0], [0, -1]])
 
 
+def test_involution_must_be_anti_multiplicative():
+    # on H, x -> u x* u^-1 with u = i + 2j is an involution with denominator 5;
+    # x -> u x u^-1 also squares to the identity and fixes 1, but it is
+    # multiplicative, and so are the identity and diag(1, -1, -1, 1)
+    H = tower([-1, -1])
+    one, i, j, k = H.basis()
+    u = i + j.scaled(2)
+    u_inv = u.scaled(Fraction(-1, 5))
+
+    def map_of(f):
+        cols = [f(e).coords for e in H.basis()]
+        return linalg.LinearMap.from_rows([[col[r] for col in cols] for r in range(4)])
+
+    twisted = map_of(lambda x: H.mul(H.mul(u, H.star(x)), u_inv))
+    assert twisted.den == 5
+    assert StarAlgebra(H.table, twisted).involution == twisted
+    for star in (
+        map_of(lambda x: H.mul(H.mul(u, x), u_inv)),
+        linalg.LinearMap.identity(4),
+        linalg.LinearMap.from_rows([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]),
+    ):
+        with pytest.raises(ValueError, match="anti-multiplicative"):
+            StarAlgebra(H.table, star)
+
+
 def test_involution_invariants_hold_on_towers():
     for n in range(6):  # up to dimension 32
         A = tower([-1] * n)

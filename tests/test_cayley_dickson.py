@@ -50,6 +50,12 @@ def test_tower_with_fractional_scalar():
     assert A.mul(i, i) == A.unit.scaled(Fraction(-1, 4))
 
 
+def test_tower_rejects_more_than_max_doublings():
+    with pytest.raises(ValueError, match="at most"):
+        tower([-1] * (cayley_dickson.MAX_DOUBLINGS + 1))
+    assert cayley_dickson.MAX_DOUBLINGS >= 8  # dim 256 stays buildable
+
+
 def test_mu_zero_rejected():
     with pytest.raises(ValueError):
         cayley_double(rational_base(), 0)

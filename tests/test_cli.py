@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flipcayley import cayley_double, find_zero_divisor, named
+from flipcayley.cayley_dickson import MAX_DOUBLINGS
 from flipcayley.cli import format_element, main, parse_element
 from conftest import assert_json_is_algebra
 
@@ -229,6 +230,15 @@ def test_usage_errors_exit_2(capsys):
     assert main(["quotient", "--algebra=H", "--mu=0", "mul", "e0", "e0"]) == 2
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_too_many_doublings_exit_2(capsys):
+    mus = ",".join(["1"] * (MAX_DOUBLINGS + 1))
+    assert main(["table", f"--mus={mus}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad --mus value: at most {MAX_DOUBLINGS} doublings are allowed, "
+        f"got {MAX_DOUBLINGS + 1}\n"
+    )
 
 
 @pytest.mark.parametrize(

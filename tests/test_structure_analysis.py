@@ -7,6 +7,7 @@ from flipcayley import (
     AlgebraElement,
     Poly,
     QuotientRing,
+    StarAlgebra,
     alpha,
     linalg,
     ordinary_ring,
@@ -14,7 +15,8 @@ from flipcayley import (
     tower,
 )
 from flipcayley import structure_analysis as sa
-from flipcayley.flip_poly import AdditiveMap, FlipPolyRing
+from flipcayley.algebra_core import NUCLEUS_SIDES
+from flipcayley.flip_poly import AdditiveMap, FlipPolyRing, check_axioms
 from conftest import exchange_algebras, matrix_algebras, raw_rows, sparse_exchange_algebras
 
 
@@ -100,12 +102,15 @@ def _sparse_fraction_map(rng, A, kind):
     return AdditiveMap(rows, kind)
 
 
-def test_x_in_nucleus_with_random_sigma_and_delta(algebras):
-    # the left criterion needs delta to be a sigma-derivation on both sides;
-    # x -> ax - sigma(x)a is one on the left only and x -> xa - a sigma(x) on
-    # the right only, when sigma is an automorphism such as x -> u x u^-1
+def _random_sigma_delta_rings(algebras):
+    """64 flipped rings ``(name, s, d, ring)`` over C, C', H and H' with
+    seeded sigma and delta.
+
+    The left criterion needs delta to be a sigma-derivation on both sides;
+    x -> ax - sigma(x)a is one on the left only and x -> xa - a sigma(x) on
+    the right only, when sigma is an automorphism such as x -> u x u^-1.
+    """
     rng = random.Random(20261018)
-    seen = {side: set() for side in sa.X_SIDES}
     for name in ("C", "C'", "H", "H'"):
         A = algebras[name]
         u = A.unit + A.basis()[1].scaled(2)
@@ -125,12 +130,28 @@ def test_x_in_nucleus_with_random_sigma_and_delta(algebras):
                 _sparse_fraction_map(rng, A, "delta"),
             ]
             for d, delta in enumerate(deltas):
-                ring = FlipPolyRing(A, sigma, delta, flipped=True)
-                for side in sa.X_SIDES:
-                    got = sa.x_in_nucleus(ring, side)
-                    assert got == sa.x_in_nucleus_bruteforce(ring, side, 2), (name, s, d, side)
-                    seen[side].add(got)
+                yield name, s, d, FlipPolyRing(A, sigma, delta, flipped=True)
+
+
+def test_x_in_nucleus_with_random_sigma_and_delta(algebras):
+    seen = {side: set() for side in sa.X_SIDES}
+    for name, s, d, ring in _random_sigma_delta_rings(algebras):
+        for side in sa.X_SIDES:
+            got = sa.x_in_nucleus(ring, side)
+            assert got == sa.x_in_nucleus_bruteforce(ring, side, 2), (name, s, d, side)
+            seen[side].add(got)
     assert all(answers == {True, False} for answers in seen.values()), seen
+
+
+def test_axiom_family_n_matches_the_criteria(algebras):
+    # family N asks X to lie in the right and the middle nucleus, degree by
+    # degree up to its bound; the criteria decide both for every degree
+    answers = set()
+    for name, s, d, ring in _random_sigma_delta_rings(algebras):
+        want = sa.x_in_nucleus(ring, "right") and sa.x_in_nucleus(ring, "middle")
+        assert check_axioms(ring, "N", 2).passed == want, (name, s, d)
+        answers.add(want)
+    assert answers == {True, False}
 
 
 # -------------------------------------------------------- inheritance criteria
@@ -311,6 +332,45 @@ def test_row_space_route_matches_raw_rows(algebras):
         public += [(A.nucleus_basis(side), (f"nucleus_{side}",)) for side in sa.X_SIDES]
         for got, kinds in public:
             assert got == _raw_solve(A, kinds), (name, kinds)
+
+
+def _general_route(A):
+    """A fresh copy of ``A`` that solves by elimination even if ``A`` is monomial."""
+    B = StarAlgebra(A.table, A.involution)
+    B._cache["monomial"] = False
+    return B
+
+
+def test_basis_wise_route_matches_elimination(algebras):
+    cases = list(algebras.items()) + _TOWERS + [
+        ("tower(2/3, -1, 5)", tower([Fraction(2, 3), -1, 5])),
+        ("tower([-1] * 5)", tower([-1] * 5)),
+    ]
+    tuples = sorted({kinds for pair in sa._KIND_ROWS.values() for kinds in pair})
+    for name, A in cases:
+        assert A._is_monomial(), name
+        general = _general_route(A)
+        for kinds in tuples:
+            assert A._solve(kinds) == general._solve(kinds), (name, kinds)
+        for side in NUCLEUS_SIDES:
+            assert A.nucleus_basis(side) == general.nucleus_basis(side), (name, side)
+
+
+def test_single_entry_tables_off_xor_are_not_monomial():
+    # one entry per product, but not at e_(i xor j): the group algebra Q[Z/3],
+    # and 1, u, v with u^2 = v^2 = uv = 1, whose middle nucleus holds u - v
+    # but neither u nor v, so the basis-wise route would miss it
+    z3 = [[[((i + j) % 3, 1)] for j in range(3)] for i in range(3)]
+    uv = [[[(i or j if i * j == 0 else 0, 1)] for j in range(3)] for i in range(3)]
+    tuples = sorted({kinds for pair in sa._KIND_ROWS.values() for kinds in pair})
+    for table in (z3, uv):
+        A = StarAlgebra(table, linalg.LinearMap.identity(3))
+        assert A._is_monomial() is False
+        for kinds in tuples:
+            assert A._solve(kinds) == _raw_solve(A, kinds), (table, kinds)
+    assert A.nucleus_basis("middle") == (A.unit, AlgebraElement([0, 1, -1]))
+    z3 = StarAlgebra(z3, linalg.LinearMap.identity(3))
+    assert z3.center_basis() == tuple(z3.basis())
 
 
 def test_each_row_kind_matches_raw_rows(algebras):
