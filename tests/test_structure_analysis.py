@@ -334,13 +334,6 @@ def test_row_space_route_matches_raw_rows(algebras):
             assert got == _raw_solve(A, kinds), (name, kinds)
 
 
-def _general_route(A):
-    """A fresh copy of ``A`` that solves by elimination even if ``A`` is monomial."""
-    B = StarAlgebra(A.table, A.involution)
-    B._cache["monomial"] = False
-    return B
-
-
 def test_basis_wise_route_matches_elimination(algebras):
     cases = list(algebras.items()) + _TOWERS + [
         ("tower(2/3, -1, 5)", tower([Fraction(2, 3), -1, 5])),
@@ -349,7 +342,8 @@ def test_basis_wise_route_matches_elimination(algebras):
     tuples = sorted({kinds for pair in sa._KIND_ROWS.values() for kinds in pair})
     for name, A in cases:
         assert A._is_monomial(), name
-        general = _general_route(A)
+        general = StarAlgebra(A.table, A.involution)  # a copy with its own cache
+        general._cache["monomial"] = False  # that solves by elimination
         for kinds in tuples:
             assert A._solve(kinds) == general._solve(kinds), (name, kinds)
         for side in NUCLEUS_SIDES:
@@ -360,17 +354,19 @@ def test_single_entry_tables_off_xor_are_not_monomial():
     # one entry per product, but not at e_(i xor j): the group algebra Q[Z/3],
     # and 1, u, v with u^2 = v^2 = uv = 1, whose middle nucleus holds u - v
     # but neither u nor v, so the basis-wise route would miss it
-    z3 = [[[((i + j) % 3, 1)] for j in range(3)] for i in range(3)]
-    uv = [[[(i or j if i * j == 0 else 0, 1)] for j in range(3)] for i in range(3)]
+    def algebra(index):  # e_i e_j = e_index(i, j), with the trivial star
+        table = [[[(index(i, j), 1)] for j in range(3)] for i in range(3)]
+        return StarAlgebra(table, linalg.LinearMap.identity(3))
+
+    z3 = algebra(lambda i, j: (i + j) % 3)
+    uv = algebra(lambda i, j: i or j if i * j == 0 else 0)
     tuples = sorted({kinds for pair in sa._KIND_ROWS.values() for kinds in pair})
-    for table in (z3, uv):
-        A = StarAlgebra(table, linalg.LinearMap.identity(3))
+    for A in (z3, uv):
         assert A._is_monomial() is False
         for kinds in tuples:
-            assert A._solve(kinds) == _raw_solve(A, kinds), (table, kinds)
-    assert A.nucleus_basis("middle") == (A.unit, AlgebraElement([0, 1, -1]))
-    z3 = StarAlgebra(z3, linalg.LinearMap.identity(3))
+            assert A._solve(kinds) == _raw_solve(A, kinds), (A.table, kinds)
     assert z3.center_basis() == tuple(z3.basis())
+    assert uv.nucleus_basis("middle") == (uv.unit, AlgebraElement([0, 1, -1]))
 
 
 def test_each_row_kind_matches_raw_rows(algebras):
