@@ -12,8 +12,8 @@ Every multilinear identity behind these sets and the property predicates is
 written once, in ``IDENTITIES``, as signed bracketed words.  One sparse
 kernel, ``identity_at``, evaluates them from a table of basis products: the
 algebra's ``table``, for the constraint rows and the predicates, or a ring's
-basis monomial products, for the brute-force oracles of ``structure_analysis``.
-``evaluate_identity`` reads them with any product, for ``check_axioms``.
+basis monomial products, for the brute-force oracles of ``structure_analysis``
+and for ``flip_poly.check_axioms``.
 ``StarAlgebra.constraint_rows`` keeps only the distinct nonzero rows of each
 kind, and each kind is cached as its reduced row space alone.  The tests
 compare the kernel with dense rows built from the public ``mul``/``associator``.
@@ -74,20 +74,6 @@ def _parse_identity(text):
 _TERMS = {kind: _parse_identity(text) for kind, text in IDENTITIES.items()}
 # the number of letters (x, then b and perhaps c) of each identity
 IDENTITY_ARITY = {kind: len(set(text) & set(_LETTERS)) for kind, text in IDENTITIES.items()}
-
-
-def evaluate_identity(kind, values, mul):
-    """The identity ``kind`` at ``values`` (for x, b, c), from the product ``mul``."""
-    total = None
-    for positive, p, q, r, inner_left in _TERMS[kind]:
-        v = mul(values[p], values[q])
-        if r is not None:
-            v = mul(v, values[r]) if inner_left else mul(values[r], v)
-        if total is None:
-            total = v if positive else -v
-        else:
-            total = total + v if positive else total - v
-    return total
 
 
 def identity_at(table, kind, slots):
@@ -438,8 +424,9 @@ class StarAlgebra:
         one basis element, a different one for each a (e_(a xor b xor c) for
         an identity at (b, c)), so every row has one nonzero entry: the
         solutions are spanned by the e_a at which every row vanishes, whose
-        ascending tuple is already the reduced echelon basis.  Otherwise each
-        kind enters as its cached reduced row space (at most dim rows).
+        ascending tuple is already the reduced echelon basis (each kind is
+        tested at e_a once, for every tuple).  Otherwise each kind enters as
+        its cached reduced row space (at most dim rows).
         """
 
         def build():
@@ -447,7 +434,10 @@ class StarAlgebra:
                 return tuple(
                     basis_element(self.dim, a)
                     for a in range(self.dim)
-                    if all(self._vanishes_at(kind, a) for kind in kinds)
+                    if all(
+                        self.cached(("vanishes", kind, a), lambda: self._vanishes_at(kind, a))
+                        for kind in kinds
+                    )
                 )
             rows = []
             for kind in kinds:

@@ -22,8 +22,8 @@ survives as the independent test oracle ``pi_oracle``.
 Each ring caches the products of single-term operands by degrees and
 coordinate values (the product depends on nothing else, as a ring never
 changes); ``mul`` and ``monomial_product`` both read it and return copies.
-``FlipPolyRing._identity`` reads a second cache, of basis-monomial products.
-
+``FlipPolyRing._identity`` and ``check_axioms`` read every product from a
+second cache, ``FlipPolyRing._basis``, of basis-monomial products;
 ``check_axioms`` reads its associators from ``algebra_core.IDENTITIES``.
 """
 
@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .algebra_core import AlgebraElement, evaluate_identity, identity_at, zero_element
+from .algebra_core import AlgebraElement, basis_element, identity_at, zero_element
 from .scalars import format_rational, parse_rational, simplify
 
 ORACLE_DEGREE_LIMIT = 12
@@ -157,8 +157,8 @@ class _BasisProducts(dict):
             value = self[slot] = _BasisProducts(self.ring, slot)
             return value
         (m, i), (n, j) = self.left, slot
-        e = self.ring.coeff_algebra.basis()
-        terms = self.ring._product({m: e[i]}, {n: e[j]}).items()
+        dim = self.ring.coeff_algebra.dim
+        terms = self.ring._product({m: basis_element(dim, i)}, {n: basis_element(dim, j)}).items()
         value = self[slot] = tuple(
             ((d, k), v) for d, c in terms for k, v in enumerate(c.coords) if v
         )
@@ -413,7 +413,8 @@ def check_axioms(ring, family, degree_bound):
     monomial triples), "N" (same generator axioms plus vanishing associators
     with the generator in the middle or right slot), "F" (the recursive
     product identities of the flipped rings).  The associators are the
-    ``nucleus_*`` words of ``algebra_core.IDENTITIES`` read with ``ring.mul``.
+    ``nucleus_*`` words of ``algebra_core.IDENTITIES``; every product is read
+    from the ring's cached basis-monomial products.
     """
     if family not in AXIOM_FAMILIES:
         raise ValueError(f"family must be one of {AXIOM_FAMILIES}")
@@ -430,59 +431,83 @@ def check_axioms(ring, family, degree_bound):
 def _axiom_checks(ring, family, degree_bound):
     """Yield ``(axiom, ok, witness)`` for each identity of the family, in report order.
 
-    ``witness()`` renders the failure text from the generator's current
-    values, so it must be called before the next check is drawn.
+    Every ring product is read from the basis-monomial table ``ring._basis``
+    as sparse ``((degree, k), coeff)`` terms, the slot of e_i X^d being
+    ``(d, i)``; a ``Poly`` is built only to render a failure.  ``witness()``
+    renders the failure text from the generator's current values, so it must
+    be called before the next check is drawn.
     """
-    basis = ring.coeff_algebra.basis()
-    degrees = range(degree_bound + 1)
-    mul, x = ring.mul, ring.x()
+    algebra, table = ring.coeff_algebra, ring._basis
+    dim, basis = algebra.dim, algebra.basis()
+    degrees, indices = range(degree_bound + 1), range(dim)
+    x = (1, 0)  # the generator X = e_0 X^1
+    # column j of sigma and of delta: the (k, entry) of sigma(e_j), delta(e_j)
+    sigma, delta = (
+        [[(k, simplify(Fraction(v, f.den))) for k, v in col] for col in f.cols]
+        for f in (ring.sigma.linear, ring.delta.linear)
+    )
+
+    def text(terms):  # sparse terms as a Poly's text, zero coefficients dropped
+        coeffs = {}
+        for (degree, k), v in dict(terms).items():
+            if v:
+                coeffs.setdefault(degree, [0] * dim)[k] = v
+        return poly_to_text(Poly({d: AlgebraElement(c) for d, c in coeffs.items()}))
+
     # power basis: (r X^m) X = r X^(m+1)
-    for m, r in itertools.product(degrees, basis):
-        lhs = mul(Poly({m: r}), x)
-        yield f"{family}1", lhs == Poly({m + 1: r}), lambda: (
-            f"(rX^{m})X != rX^{m + 1} for r={r.coords}: got {poly_to_text(lhs)}"
+    for m, i in itertools.product(degrees, indices):
+        lhs = table[m, i][x]
+        yield f"{family}1", lhs == (((m + 1, i), 1),), lambda: (
+            f"(rX^{m})X != rX^{m + 1} for r={basis[i].coords}: got {text(lhs)}"
         )
     # generator reduction: X r = sigma(r) X + delta(r)
-    for r in basis:
-        lhs = mul(x, Poly({0: r}))
-        rhs = Poly({0: ring.delta(r), 1: ring.sigma(r)})
-        yield f"{family}2", lhs == rhs, lambda: (
-            f"Xr != sigma(r)X + delta(r) for r={r.coords}: "
-            f"{poly_to_text(lhs)} vs {poly_to_text(rhs)}"
+    for i in indices:
+        lhs = table[x][0, i]
+        rhs = {(0, k): v for k, v in delta[i]} | {(1, k): v for k, v in sigma[i]}
+        yield f"{family}2", dict(lhs) == rhs, lambda: (
+            f"Xr != sigma(r)X + delta(r) for r={basis[i].coords}: "
+            f"{text(lhs)} vs {text(rhs)}"
         )
     if family == "F":
-        for m, n, r, s in itertools.product(degrees, degrees, basis, basis):
-            p, lhs = Poly({m: r}), mul(Poly({m + 1: r}), Poly({n: s}))
-            rhs = mul(mul(p, Poly({n: ring.sigma(s)})), x) + mul(p, Poly({n: ring.delta(s)}))
-            yield "F3a", lhs == rhs, lambda: (
-                f"m={m} n={n} r={r.coords} s={s.coords}: "
-                f"{poly_to_text(lhs)} vs {poly_to_text(rhs)}"
+        # (r X^(m+1))(s X^n) = ((r X^m)(sigma(s) X^n)) X + (r X^m)(delta(s) X^n)
+        for m, n, i, j in itertools.product(degrees, degrees, indices, indices):
+            lhs, row, rhs = table[m + 1, i][n, j], table[m, i], {}
+            for k, v in sigma[j]:
+                for slot, c in row[n, k]:
+                    for key, t in table[slot][x]:
+                        rhs[key] = rhs.get(key, 0) + v * c * t
+            for k, v in delta[j]:
+                for key, c in row[n, k]:
+                    rhs[key] = rhs.get(key, 0) + v * c
+            rhs = {key: v for key, v in rhs.items() if v}
+            yield "F3a", dict(lhs) == rhs, lambda: (
+                f"m={m} n={n} r={basis[i].coords} s={basis[j].coords}: "
+                f"{text(lhs)} vs {text(rhs)}"
             )
-        for n, r, s in itertools.product(degrees, basis, basis):
-            lhs = mul(Poly({0: r}), Poly({n: s}))
-            rhs = Poly({n: ring.tau(n, r, s)})
+        # r (s X^n) = tau_n(r, s) X^n
+        for n, i, j in itertools.product(degrees, indices, indices):
+            lhs = table[0, i][n, j]
+            entry = algebra.table[j][i] if n % 2 else algebra.table[i][j]
+            rhs = tuple(((n, k), c) for k, c in entry)
             yield "F3b", lhs == rhs, lambda: (
-                f"n={n} r={r.coords} s={s.coords}: {poly_to_text(lhs)} vs {poly_to_text(rhs)}"
+                f"n={n} r={basis[i].coords} s={basis[j].coords}: {text(lhs)} vs {text(rhs)}"
             )
     elif family == "N":
         # (X, p, q) in nucleus_right is (p, q, X); in nucleus_middle, (p, X, q)
-        for j, k, b, c in itertools.product(degrees, degrees, basis, basis):
-            values = (x, Poly({j: b}), Poly({k: c}))
-            right = evaluate_identity("nucleus_right", values, mul)
-            yield "N3", right.is_zero(), lambda: (
-                f"(bX^{j}, cX^{k}, X) != 0 for b={b.coords} c={c.coords}: {poly_to_text(right)}"
-            )
-            middle = evaluate_identity("nucleus_middle", values, mul)
-            yield "N3", middle.is_zero(), lambda: (
-                f"(bX^{j}, X, cX^{k}) != 0 for b={b.coords} c={c.coords}: {poly_to_text(middle)}"
-            )
+        for j, k, b, c in itertools.product(degrees, degrees, indices, indices):
+            for kind, word in (("right", f"bX^{j}, cX^{k}, X"), ("middle", f"bX^{j}, X, cX^{k}")):
+                value = ring._identity(f"nucleus_{kind}", (x, (j, b), (k, c)))
+                yield "N3", not any(value.values()), lambda: (
+                    f"({word}) != 0 for b={basis[b].coords} c={basis[c].coords}: {text(value)}"
+                )
     else:  # "O": associativity sampled over all bounded monomial triples
-        for i, j, k, a, b, c in itertools.product(degrees, degrees, degrees, basis, basis, basis):
-            monomials = (Poly({i: a}), Poly({j: b}), Poly({k: c}))
-            value = evaluate_identity("nucleus_left", monomials, mul)
-            yield "O3", value.is_zero(), lambda: (
-                f"(aX^{i}, bX^{j}, cX^{k}) != 0 for a={a.coords} b={b.coords} c={c.coords}: "
-                f"{poly_to_text(value)}"
+        for i, j, k, a, b, c in itertools.product(
+            degrees, degrees, degrees, indices, indices, indices
+        ):
+            value = ring._identity("nucleus_left", ((i, a), (j, b), (k, c)))
+            yield "O3", not any(value.values()), lambda: (
+                f"(aX^{i}, bX^{j}, cX^{k}) != 0 for a={basis[a].coords} b={basis[b].coords} "
+                f"c={basis[c].coords}: {text(value)}"
             )
 
 

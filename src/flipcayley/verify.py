@@ -2,8 +2,9 @@
 
 Each suite checks one structural statement end to end and reports PASS or
 FAIL with the first counterexample.  Suites are deterministic: the same
-inputs always produce a byte-identical report.  The ``axioms`` suite compares
-ring products through ``monomial_product`` alone.
+inputs always produce a byte-identical report.  The ``axioms`` suite reads
+every ring product from the rings' tables of basis-monomial products
+(``FlipPolyRing._basis``).
 """
 
 from __future__ import annotations
@@ -232,16 +233,15 @@ def suite_corollary(algebra=None, mu=None, bound=None):
     return result
 
 
-def _first_difference(product_a, product_b, algebra, max_degree):
-    """The first ``(m, n, r, s)``, with degrees <= max_degree and r, s basis
-    elements, at which two ``monomial_product`` callables differ; None if none."""
-    degrees = range(max_degree + 1)
-    basis = algebra.basis()
+def _first_difference(ring_a, ring_b, max_degree):
+    """The first ``(m, n, i, j)``, with degrees <= max_degree, at which the two
+    rings' products (e_i X^m)(e_j X^n) differ; None if none."""
+    degrees, indices = range(max_degree + 1), range(ring_a.coeff_algebra.dim)
     return next(
         (
-            (m, n, r, s)
-            for m, n, r, s in product(degrees, degrees, basis, basis)
-            if product_a(m, r, n, s) != product_b(m, r, n, s)
+            (m, n, i, j)
+            for m, n, i, j in product(degrees, degrees, indices, indices)
+            if ring_a._basis[m, i][n, j] != ring_b._basis[m, i][n, j]
         ),
         None,
     )
@@ -282,7 +282,7 @@ def suite_axioms(algebra=None, mu=None, bound=None):
     result.lines.append(f"O-family on the complex ring: {rep.summary()}")
 
     unflipped_c = FlipPolyRing(C, ring_c.sigma, ring_c.delta, flipped=False)
-    if _first_difference(ring_c.monomial_product, unflipped_c.monomial_product, C, 5) is not None:
+    if _first_difference(ring_c, unflipped_c, 5) is not None:
         result.failure = "flipped and unflipped products differ over the complex numbers"
         return result
     result.lines.append(
@@ -290,7 +290,7 @@ def suite_axioms(algebra=None, mu=None, bound=None):
     )
 
     unflipped_h = FlipPolyRing(H, ring_h.sigma, ring_h.delta, flipped=False)
-    witness = _first_difference(ring_h.monomial_product, unflipped_h.monomial_product, H, 2)
+    witness = _first_difference(ring_h, unflipped_h, 2)
     if witness is None:
         result.failure = (
             "flipped and unflipped products coincide over the quaternions, "
@@ -303,10 +303,9 @@ def suite_axioms(algebra=None, mu=None, bound=None):
     )
 
     # the flip of a product rule swaps its coefficients when n is odd
-    basis = H.basis()
     degrees, indices = range(5), range(H.dim)
     rule = {
-        (m, n, i, j): ring_h.monomial_product(m, basis[i], n, basis[j])
+        (m, n, i, j): ring_h._basis[m, i][n, j]
         for m, n, i, j in product(degrees, degrees, indices, indices)
     }
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from flipcayley import StarAlgebra, linalg, named
+from flipcayley import AdditiveMap, FlipPolyRing, StarAlgebra, linalg, named
 from flipcayley.scalars import parse_rational
 
 ALL_NAMES = ("R", "C", "C'", "H", "H'", "O", "O'", "S")
@@ -215,3 +215,54 @@ def matrix_algebra(involution):
 def matrix_algebras():
     """M_2(Q) with the transpose and with the adjugate involution."""
     return [(f"M_2(Q) {name}", matrix_algebra(name)) for name in ("transpose", "adjugate")]
+
+
+# ------------------------------------------------ rings with random sigma, delta
+def _map_of(A, f, kind):
+    """The ``AdditiveMap`` of the given kind whose column j is f(e_j)."""
+    cols = [f(e).coords for e in A.basis()]
+    return AdditiveMap([[col[i] for col in cols] for i in range(A.dim)], kind)
+
+
+def _sparse_fraction_map(rng, A, kind):
+    """A seeded map with a few Fraction entries off column 0, which is e_0
+    for a sigma (it must fix 1) and zero for a delta (it must kill 1)."""
+    rows = [[0] * A.dim for _ in range(A.dim)]
+    if kind == "sigma":
+        rows[0][0] = 1
+    for _ in range(A.dim):
+        rows[rng.randrange(A.dim)][rng.randrange(1, A.dim)] = Fraction(
+            rng.randint(-3, 3), rng.randint(1, 3)
+        )
+    return AdditiveMap(rows, kind)
+
+
+def random_sigma_delta_rings(algebras):
+    """64 flipped rings ``(name, s, d, ring)`` over C, C', H and H' with
+    seeded sigma and delta.
+
+    The left criterion needs delta to be a sigma-derivation on both sides;
+    x -> ax - sigma(x)a is one on the left only and x -> xa - a sigma(x) on
+    the right only, when sigma is an automorphism such as x -> u x u^-1.
+    """
+    rng = random.Random(20261018)
+    for name in ("C", "C'", "H", "H'"):
+        A = algebras[name]
+        u = A.unit + A.basis()[1].scaled(2)
+        u_inv = A.star(u).scaled(Fraction(1, A.mul(u, A.star(u)).coords[0]))
+        a = A.element(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(A.dim))
+        sigmas = [
+            AdditiveMap.identity(A.dim),
+            AdditiveMap.from_star(A),
+            _map_of(A, lambda x: A.mul(A.mul(u, x), u_inv), "sigma"),
+            _sparse_fraction_map(rng, A, "sigma"),
+        ]
+        for s, sigma in enumerate(sigmas):
+            deltas = [
+                AdditiveMap.zero(A.dim),
+                _map_of(A, lambda x: A.mul(a, x) - A.mul(sigma(x), a), "delta"),
+                _map_of(A, lambda x: A.mul(x, a) - A.mul(a, sigma(x)), "delta"),
+                _sparse_fraction_map(rng, A, "delta"),
+            ]
+            for d, delta in enumerate(deltas):
+                yield name, s, d, FlipPolyRing(A, sigma, delta, flipped=True)

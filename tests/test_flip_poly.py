@@ -24,8 +24,15 @@ from flipcayley import (
     star_skew_ring,
     tower,
 )
-from flipcayley.algebra_core import IDENTITIES, evaluate_identity
-from flipcayley.flip_poly import even_square_ring, poly_from_json, poly_to_json
+from flipcayley.algebra_core import _TERMS, IDENTITIES
+from flipcayley.flip_poly import (
+    AxiomFailure,
+    AxiomReport,
+    even_square_ring,
+    poly_from_json,
+    poly_to_json,
+)
+from conftest import random_sigma_delta_rings
 
 
 def shift_map(dim):
@@ -301,6 +308,21 @@ def test_ring_mul_matches_pi_oracle_route(case):
     assert ring.mul(p, q) == _oracle_product(ring, p, q)
 
 
+def evaluate_identity(kind, values, mul):
+    """The identity ``kind`` at ``values`` (for x, b, c), from the product ``mul``:
+    the words of ``algebra_core.IDENTITIES`` multiplied out one by one."""
+    total = None
+    for positive, p, q, r, inner_left in _TERMS[kind]:
+        v = mul(values[p], values[q])
+        if r is not None:
+            v = mul(v, values[r]) if inner_left else mul(values[r], v)
+        if total is None:
+            total = v if positive else -v
+        else:
+            total = total + v if positive else total - v
+    return total
+
+
 @settings(max_examples=60, deadline=None)
 @given(_rings(), st.data())
 def test_identity_kernel_matches_ring_mul_route(ring, data):
@@ -501,6 +523,112 @@ def test_axioms_f_family_fails_without_the_flip(algebras):
         ("F3b", "n=1 r=(0, 0, 0, 1) s=(0, 1, 0, 0): [0,0,1,0]*X vs [0,0,-1,0]*X"),
         ("F3b", "n=1 r=(0, 0, 0, 1) s=(0, 0, 1, 0): [0,-1,0,0]*X vs [0,1,0,0]*X"),
     ]
+
+
+def _reference_axiom_checks(ring, family, degree_bound):
+    """``flip_poly._axiom_checks`` through ``Poly`` operands and ``ring.mul``:
+    the same checks in the same order, with the same witness text."""
+    basis = ring.coeff_algebra.basis()
+    degrees = range(degree_bound + 1)
+    mul, x = ring.mul, ring.x()
+    for m, r in itertools.product(degrees, basis):
+        lhs = mul(Poly({m: r}), x)
+        yield f"{family}1", lhs == Poly({m + 1: r}), lambda: (
+            f"(rX^{m})X != rX^{m + 1} for r={r.coords}: got {poly_to_text(lhs)}"
+        )
+    for r in basis:
+        lhs = mul(x, Poly({0: r}))
+        rhs = Poly({0: ring.delta(r), 1: ring.sigma(r)})
+        yield f"{family}2", lhs == rhs, lambda: (
+            f"Xr != sigma(r)X + delta(r) for r={r.coords}: "
+            f"{poly_to_text(lhs)} vs {poly_to_text(rhs)}"
+        )
+    if family == "F":
+        for m, n, r, s in itertools.product(degrees, degrees, basis, basis):
+            p, lhs = Poly({m: r}), mul(Poly({m + 1: r}), Poly({n: s}))
+            rhs = mul(mul(p, Poly({n: ring.sigma(s)})), x) + mul(p, Poly({n: ring.delta(s)}))
+            yield "F3a", lhs == rhs, lambda: (
+                f"m={m} n={n} r={r.coords} s={s.coords}: "
+                f"{poly_to_text(lhs)} vs {poly_to_text(rhs)}"
+            )
+        for n, r, s in itertools.product(degrees, basis, basis):
+            lhs = mul(Poly({0: r}), Poly({n: s}))
+            rhs = Poly({n: ring.tau(n, r, s)})
+            yield "F3b", lhs == rhs, lambda: (
+                f"n={n} r={r.coords} s={s.coords}: {poly_to_text(lhs)} vs {poly_to_text(rhs)}"
+            )
+    elif family == "N":
+        for j, k, b, c in itertools.product(degrees, degrees, basis, basis):
+            values = (x, Poly({j: b}), Poly({k: c}))
+            right = evaluate_identity("nucleus_right", values, mul)
+            yield "N3", right.is_zero(), lambda: (
+                f"(bX^{j}, cX^{k}, X) != 0 for b={b.coords} c={c.coords}: {poly_to_text(right)}"
+            )
+            middle = evaluate_identity("nucleus_middle", values, mul)
+            yield "N3", middle.is_zero(), lambda: (
+                f"(bX^{j}, X, cX^{k}) != 0 for b={b.coords} c={c.coords}: {poly_to_text(middle)}"
+            )
+    else:
+        for i, j, k, a, b, c in itertools.product(degrees, degrees, degrees, basis, basis, basis):
+            monomials = (Poly({i: a}), Poly({j: b}), Poly({k: c}))
+            value = evaluate_identity("nucleus_left", monomials, mul)
+            yield "O3", value.is_zero(), lambda: (
+                f"(aX^{i}, bX^{j}, cX^{k}) != 0 for a={a.coords} b={b.coords} c={c.coords}: "
+                f"{poly_to_text(value)}"
+            )
+
+
+def _reference_report(ring, family, degree_bound):
+    report = AxiomReport(family, degree_bound)
+    for axiom, ok, witness in _reference_axiom_checks(ring, family, degree_bound):
+        report.checked += 1
+        if not ok:
+            report.failures.append(AxiomFailure(axiom, witness()))
+    return report
+
+
+def _axiom_test_rings(algebras):
+    """``(name, ring, tops)``, each family to be checked at bounds 0 to
+    ``tops[family]``: star-skew rings and their unflipped twins over C to O
+    and a non-integral tower; rings over H and O with the delta
+    x -> [x, e1]/3 under sigma the star and the identity; and the 64 rings of
+    ``random_sigma_delta_rings``.  Family O stops at bound 1 on the random
+    rings: their products are dense with Fraction coefficients, so bound 3
+    alone takes about 38 s on the two routes, and N3 runs the same identity
+    kernel on them up to bound 3."""
+    bases = [(name, algebras[name]) for name in ("C", "C'", "H", "H'", "O")]
+    bases.append(("tower(1/2, 3)", tower([Fraction(1, 2), 3])))
+    rings = []
+    for name, A in bases:
+        for flipped in (True, False):
+            ring = FlipPolyRing(A, AdditiveMap.from_star(A), AdditiveMap.zero(A.dim), flipped)
+            rings.append((f"{name} flipped={flipped}", ring))
+    for name in ("H", "O"):
+        A = algebras[name]
+        e1 = A.basis()[1]
+        cols = [A.commutator(e, e1).scaled(Fraction(1, 3)).coords for e in A.basis()]
+        delta = AdditiveMap([[col[i] for col in cols] for i in range(A.dim)], "delta")
+        for label, sigma in (("star", AdditiveMap.from_star(A)), ("1", AdditiveMap.identity(A.dim))):
+            ring = FlipPolyRing(A, sigma, delta, flipped=True)
+            rings.append((f"{name} sigma {label} delta [x, e1]/3", ring))
+    for name, ring in rings:
+        top = 2 if ring.coeff_algebra.dim == 8 else 3
+        yield name, ring, {"O": top, "N": top, "F": top}
+    for name, s, d, ring in random_sigma_delta_rings(algebras):
+        yield f"{name} sigma {s} delta {d}", ring, {"O": 1, "N": 3, "F": 3}
+
+
+def test_axiom_checks_match_the_ring_mul_route(algebras):
+    """``check_axioms`` reports exactly what the ``Poly`` and ``ring.mul``
+    route reports: the count and every failure, in order."""
+    axioms = set()
+    for name, ring, tops in _axiom_test_rings(algebras):
+        for family, top in tops.items():
+            for bound in range(top + 1):
+                report = check_axioms(ring, family, bound)
+                assert report == _reference_report(ring, family, bound), (name, family, bound)
+                axioms.update(f.axiom for f in report.failures)
+    assert axioms == {"O3", "N3", "F3b"}, axioms
 
 
 def test_axioms_validation():

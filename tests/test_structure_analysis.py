@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,13 @@ from flipcayley import (
 from flipcayley import structure_analysis as sa
 from flipcayley.algebra_core import NUCLEUS_SIDES
 from flipcayley.flip_poly import AdditiveMap, FlipPolyRing, check_axioms
-from conftest import exchange_algebras, matrix_algebras, raw_rows, sparse_exchange_algebras
+from conftest import (
+    exchange_algebras,
+    matrix_algebras,
+    random_sigma_delta_rings,
+    raw_rows,
+    sparse_exchange_algebras,
+)
 
 
 # --------------------------------------------------------- generator in nuclei
@@ -83,59 +88,9 @@ def test_middle_chain_with_nonzero_delta(algebras):
         assert sa.x_in_nucleus(ring, "middle") == A.is_commutative()
 
 
-def _map_of(A, f, kind):
-    """The ``AdditiveMap`` of the given kind whose column j is f(e_j)."""
-    cols = [f(e).coords for e in A.basis()]
-    return AdditiveMap([[col[i] for col in cols] for i in range(A.dim)], kind)
-
-
-def _sparse_fraction_map(rng, A, kind):
-    """A seeded map with a few Fraction entries off column 0, which is e_0
-    for a sigma (it must fix 1) and zero for a delta (it must kill 1)."""
-    rows = [[0] * A.dim for _ in range(A.dim)]
-    if kind == "sigma":
-        rows[0][0] = 1
-    for _ in range(A.dim):
-        rows[rng.randrange(A.dim)][rng.randrange(1, A.dim)] = Fraction(
-            rng.randint(-3, 3), rng.randint(1, 3)
-        )
-    return AdditiveMap(rows, kind)
-
-
-def _random_sigma_delta_rings(algebras):
-    """64 flipped rings ``(name, s, d, ring)`` over C, C', H and H' with
-    seeded sigma and delta.
-
-    The left criterion needs delta to be a sigma-derivation on both sides;
-    x -> ax - sigma(x)a is one on the left only and x -> xa - a sigma(x) on
-    the right only, when sigma is an automorphism such as x -> u x u^-1.
-    """
-    rng = random.Random(20261018)
-    for name in ("C", "C'", "H", "H'"):
-        A = algebras[name]
-        u = A.unit + A.basis()[1].scaled(2)
-        u_inv = A.star(u).scaled(Fraction(1, A.mul(u, A.star(u)).coords[0]))
-        a = A.element(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(A.dim))
-        sigmas = [
-            AdditiveMap.identity(A.dim),
-            AdditiveMap.from_star(A),
-            _map_of(A, lambda x: A.mul(A.mul(u, x), u_inv), "sigma"),
-            _sparse_fraction_map(rng, A, "sigma"),
-        ]
-        for s, sigma in enumerate(sigmas):
-            deltas = [
-                AdditiveMap.zero(A.dim),
-                _map_of(A, lambda x: A.mul(a, x) - A.mul(sigma(x), a), "delta"),
-                _map_of(A, lambda x: A.mul(x, a) - A.mul(a, sigma(x)), "delta"),
-                _sparse_fraction_map(rng, A, "delta"),
-            ]
-            for d, delta in enumerate(deltas):
-                yield name, s, d, FlipPolyRing(A, sigma, delta, flipped=True)
-
-
 def test_x_in_nucleus_with_random_sigma_and_delta(algebras):
     seen = {side: set() for side in sa.X_SIDES}
-    for name, s, d, ring in _random_sigma_delta_rings(algebras):
+    for name, s, d, ring in random_sigma_delta_rings(algebras):
         for side in sa.X_SIDES:
             got = sa.x_in_nucleus(ring, side)
             assert got == sa.x_in_nucleus_bruteforce(ring, side, 2), (name, s, d, side)
@@ -147,7 +102,7 @@ def test_axiom_family_n_matches_the_criteria(algebras):
     # family N asks X to lie in the right and the middle nucleus, degree by
     # degree up to its bound; the criteria decide both for every degree
     answers = set()
-    for name, s, d, ring in _random_sigma_delta_rings(algebras):
+    for name, s, d, ring in random_sigma_delta_rings(algebras):
         want = sa.x_in_nucleus(ring, "right") and sa.x_in_nucleus(ring, "middle")
         assert check_axioms(ring, "N", 2).passed == want, (name, s, d)
         answers.add(want)
