@@ -28,7 +28,6 @@ from .flip_poly import (
 from .involutions import alpha, beta, degree_one_extension_violations
 from .quotient_iso import (
     PolyPair,
-    QuotElement,
     QuotientRing,
     cayley_t_mul,
     cayley_t_star,
@@ -46,7 +45,6 @@ __all__ = [
     "NAMED_TOWERS",
     "Poly",
     "PolyPair",
-    "QuotElement",
     "QuotientRing",
     "StarAlgebra",
     "alpha",

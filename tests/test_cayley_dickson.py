@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from flipcayley import (
+    StarAlgebra,
     basis_element,
     cayley_dickson,
     cayley_double,
@@ -11,6 +12,8 @@ from flipcayley import (
     rational_base,
     tower,
 )
+from flipcayley.linalg import LinearMap
+from conftest import exchange_algebras, matrix_algebras, sparse_exchange_algebras
 
 
 def test_double_of_base_gives_imaginary_unit():
@@ -142,3 +145,69 @@ def test_double_validates_star_axioms():
         assert A2.dim == 2
         m = A2.involution.matrix
         assert m[1][1] == -1
+
+
+# ------------------------------------------------ the sparse double, densely
+def dense_double(algebra, mu):
+    """The double through dense products and stars of basis elements: the
+    reference for ``cayley_double``, which reads the table and star columns."""
+    n = algebra.dim
+    old, basis = algebra.table, algebra.basis()
+    stars = [algebra.star(e) for e in basis]
+    table = [
+        old[i] + tuple(tuple((k + n, c) for k, c in old[j][i]) for j in range(n))
+        for i in range(n)
+    ]
+    for e in basis:
+        table.append(
+            [enumerate(algebra.mul(e, s).coords, n) for s in stars]
+            + [enumerate(algebra.mul(s, e).scaled(mu).coords) for s in stars]
+        )
+    star = algebra.involution
+    second = tuple(((n + j, -star.den),) for j in range(n))
+    return StarAlgebra(table, LinearMap(2 * n, star.cols + second, star.den))
+
+
+def twisted_quaternions():
+    """H with the star x -> u x* u^-1, u = i + 2j, whose columns have denominator 5."""
+    H = tower([-1, -1])
+    u = basis_element(4, 1) + basis_element(4, 2).scaled(2)
+    u_inv = u.scaled(Fraction(-1, 5))
+    cols = [H.mul(H.mul(u, H.star(e)), u_inv).coords for e in H.basis()]
+    return StarAlgebra(H.table, LinearMap.from_rows(zip(*cols)))
+
+
+def assert_doubles_agree(A, mu):
+    """The sparse double of A equals the dense one, with exact entries; returns it."""
+    double, reference = cayley_double(A, mu), dense_double(A, mu)
+    assert (double.table, double.involution) == (reference.table, reference.involution)
+    assert {int, Fraction}.issuperset(
+        type(c) for row in double.table for entry in row for _, c in entry
+    )
+    return double
+
+
+@pytest.mark.parametrize(
+    "mus",
+    [
+        (-1,) * 7,  # every -1 tower up to dim 128
+        (Fraction(1, 2), 3, -1, 1),
+        (1, 1, 1),
+        (Fraction(2, 3), -1, 5),
+        (Fraction(-3, 7), Fraction(5, 2), -1),
+    ],
+)
+def test_sparse_double_matches_dense_on_towers(mus):
+    A = rational_base()
+    for mu in mus:
+        A = assert_doubles_agree(A, mu)
+
+
+@pytest.mark.parametrize("mu", [-1, Fraction(2, 3)])
+def test_sparse_double_matches_dense_off_the_tower(mu):
+    # multi-term tables, non-diagonal stars, and a star with denominator 5
+    others = matrix_algebras() + exchange_algebras() + sparse_exchange_algebras()
+    twisted = twisted_quaternions()
+    assert twisted.involution.den == 5
+    for _, A in others + [("twisted H", twisted)]:
+        assert_doubles_agree(A, mu)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flipcayley import cayley_double, find_zero_divisor, named
+from flipcayley import cayley_double, find_zero_divisor, named, ordinary_ring, verify
+from flipcayley import structure_analysis as sa
 from flipcayley.cayley_dickson import MAX_DOUBLINGS
 from flipcayley.cli import format_element, main, parse_element
 from conftest import assert_json_is_algebra
@@ -220,6 +221,55 @@ def test_verify_all_report_is_pinned(capsys):
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "b74c94674264e92003f7a8e7a53e062bf5997b6527f631f92959a5055ac658dc"
+
+
+_BRUTE, _COMMUTATIVE = sa.degreewise_set_bruteforce, sa.b_commutative_criterion
+# one broken dependency per suite, and the witness its report must end with
+_BROKEN_SUITES = {
+    "thm1": (
+        verify,
+        "cayley_double",
+        lambda A, mu: cayley_double(A, -mu),
+        "R, mu=-1: products differ on ((0, 1), (0, 1))",
+    ),
+    "thm2": (verify, "cayley_t_star", lambda A, u: u, "C: psi not star-compatible"),
+    "props": (
+        sa,
+        "b_commutative_criterion",
+        lambda A: not _COMMUTATIVE(A),
+        "R, mu=-1: criterion says commutative=False but the quotient has commutative=True",
+    ),
+    "centers": (
+        sa,
+        "degreewise_set_bruteforce",
+        lambda A, kind, bound: _BRUTE(A, kind, bound - 1),
+        "R, commuter: criteria dims {0: 1, 1: 1, 2: 1, 3: 1, 4: 1} vs "
+        "brute-force dims {0: 1, 1: 1, 2: 1, 3: 1}",
+    ),
+    "corollary": (
+        sa,
+        "z_star_of_b",
+        lambda A, bound: sa.degreewise_set(A, "center", bound),
+        "tower n=0, degree 1: dims (center, star-center, nucleus) = (1, 1, 1), "
+        "expected (1, 0, 1)",
+    ),
+    "axioms": (
+        verify,
+        "star_skew_ring",
+        ordinary_ring,
+        "F-family fails on the quaternion ring: family F, bound 6: 928 identities "
+        "checked, 18 failed; first: [F3b] n=1 r=(0, 1, 0, 0) s=(0, 0, 1, 0): "
+        "[0,0,0,1]*X vs [0,0,0,-1]*X",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_BROKEN_SUITES))
+def test_verify_suite_fails_on_a_broken_dependency(capsys, monkeypatch, suite):
+    module, name, broken, witness = _BROKEN_SUITES[suite]
+    monkeypatch.setattr(module, name, broken)
+    assert main(["verify", f"--suite={suite}"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"  result: FAIL - {witness}"
 
 
 def test_usage_errors_exit_2(capsys):
