@@ -9,15 +9,9 @@ additive structure maps sigma and delta through the pi-function calculus:
 
 where tau_n multiplies in the given order for even n and in reversed order
 for odd n.  pi_i^m is the sum of all compositions of i copies of sigma and
-m-i copies of delta; it is evaluated through the recurrence
-
-    pi_i^(m+1) = pi_(i-1)^m o sigma + pi_i^m o delta
-
-into a table filled degree by degree that keeps only the nonzero maps, each
-a sparse ``linalg.LinearMap`` with integer entries over one common
-denominator.  The ring product multiplies integer vectors over a common
-denominator and divides once per output coordinate.  The combinatorial sum
-survives as the independent test oracle ``pi_oracle``.
+m-i copies of delta, so X^m b = sum_i pi_i^m(b) X^i.  A ring caches the
+pi_i^m(e_j) as integer vectors per basis column j, each column only as deep
+as a product asks; the combinatorial sum is the test oracle ``pi_oracle``.
 
 Each ring caches the products of single-term operands by degrees and
 coordinate values (the product depends on nothing else, as a ring never
@@ -32,10 +26,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
-from .algebra_core import AlgebraElement, basis_element, identity_at, zero_element
+from .algebra_core import AlgebraElement, identity_at, zero_element
 from .scalars import format_rational, parse_rational, simplify
 
 ORACLE_DEGREE_LIMIT = 12
@@ -125,10 +119,7 @@ class Poly:
         return Poly(acc)
 
     def __sub__(self, other):
-        acc = dict(self.coeffs)
-        for degree, coeff in other.coeffs.items():
-            acc[degree] = acc[degree] - coeff if degree in acc else -coeff
-        return Poly(acc)
+        return self + -other
 
     def __neg__(self):
         return Poly({degree: -coeff for degree, coeff in self.coeffs.items()})
@@ -144,7 +135,7 @@ class Poly:
 
 class _BasisProducts(dict):
     """Slot ``(m, i)`` -> slot ``(n, j)`` -> ``(e_i X^m)(e_j X^n)`` as sparse
-    ``(((degree, k), coeff), ...)``, each computed by ``FlipPolyRing._product``
+    ``(((degree, k), coeff), ...)``, each computed by ``FlipPolyRing._cleared_product``
     on first use: a ring's table for ``algebra_core.identity_at``."""
 
     __slots__ = ("ring", "left")
@@ -157,8 +148,7 @@ class _BasisProducts(dict):
             value = self[slot] = _BasisProducts(self.ring, slot)
             return value
         (m, i), (n, j) = self.left, slot
-        dim = self.ring.coeff_algebra.dim
-        terms = self.ring._product({m: basis_element(dim, i)}, {n: basis_element(dim, j)}).items()
+        terms = self.ring._cleared_product([(m, [(i, 1)])], [(n, [(j, 1)])], 1).items()
         value = self[slot] = tuple(
             ((d, k), v) for d, c in terms for k, v in enumerate(c.coords) if v
         )
@@ -168,13 +158,15 @@ class _BasisProducts(dict):
 class FlipPolyRing:
     """Polynomial ring over a star-algebra, configured by (sigma, delta, flipped).
 
-    The pi table is filled degree by degree: level m maps i to pi_i^m, a
-    ``linalg.LinearMap``, and keeps only the nonzero maps.  ``mul`` clears
-    the denominators of each operand once, walks only those maps, multiplies
-    against an integer copy of the coefficient table and divides once per
-    output coordinate.  The table grows by publishing a longer tuple of
-    complete levels, never a half-built one, so rings can be shared across
-    threads.
+    ``_columns[j][m]`` lists the pairs ``(i, v)`` of the nonzero pi_i^m(e_j),
+    v its sparse integer numerators over ``_step[0] ** m``.  A column grows
+    only as far as a product asks, by X (c X^k) = sigma(c) X^(k+1) +
+    delta(c) X^k, and is published as a longer tuple of complete levels, so
+    rings can be shared across threads.  ``mul`` clears each operand's
+    denominators once; for each left term a X^m it sums the right operand's
+    pi images into one integer vector per output degree and flip parity,
+    multiplies it by a (through the columns a e_s or e_s a when a has
+    several terms) and divides once per output coordinate.
 
     ``(a X^m)(b X^n)`` is cached under ``(m, a.coords, n, b.coords)``: the
     ring's maps and table never change, so the key fixes the product.  Threads
@@ -182,7 +174,8 @@ class FlipPolyRing:
     """
 
     __slots__ = (
-        "coeff_algebra", "sigma", "delta", "flipped", "_table", "_levels", "_products", "_basis"
+        "coeff_algebra", "sigma", "delta", "flipped", "_table", "_step", "_columns",
+        "_products", "_basis",
     )
 
     def __init__(self, coeff_algebra, sigma, delta, flipped):
@@ -194,11 +187,14 @@ class FlipPolyRing:
         sigma.check_unit_constraint(coeff_algebra)
         delta.check_unit_constraint(coeff_algebra)
         self.coeff_algebra = coeff_algebra
-        self.sigma = sigma
-        self.delta = delta
+        self.sigma, self.delta = sigma, delta
         self.flipped = bool(flipped)
         self._table = _integer_table(coeff_algebra)
-        self._levels = ({0: linalg.LinearMap.identity(dim)},)
+        # (den, ((degree shift, columns, den / their denominator), ...)): sigma, a nonzero delta
+        den = lcm(sigma.linear.den, delta.linear.den)
+        maps = (1, sigma.linear), (0, delta.linear)
+        self._step = den, tuple((k, f.cols, den // f.den) for k, f in maps if not f.is_zero())
+        self._columns = [(((0, ((j, 1),)),),) for j in range(dim)]
         self._products = {}
         self._basis = _BasisProducts(self)
 
@@ -206,47 +202,40 @@ class FlipPolyRing:
         return Poly({1: self.coeff_algebra.unit})
 
     # ------------------------------------------------------------------- kernels
-    def tau(self, n, r, s):
-        """Multiply in order for even n, reversed for odd n."""
-        if n % 2 == 0:
-            return self.coeff_algebra.mul(r, s)
-        return self.coeff_algebra.mul(s, r)
-
-    def _levels_upto(self, top):
-        """The pi table through level ``top``, extending it level by level."""
-        levels = self._levels
-        if top < len(levels):
-            return levels
-        steps = [(1, self.sigma.linear)]
-        if not self.delta.linear.is_zero():
-            steps.append((0, self.delta.linear))
-        level = levels[-1]
-        new = []
-        for _ in range(len(levels), top + 1):
+    def _column(self, j, top):
+        """Column j of the pi cache through level ``top``, extending it as needed."""
+        column = self._columns[j]
+        if top < len(column):
+            return column
+        steps, dim, levels = self._step[1], len(self._columns), list(column)
+        while len(levels) <= top:
             nxt = {}
-            for i, pmap in level.items():
-                for shift, step in steps:
-                    image = pmap.compose(step)
-                    k = i + shift
-                    nxt[k] = nxt[k] + image if k in nxt else image
-            level = {k: v for k, v in sorted(nxt.items()) if not v.is_zero()}
-            new.append(level)
-        levels += tuple(new)
-        self._levels = levels
-        return levels
+            for i, vec in levels[-1]:
+                for shift, cols, scale in steps:
+                    out = nxt.setdefault(i + shift, [0] * dim)
+                    for k, x in vec:
+                        x *= scale
+                        for t, c in cols[k]:
+                            out[t] += c * x
+            levels.append(tuple(
+                (i, v) for i, out in sorted(nxt.items())
+                if (v := tuple((t, c) for t, c in enumerate(out) if c))
+            ))
+        column = self._columns[j] = tuple(levels)
+        return column
 
     def pi_matrix(self, i, m):
-        """pi_i^m as a ``linalg.LinearMap`` read from the table; None when it is zero."""
+        """pi_i^m as a ``linalg.LinearMap`` assembled from the columns; None when it is zero."""
         if i < 0 or i > m:
             return None
-        return self._levels_upto(m)[m].get(i)
+        dim = len(self._columns)
+        cols = tuple(dict(self._column(j, m)[m]).get(i, ()) for j in range(dim))
+        return linalg.LinearMap(dim, cols, self._step[0] ** m) if any(cols) else None
 
     def pi(self, i, m, s):
-        """pi_i^m(s) read from the table."""
+        """pi_i^m(s) read from the columns."""
         pmap = self.pi_matrix(i, m)
-        if pmap is None:
-            return self.coeff_algebra.zero()
-        return AlgebraElement(pmap.apply(s.coords))
+        return self.coeff_algebra.zero() if pmap is None else AlgebraElement(pmap.apply(s.coords))
 
     def pi_oracle(self, i, m, s):
         """pi_i^m(s) by explicit enumeration of all C(m, i) compositions."""
@@ -265,44 +254,57 @@ class FlipPolyRing:
 
     def _product(self, p, q):
         """The product of two ``{degree: coefficient}`` dicts, as one sorted and zero-free."""
+        dp, left = _cleared(p, self.coeff_algebra.dim)
+        dq, right = _cleared(q, self.coeff_algebra.dim)
+        return self._cleared_product(left, right, dp * dq) if left and right else {}
+
+    def _cleared_product(self, left, right, den):
+        """``_product`` of the integer terms of ``_cleared`` over the denominator ``den``."""
         table, dt = self._table
         dim = len(table)
-        dp, left = _cleared(p, dim)
-        dq, right = _cleared(q, dim)
-        if not left or not right:
-            return {}
-        levels = self._levels_upto(max(p))
-        acc = {}  # degree -> [common denominator of its pi maps, integer numerators]
-        for n, b in right:
-            flip = self.flipped and n % 2
-            for m, a in left:
-                for i, pmap in levels[m].items():
-                    v = [(r, x) for r, x in enumerate(pmap.numerators(b)) if x]
-                    if not v:
-                        continue
-                    den = pmap.den
-                    entry = acc.get(i + n)
-                    if entry is None:
-                        entry = acc[i + n] = [den, [0] * dim]
-                    elif entry[0] % den:
-                        common = lcm(entry[0], den)
-                        entry[1] = [x * (common // entry[0]) for x in entry[1]]
-                        entry[0] = common
-                    scale = entry[0] // den
-                    out = entry[1]
-                    for r, xr in v if flip else a:
-                        row = table[r]
-                        for s, ys in a if flip else v:
-                            c = xr * ys * scale
-                            for k, t in row[s]:
-                                out[k] += c * t
-        whole = dp * dq * dt
+        top, step = max(left)[0], self._step[0]
+        columns = self._columns
+        acc = {}  # output degree -> integer numerators over step ** top
+        for m, a in left:
+            sums = {}  # (output degree, flip) -> sum of y pi_i^m(e_r) over the right terms
+            for n, b in right:
+                flip = self.flipped and n % 2 == 1
+                for r, y in b:
+                    column = columns[r]
+                    if len(column) <= m:
+                        column = self._column(r, m)
+                    for i, vec in column[m]:
+                        out = sums.get((i + n, flip))
+                        if out is None:
+                            out = sums[i + n, flip] = [0] * dim
+                        for k, x in vec:
+                            out[k] += x * y
+            scale = step ** (top - m)
+            one = len(a) == 1  # then a e_s = x e_r e_s: a table entry, x in the scale
+            if one:
+                ((r0, x0),) = a
+                scale *= x0
+            products = {}  # (s, flip) -> a e_s, or e_s a under the flip, for a of several terms
+            for (d, flip), total in sums.items():
+                v = [(s, y * scale) for s, y in enumerate(total) if y]
+                out = acc.setdefault(d, [0] * dim)
+                for s, ys in v:
+                    if one:
+                        col = table[s][r0] if flip else table[r0][s]
+                    else:
+                        col = products.get((s, flip))
+                        if col is None:
+                            col = products[s, flip] = _times_basis(table, a, s, flip)
+                    for k, t in col:
+                        out[k] += ys * t
+        d = den * dt * step ** top
         result = {}
-        for k, (den, out) in sorted(acc.items()):
+        for k, out in sorted(acc.items()):
             if any(out):
-                d = den * whole
                 result[k] = AlgebraElement._trusted(
-                    tuple(out) if d == 1 else tuple(simplify(Fraction(x, d)) for x in out)
+                    tuple(out) if d == 1
+                    else tuple(x // d for x in out) if gcd(d, *out) == d  # integral
+                    else tuple(simplify(Fraction(x, d)) for x in out)
                 )
         return result
 
@@ -334,22 +336,28 @@ class FlipPolyRing:
 
 def _cleared(coeffs, dim):
     """``(d, [(degree, [(index, int)])])``: the coefficients times one common
-    denominator d, as sparse integer vectors.  A coefficient whose length is
-    not ``dim`` raises ``ValueError``.
-    """
-    den = 1
-    terms = []
+    denominator d, as sparse integer vectors; a length other than ``dim`` raises ``ValueError``."""
+    den, terms = 0, []  # den stays 0 while every entry is an int
     for degree, c in coeffs.items():
         if len(c.coords) != dim:
             raise ValueError(f"coefficient has {len(c.coords)} coordinates, expected {dim}")
         pairs = [(r, x) for r, x in enumerate(c.coords) if x]
         for _, x in pairs:
             if type(x) is not int:
-                den = lcm(den, x.denominator)
+                den = lcm(den or 1, x.denominator)
         terms.append((degree, pairs))
-    if den != 1:
-        terms = [(degree, [(r, int(x * den)) for r, x in pairs]) for degree, pairs in terms]
-    return den, terms
+    if not den:
+        return 1, terms
+    return den, [(degree, [(r, int(x * den)) for r, x in pairs]) for degree, pairs in terms]
+
+
+def _times_basis(table, a, s, flip):
+    """a e_s, or e_s a when ``flip``, for the sparse integer vector a, as sparse pairs."""
+    out = [0] * len(table)
+    for r, x in a:
+        for k, t in table[s][r] if flip else table[r][s]:
+            out[k] += x * t
+    return tuple((k, c) for k, c in enumerate(out) if c)
 
 
 def _integer_table(algebra):

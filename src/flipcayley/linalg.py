@@ -8,8 +8,8 @@ its span; two subspaces are equal iff their canonical bases are equal tuples.
 integral entries kept as ``int``, answers membership in the span, and
 rejects rows whose length is not its column count with ``ValueError``.
 ``LinearMap`` is the one sparse type for linear self-maps (an algebra's star
-map, sigma and delta, the pi table): integer columns over one common
-denominator.
+map, sigma and delta, a ring's ``pi_matrix``): integer columns over one
+common denominator.
 """
 
 from __future__ import annotations
@@ -77,15 +77,6 @@ class LinearMap:
     def is_identity(self):
         return self == LinearMap.identity(self.dim)
 
-    def numerators(self, pairs):
-        """``den`` times the image of the sparse vector ``[(j, x), ...]``, as a list."""
-        cols = self.cols
-        out = [0] * self.dim
-        for j, x in pairs:
-            for i, c in cols[j]:
-                out[i] += c * x
-        return out
-
     def apply(self, vector):
         """The exact image of a coordinate vector of length ``dim``."""
         if len(vector) != self.dim:
@@ -101,14 +92,14 @@ class LinearMap:
 
     def compose(self, inner):
         """The map ``self o inner`` (apply ``inner`` first)."""
-        return LinearMap(
-            self.dim,
-            tuple(
-                tuple((i, c) for i, c in enumerate(self.numerators(col)) if c)
-                for col in inner.cols
-            ),
-            self.den * inner.den,
-        )
+        cols = []
+        for pairs in inner.cols:
+            out = [0] * self.dim
+            for j, x in pairs:
+                for i, c in self.cols[j]:
+                    out[i] += c * x
+            cols.append(tuple((i, c) for i, c in enumerate(out) if c))
+        return LinearMap(self.dim, tuple(cols), self.den * inner.den)
 
     def __add__(self, other):
         den = lcm(self.den, other.den)

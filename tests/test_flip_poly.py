@@ -16,6 +16,7 @@ from flipcayley import (
     FlipPolyRing,
     Poly,
     check_axioms,
+    linalg,
     named,
     parse_poly,
     poly_to_text,
@@ -32,7 +33,7 @@ from flipcayley.flip_poly import (
     poly_from_json,
     poly_to_json,
 )
-from conftest import random_sigma_delta_rings
+from conftest import _map_of, random_sigma_delta_rings
 
 
 def shift_map(dim):
@@ -52,14 +53,20 @@ def rand_poly(ring, rng, max_degree, lo=-2, hi=2):
 
 
 # ------------------------------------------------------------------------- tau
+def tau(ring, n, r, s):
+    """tau_n(r, s): the coefficient product in order for even n, reversed for odd n."""
+    algebra = ring.coeff_algebra
+    return algebra.mul(s, r) if n % 2 else algebra.mul(r, s)
+
+
 def test_tau(algebras):
     H = algebras["H"]
     ring = star_skew_ring(H)
     one, i, j, k = H.basis()
-    assert ring.tau(0, i, j) == k
-    assert ring.tau(1, i, j) == -k
-    assert ring.tau(7, one, i + j) == i + j
-    assert ring.tau(4, j, k) == i
+    assert tau(ring, 0, i, j) == k
+    assert tau(ring, 1, i, j) == -k
+    assert tau(ring, 7, one, i + j) == i + j
+    assert tau(ring, 4, j, k) == i
 
 
 # -------------------------------------------------------------------------- pi
@@ -130,6 +137,43 @@ def test_pi_oracle_bound():
         ring.pi_oracle(1, 13, named("C").unit)
 
 
+PI_RECURSION_DEGREE = 40
+
+
+def _right_recursion_pi(ring, top):
+    """Levels ``{i: LinearMap}`` of pi_i^m for m <= top, zero maps dropped, by
+    the right recursion pi_i^(m+1) = pi_(i-1)^m o sigma + pi_i^m o delta."""
+    sigma, delta = ring.sigma.linear, ring.delta.linear
+    levels = [{0: linalg.LinearMap.identity(sigma.dim)}]
+    for _ in range(top):
+        nxt = {}
+        for i, pmap in levels[-1].items():
+            for k, image in ((i + 1, pmap.compose(sigma)), (i, pmap.compose(delta))):
+                nxt[k] = nxt[k] + image if k in nxt else image
+        levels.append({k: v for k, v in nxt.items() if not v.is_zero()})
+    return levels
+
+
+def test_pi_matrix_matches_the_right_recursion(algebras):
+    """``pi_matrix`` against LinearMaps composed by the right recursion up to
+    degree 40, past ``pi_oracle``'s cap: on every ring of
+    ``random_sigma_delta_rings`` with a fractional sigma or a nonzero delta
+    (derivations and fractional maps) and on H with the inner derivation
+    x -> x e1 - e1 x.  The first call jumps a fresh ring to the top degree."""
+    H = algebras["H"]
+    e1 = H.basis()[1]
+    inner = _map_of(H, lambda x: H.mul(x, e1) - H.mul(e1, x), "delta")
+    rings = [ring for _, s, d, ring in random_sigma_delta_rings(algebras) if s == 3 or d]
+    rings.append(FlipPolyRing(H, AdditiveMap.from_star(H), inner, flipped=True))
+    top = PI_RECURSION_DEGREE
+    for ring in rings:
+        levels = _right_recursion_pi(ring, top)
+        assert ring.pi_matrix(top // 2, top) == levels[top].get(top // 2)
+        for m, level in enumerate(levels):
+            for i in range(-1, m + 2):
+                assert ring.pi_matrix(i, m) == level.get(i), (ring.sigma.matrix, m, i)
+
+
 # -------------------------------------------------------------------- products
 def test_star_skew_monomial_products(algebras):
     H = algebras["H"]
@@ -148,7 +192,7 @@ def test_ring_mul_of_degree_one_monomials(algebras):
     H = algebras["H"]
     ring = star_skew_ring(H)
     one, i, j, k = H.basis()
-    assert ring.mul(Poly({1: j}), Poly({1: k})) == Poly({2: ring.tau(1, j, H.star(k))})
+    assert ring.mul(Poly({1: j}), Poly({1: k})) == Poly({2: tau(ring, 1, j, H.star(k))})
 
 
 def test_unit_is_two_sided(algebras):
@@ -192,7 +236,7 @@ def test_skew_specialization(algebras):
                     image = s
                     for _ in range(m):
                         image = H.star(image)
-                    expected = Poly({m + n: ring.tau(n, r, image)})
+                    expected = Poly({m + n: tau(ring, n, r, image)})
                     assert ring.mul(Poly({m: r}), Poly({n: s})) == expected
 
 
@@ -296,7 +340,7 @@ def _oracle_product(ring, p, q):
         for n, b in q.coeffs.items():
             for i in range(m + 1):
                 v = ring.pi_oracle(i, m, b)
-                term = ring.tau(n, a, v) if ring.flipped else ring.coeff_algebra.mul(a, v)
+                term = tau(ring, n, a, v) if ring.flipped else ring.coeff_algebra.mul(a, v)
                 acc[i + n] = acc[i + n] + term if i + n in acc else term
     return Poly(acc)
 
@@ -394,6 +438,16 @@ def test_monomial_product_cache_is_transparent(ring, data):
             ring.monomial_product(m, a, n, long)
 
 
+def test_cold_product_extends_only_the_columns_it_reads(algebras):
+    """A cold degree-400 monomial product over S extends the pi cache's
+    column of the right factor's basis index to level 400 and no other."""
+    S = algebras["S"]
+    e = S.basis()
+    ring = star_skew_ring(S)
+    assert ring.mul(Poly({400: e[3]}), Poly({400: e[5]})) == Poly({800: S.mul(e[3], e[5])})
+    assert [len(column) - 1 for column in ring._columns] == [400 * (j == 5) for j in range(16)]
+
+
 def test_deep_degree_product(algebras):
     S = algebras["S"]
     e1, e2 = S.basis()[1:3]
@@ -448,7 +502,7 @@ def test_flip_of_plain_rule_swaps_on_odd_degrees(algebras):
     one, i, j, k = H.basis()
     for m in range(3):
         for n in range(3):
-            assert ring.monomial_product(m, i, n, j) == {m + n: ring.tau(n, i, j)}
+            assert ring.monomial_product(m, i, n, j) == {m + n: tau(ring, n, i, j)}
 
 
 # ----------------------------------------------------------------- axiom suites
@@ -553,7 +607,7 @@ def _reference_axiom_checks(ring, family, degree_bound):
             )
         for n, r, s in itertools.product(degrees, basis, basis):
             lhs = mul(Poly({0: r}), Poly({n: s}))
-            rhs = Poly({n: ring.tau(n, r, s)})
+            rhs = Poly({n: tau(ring, n, r, s)})
             yield "F3b", lhs == rhs, lambda: (
                 f"n={n} r={r.coords} s={s.coords}: {poly_to_text(lhs)} vs {poly_to_text(rhs)}"
             )
