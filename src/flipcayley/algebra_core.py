@@ -386,7 +386,7 @@ class StarAlgebra:
             raise ValueError(f"unknown constraint kind {kind!r}")
         return self.constraint_rows(blocks)
 
-    def _is_monomial(self):
+    def _has_monomial_table(self):
         """Whether each e_i e_j is a nonzero multiple of e_(i xor j) and each
         e_j* is +-e_j, as in every Cayley-Dickson tower."""
 
@@ -430,7 +430,7 @@ class StarAlgebra:
         """
 
         def build():
-            if self._is_monomial():
+            if self._has_monomial_table():
                 return tuple(
                     basis_element(self.dim, a)
                     for a in range(self.dim)

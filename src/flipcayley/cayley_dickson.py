@@ -21,9 +21,9 @@ sedenions; the +1 doublings give their split variants.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 
-from .algebra_core import AlgebraElement, StarAlgebra, basis_element
+from .algebra_core import AlgebraElement, StarAlgebra
 from .linalg import LinearMap
 from .scalars import simplify
 
@@ -103,29 +103,33 @@ def named(name):
     return tower(mus)
 
 
-def _zero_divisor_candidates(algebra):
-    """Vectors with one or two +-1 entries, first nonzero entry +1."""
-    n = algebra.dim
-    singles = [basis_element(n, i) for i in range(n)]
-    pairs = []
+def _zero_divisor_candidates(n):
+    """Vectors with one or two +-1 entries, first nonzero entry +1, in search
+    order, as sparse ``((index, sign), ...)`` terms."""
+    for i in range(n):
+        yield ((i, 1),)
     for i in range(n):
         for j in range(i + 1, n):
-            for sign in (1, -1):
-                coords = [0] * n
-                coords[i] = 1
-                coords[j] = sign
-                pairs.append(AlgebraElement(coords))
-    return singles + pairs
+            yield ((i, 1), (j, 1))
+            yield ((i, 1), (j, -1))
 
 
 def find_zero_divisor(algebra):
     """Search sparse +-1 vectors for a pair of nonzero elements with zero product.
 
+    The candidates are generated lazily and each product is summed from at
+    most four table entries; only the returned pair becomes ``AlgebraElement``s.
     A hit is a genuine witness; exhausting the budget of
     ``ZERO_DIVISOR_BUDGET`` pairs proves nothing and is reported as None.
     """
-    candidates = _zero_divisor_candidates(algebra)
-    for x, y in islice(product(candidates, repeat=2), ZERO_DIVISOR_BUDGET):
-        if algebra.mul(x, y).is_zero():
-            return (x, y)
+    n, table = algebra.dim, algebra.table
+    pairs = ((x, y) for x in _zero_divisor_candidates(n) for y in _zero_divisor_candidates(n))
+    for x, y in islice(pairs, ZERO_DIVISOR_BUDGET):
+        out = {}
+        for r, u in x:
+            for s, v in y:
+                for k, t in table[r][s]:
+                    out[k] = out.get(k, 0) + u * v * t
+        if not any(out.values()):
+            return tuple(AlgebraElement([dict(t).get(k, 0) for k in range(n)]) for t in (x, y))
     return None

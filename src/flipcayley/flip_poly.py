@@ -13,12 +13,11 @@ m-i copies of delta, so X^m b = sum_i pi_i^m(b) X^i.  A ring caches the
 pi_i^m(e_j) as integer vectors per basis column j, each column only as deep
 as a product asks; the combinatorial sum is the test oracle ``pi_oracle``.
 
-Each ring caches the products of single-term operands by degrees and
-coordinate values (the product depends on nothing else, as a ring never
-changes); ``mul`` and ``monomial_product`` both read it and return copies.
-``FlipPolyRing._identity`` and ``check_axioms`` read every product from a
-second cache, ``FlipPolyRing._basis``, of basis-monomial products;
-``check_axioms`` reads its associators from ``algebra_core.IDENTITIES``.
+``mul`` takes every product, whatever the operands' shape, through one
+kernel and keeps none.  The ring's one product cache,
+``FlipPolyRing._basis``, holds basis-monomial products;
+``FlipPolyRing._identity`` and ``check_axioms`` read every product from it,
+and ``check_axioms`` reads its associators from ``algebra_core.IDENTITIES``.
 """
 
 from __future__ import annotations
@@ -166,16 +165,12 @@ class FlipPolyRing:
     denominators once; for each left term a X^m it sums the right operand's
     pi images into one integer vector per output degree and flip parity,
     multiplies it by a (through the columns a e_s or e_s a when a has
-    several terms) and divides once per output coordinate.
-
-    ``(a X^m)(b X^n)`` is cached under ``(m, a.coords, n, b.coords)``: the
-    ring's maps and table never change, so the key fixes the product.  Threads
-    may compute one entry twice; both store equal values in one assignment.
+    several terms) and divides once per output coordinate.  Each product is a
+    fresh ``Poly`` that the caller may mutate.
     """
 
     __slots__ = (
-        "coeff_algebra", "sigma", "delta", "flipped", "_table", "_step", "_columns",
-        "_products", "_basis",
+        "coeff_algebra", "sigma", "delta", "flipped", "_table", "_step", "_columns", "_basis",
     )
 
     def __init__(self, coeff_algebra, sigma, delta, flipped):
@@ -195,7 +190,6 @@ class FlipPolyRing:
         maps = (1, sigma.linear), (0, delta.linear)
         self._step = den, tuple((k, f.cols, den // f.den) for k, f in maps if not f.is_zero())
         self._columns = [(((0, ((j, 1),)),),) for j in range(dim)]
-        self._products = {}
         self._basis = _BasisProducts(self)
 
     def x(self):
@@ -252,14 +246,9 @@ class FlipPolyRing:
             total = total + value
         return total
 
-    def _product(self, p, q):
-        """The product of two ``{degree: coefficient}`` dicts, as one sorted and zero-free."""
-        dp, left = _cleared(p, self.coeff_algebra.dim)
-        dq, right = _cleared(q, self.coeff_algebra.dim)
-        return self._cleared_product(left, right, dp * dq) if left and right else {}
-
     def _cleared_product(self, left, right, den):
-        """``_product`` of the integer terms of ``_cleared`` over the denominator ``den``."""
+        """The product of the integer terms of ``_cleared`` over the denominator
+        ``den``, as a ``{degree: coefficient}`` dict, sorted and zero-free."""
         table, dt = self._table
         dim = len(table)
         top, step = max(left)[0], self._step[0]
@@ -308,14 +297,6 @@ class FlipPolyRing:
                 )
         return result
 
-    def _monomial(self, m, a, n, b):
-        """The cached ``_product`` of ``{m: a}`` and ``{n: b}``; not to be mutated."""
-        key = (m, a.coords, n, b.coords)
-        hit = self._products.get(key)
-        if hit is None:
-            hit = self._products[key] = self._product({m: a}, {n: b})
-        return hit
-
     def _identity(self, kind, slots):
         """The identity ``kind`` at the monomials e_i X^d of the ``(d, i)`` slots
         for x, b, c, as ``{(degree, k): coeff}`` (zero coefficients may remain)."""
@@ -323,15 +304,12 @@ class FlipPolyRing:
 
     def monomial_product(self, m, a, n, b):
         """(a X^m)(b X^n) as a dict degree -> coefficient."""
-        if m < 0 or n < 0:
-            raise ValueError("degrees must be natural numbers")
-        return dict(self._monomial(m, a, n, b))
+        return self.mul(Poly({m: a}), Poly({n: b})).coeffs
 
     def mul(self, p, q):
-        if len(p.coeffs) == 1 == len(q.coeffs):
-            ((m, a),), ((n, b),) = p.coeffs.items(), q.coeffs.items()
-            return Poly._trusted(dict(self._monomial(m, a, n, b)))
-        return Poly._trusted(self._product(p.coeffs, q.coeffs))
+        dp, left = _cleared(p.coeffs, self.coeff_algebra.dim)
+        dq, right = _cleared(q.coeffs, self.coeff_algebra.dim)
+        return Poly._trusted(self._cleared_product(left, right, dp * dq) if left and right else {})
 
 
 def _cleared(coeffs, dim):
@@ -629,13 +607,3 @@ def poly_to_json(p):
         str(degree): [format_rational(c) for c in coeff.coords]
         for degree, coeff in p.coeffs.items()
     }
-
-
-def poly_from_json(data, dim):
-    acc = {}
-    for degree, coords in data.items():
-        values = [parse_rational(c) for c in coords]
-        if len(values) != dim:
-            raise ValueError(f"coefficient vector must have length {dim}")
-        acc[int(degree)] = AlgebraElement(values)
-    return Poly(acc)

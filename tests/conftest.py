@@ -106,6 +106,22 @@ def raw_rows(A, kind):
     return constraint_rows(A, maps)
 
 
+def memoized_mul(ring):
+    """``ring.mul`` memoized by the operands' terms (elements hash by their
+    coordinates), for references that repeat the same products; the memo
+    lives as long as the returned function."""
+    products = {}
+
+    def mul(p, q):
+        key = tuple(p.coeffs.items()), tuple(q.coeffs.items())
+        product = products.get(key)
+        if product is None:
+            product = products[key] = ring.mul(p, q)
+        return product
+
+    return mul
+
+
 # -------------------------------------------------------------- json export
 def assert_json_is_algebra(data, A):
     """The exported dict holds every product e_i e_j and the star matrix of

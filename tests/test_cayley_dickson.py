@@ -1,8 +1,11 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 
 from flipcayley import (
+    AlgebraElement,
     StarAlgebra,
     basis_element,
     cayley_dickson,
@@ -135,6 +138,69 @@ def test_split_octonions_have_zero_divisors(algebras):
 def test_search_budget_exhaustion(algebras, monkeypatch):
     monkeypatch.setattr(cayley_dickson, "ZERO_DIVISOR_BUDGET", 1)
     assert find_zero_divisor(algebras["S"]) is None
+
+
+def _dense_zero_divisor(algebra, budget):
+    """The dense search route: every candidate built up front as an
+    ``AlgebraElement``, singles then pairs, and each pair multiplied by ``mul``;
+    ``(k, (x, y))`` for the k-th pair, the first with zero product, or None."""
+    n = algebra.dim
+    candidates = [basis_element(n, i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for sign in (1, -1):
+                coords = [0] * n
+                coords[i], coords[j] = 1, sign
+                candidates.append(AlgebraElement(coords))
+    for k, (x, y) in enumerate(islice(product(candidates, repeat=2), budget)):
+        if algebra.mul(x, y).is_zero():
+            return k, (x, y)
+    return None
+
+
+def test_zero_divisor_search_matches_the_dense_route(algebras, monkeypatch):
+    """The lazy sparse search returns the dense route's first hit, or None
+    with it, at the default budget and at the budgets that stop just before
+    and just after that hit."""
+    default = cayley_dickson.ZERO_DIVISOR_BUDGET
+    # upper triangular 2x2 matrices on the basis (1, E22, E12), star a -> J a^T J
+    # for the exchange matrix J: E22 E12 = 0 but E12 E22 = E12, so the first
+    # hit depends on the order of the operands
+    triangular = StarAlgebra(
+        [[[(0, 1)], [(1, 1)], [(2, 1)]], [[(1, 1)], [(1, 1)], []], [[(2, 1)], [(2, 1)], []]],
+        LinearMap.from_rows([[1, 1, 0], [0, -1, 0], [0, 0, 1]]),
+    )
+    cases = [(name, algebras[name]) for name in ("C", "H", "C'", "H'", "O'", "S")]
+    cases += [("tower(1/2, 3)", tower([Fraction(1, 2), 3])), ("triangular", triangular)]
+    cases += matrix_algebras()
+    for name, A in cases:
+        dense = _dense_zero_divisor(A, default)
+        if dense is None:
+            assert find_zero_divisor(A) is None, name
+            continue
+        k, want = dense
+        for budget, expected in ((default, want), (k, None), (k + 1, want)):
+            monkeypatch.setattr(cayley_dickson, "ZERO_DIVISOR_BUDGET", budget)
+            got = find_zero_divisor(A)
+            if expected is None:
+                assert got is None, (name, budget)
+            else:
+                assert [e.coords for e in got] == [e.coords for e in expected], (name, budget)
+
+
+def test_zero_divisor_search_builds_no_candidate_list(monkeypatch):
+    """At dim 128 the dense route held all 16,384 candidates as elements of
+    128 coordinates before its first product; the lazy search, stopped by a
+    small budget before any hit, stays far below that."""
+    A = tower([-1] * 7)
+    monkeypatch.setattr(cayley_dickson, "ZERO_DIVISOR_BUDGET", 20_000)
+    tracemalloc.start()
+    try:
+        assert find_zero_divisor(A) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000, peak
 
 
 def test_double_validates_star_axioms():

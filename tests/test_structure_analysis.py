@@ -19,6 +19,7 @@ from flipcayley.flip_poly import AdditiveMap, FlipPolyRing, check_axioms
 from conftest import (
     exchange_algebras,
     matrix_algebras,
+    memoized_mul,
     random_sigma_delta_rings,
     raw_rows,
     sparse_exchange_algebras,
@@ -296,7 +297,7 @@ def test_basis_wise_route_matches_elimination(algebras):
     ]
     tuples = sorted({kinds for pair in sa._KIND_ROWS.values() for kinds in pair})
     for name, A in cases:
-        assert A._is_monomial(), name
+        assert A._has_monomial_table(), name
         general = StarAlgebra(A.table, A.involution)  # a copy with its own cache
         general._cache["monomial"] = False  # that solves by elimination
         for kinds in tuples:
@@ -317,7 +318,7 @@ def test_single_entry_tables_off_xor_are_not_monomial():
     uv = algebra(lambda i, j: i or j if i * j == 0 else 0)
     tuples = sorted({kinds for pair in sa._KIND_ROWS.values() for kinds in pair})
     for A in (z3, uv):
-        assert A._is_monomial() is False
+        assert A._has_monomial_table() is False
         for kinds in tuples:
             assert A._solve(kinds) == _raw_solve(A, kinds), (A.table, kinds)
     assert z3.center_basis() == tuple(z3.basis())
@@ -350,12 +351,11 @@ def test_constraint_rows_are_distinct_and_nonzero(algebras):
 _BRUTE_PRIMITIVES = ("commuter", "nucleus_left", "nucleus_middle", "nucleus_right")
 
 
-def _raw_brute_rows(ring, degree, kind):
-    """The brute-force oracle's constraint rows, rebuilt from ``ring.mul``."""
-    A = ring.coeff_algebra
+def _raw_brute_rows(A, mul, degree, kind):
+    """The brute-force oracle's constraint rows over the algebra A, rebuilt
+    from ``mul``, a memoized ``ring.mul``."""
     n = A.dim
     window = range(sa.BRUTE_DEGREE_WINDOW + 1)
-    mul = ring.mul
 
     def commutator(x, y):
         return mul(x, y) - mul(y, x)
@@ -396,11 +396,12 @@ def test_brute_row_spaces_span_the_raw_rows(algebras):
     proper = set()
     for name, A in cases:
         ring = star_skew_ring(A)
+        mul = memoized_mul(ring)  # one memo for every degree and kind
         top = sa.BRUTE_BOUND_LIMIT if A.dim <= 4 else sa.BRUTE_DEGREE_WINDOW
         for degree in range(top + 1):
             for kind in _BRUTE_PRIMITIVES:
                 got = sa._brute_primitive_rows(A, ring, degree, kind)
-                raw = _raw_brute_rows(ring, degree, kind)
+                raw = _raw_brute_rows(A, mul, degree, kind)
                 if name == "H":
                     assert len(raw) > A.dim, (degree, kind)
                 assert got == linalg.row_space(raw, A.dim), (name, degree, kind)
