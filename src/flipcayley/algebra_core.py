@@ -46,6 +46,7 @@ IDENTITIES = {
     "outer_twist": "(bc)x - c(bx)",
     "exchange_right": "(xb)c - (xc)b",
     "exchange_left": "b(cx) - c(bx)",
+    "kill_commutators": "x(bc) - x(cb)",
     # the linearized flexible and alternative laws (valid in characteristic 0)
     "flexible": "(xb)c - x(bc) + (cb)x - c(bx)",
     "alternative_left": "(xb)c - x(bc) + (bx)c - b(xc)",
@@ -351,21 +352,17 @@ class StarAlgebra:
         """The distinct constraint rows of one kind on an unknown x.
 
         The kinds of ``IDENTITIES``: that identity holds for all basis
-        elements b (and c); ``star_fixed``: x* = x; ``negation_fixed``:
-        -x = x; ``kill_star_skew``: x(b* - b) = 0; ``kill_commutators``:
-        x(bc - cb) = 0.  The two kill kinds ask x w = 0 only for w in a basis
-        of the span of those vectors, which is the same condition since the
-        product is bilinear.
+        elements b (and c); among them ``kill_commutators``, x(bc) - x(cb),
+        which by bilinearity is x w = 0 for every w in the span of the
+        commutators.  ``star_fixed``: x* = x; ``kill_star_skew``: x w = 0
+        for w in a basis of the span of the b* - b, the same condition as
+        x(b* - b) = 0 for every b since the product is bilinear.
         """
         n = self.dim
         basis = self.basis()
 
         def images(f):
             return [enumerate(f(e).coords) for e in basis]
-
-        def killing(vectors):
-            span = linalg.row_space([v.coords for v in vectors], n)
-            return (images(lambda x, w=AlgebraElement(w): self.mul(x, w)) for w in span)
 
         if kind in IDENTITIES:
             blocks = (
@@ -374,14 +371,9 @@ class StarAlgebra:
             )
         elif kind == "star_fixed":
             blocks = [images(lambda x: self.star(x) - x)]
-        elif kind == "negation_fixed":
-            blocks = [images(lambda x: x.scaled(-2))]
         elif kind == "kill_star_skew":
-            blocks = killing([self.star(b) - b for b in basis])
-        elif kind == "kill_commutators":
-            blocks = killing(
-                [self.commutator(b, c) for i, b in enumerate(basis) for c in basis[i + 1:]]
-            )
+            span = linalg.row_space([(self.star(b) - b).coords for b in basis], n)
+            blocks = (images(lambda x, w=AlgebraElement(w): self.mul(x, w)) for w in span)
         else:
             raise ValueError(f"unknown constraint kind {kind!r}")
         return self.constraint_rows(blocks)
@@ -409,12 +401,8 @@ class StarAlgebra:
             )
         if kind == "star_fixed":
             return self.involution.cols[a] == ((a, self.involution.den),)
-        if kind == "negation_fixed":
-            return False
         if kind == "kill_star_skew":  # each b* - b is 0 or -2b
             return self.involution.is_identity()
-        if kind == "kill_commutators":  # each bc - cb is a multiple of e_(b xor c)
-            return self.is_commutative()
         raise ValueError(f"unknown constraint kind {kind!r}")
 
     def _solve(self, kinds):
@@ -455,12 +443,6 @@ class StarAlgebra:
         if side not in NUCLEUS_SIDES:
             raise ValueError(f"side must be one of {NUCLEUS_SIDES}")
         return self._solve(_NUCLEI if side == "full" else (f"nucleus_{side}",))
-
-    def center_basis(self):
-        return self._solve(("commuter",) + _NUCLEI)
-
-    def c_star_basis(self):
-        return self._solve(("commuter", "star_fixed"))
 
     def z_star_basis(self):
         return self._solve(("commuter",) + _NUCLEI + ("star_fixed",))

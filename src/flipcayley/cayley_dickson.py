@@ -117,13 +117,23 @@ def _zero_divisor_candidates(n):
 def find_zero_divisor(algebra):
     """Search sparse +-1 vectors for a pair of nonzero elements with zero product.
 
-    The candidates are generated lazily and each product is summed from at
-    most four table entries; only the returned pair becomes ``AlgebraElement``s.
-    A hit is a genuine witness; exhausting the budget of
-    ``ZERO_DIVISOR_BUDGET`` pairs proves nothing and is reported as None.
+    The pairs of each prefix e_0..e_(s-1), for s = 1, 2, 4, ... and then the
+    whole basis, are tried in turn, with one budget of ``ZERO_DIVISOR_BUDGET``
+    pairs for all of them.  A tower embeds each earlier level as such a prefix,
+    so the sedenions' pair is found early on every deeper ``-1`` tower.  The
+    candidates are generated lazily and each product is summed from at most
+    four table entries; only the returned pair becomes ``AlgebraElement``s.
+    A hit is a genuine witness; exhausting the budget proves nothing and is
+    reported as None.
     """
     n, table = algebra.dim, algebra.table
-    pairs = ((x, y) for x in _zero_divisor_candidates(n) for y in _zero_divisor_candidates(n))
+    sizes = [2**i for i in range((n - 1).bit_length())] + [n]
+    pairs = (
+        (x, y)
+        for size in sizes
+        for x in _zero_divisor_candidates(size)
+        for y in _zero_divisor_candidates(size)
+    )
     for x, y in islice(pairs, ZERO_DIVISOR_BUDGET):
         out = {}
         for r, u in x:

@@ -214,7 +214,6 @@ def alpha_trivial_criterion(algebra):
 
 # -------------------------------------------------------- degreewise sets: criteria
 _Z_ROWS = ("commuter", "nucleus_left", "nucleus_middle", "nucleus_right")
-_CENTER_ROWS = (_Z_ROWS + ("star_fixed",), _Z_ROWS + ("star_fixed", "kill_star_skew"))
 
 # (even-degree row kinds, odd-degree row kinds) of ``StarAlgebra._rows`` for each set
 _KIND_ROWS = {
@@ -234,8 +233,7 @@ _KIND_ROWS = {
         _Z_ROWS,
         _Z_ROWS + ("kill_commutators",),
     ),
-    "center": _CENTER_ROWS,
-    "z_star": (_CENTER_ROWS[0], _CENTER_ROWS[1] + ("negation_fixed",)),
+    "center": (_Z_ROWS + ("star_fixed",), _Z_ROWS + ("star_fixed", "kill_star_skew")),
 }
 
 # identity kinds whose ring-product rows the brute-force oracle solves for each
@@ -249,16 +247,6 @@ _BRUTE_KINDS = {
 }
 
 
-def _solve_by_parity(algebra, which, bound):
-    if not 0 <= bound <= CRITERIA_BOUND_LIMIT:
-        raise ValueError(f"bound must be between 0 and {CRITERIA_BOUND_LIMIT}")
-    even_kinds, odd_kinds = _KIND_ROWS[which]
-    even = algebra._solve(even_kinds)
-    odd = algebra._solve(odd_kinds)
-    per_degree = {i: even if i % 2 == 0 else odd for i in range(bound + 1)}
-    return DegreewiseSet(which, bound, per_degree)
-
-
 def degreewise_set(algebra, which, bound):
     """Per-degree admissible-coefficient subspaces of the named structural set.
 
@@ -267,7 +255,11 @@ def degreewise_set(algebra, which, bound):
     """
     if which not in SET_KINDS:
         raise ValueError(f"which must be one of {SET_KINDS}")
-    return _solve_by_parity(algebra, which, bound)
+    if not 0 <= bound <= CRITERIA_BOUND_LIMIT:
+        raise ValueError(f"bound must be between 0 and {CRITERIA_BOUND_LIMIT}")
+    even, odd = (algebra._solve(kinds) for kinds in _KIND_ROWS[which])
+    per_degree = {i: even if i % 2 == 0 else odd for i in range(bound + 1)}
+    return DegreewiseSet(which, bound, per_degree)
 
 
 def z_star_of_b(algebra, bound):
@@ -275,10 +267,13 @@ def z_star_of_b(algebra, bound):
 
     The canonical involution acts on the degree-i coefficient by
     (-1)^i *^(i+1); its fixed-point condition is star-fixedness at even
-    degrees, already part of the center's conditions, and vanishing at odd
-    degrees (-x = x forces x = 0 over the rationals).
+    degrees, already part of the center's conditions, and -x = x at odd
+    degrees, which forces x = 0 over the rationals.  So this is the center
+    at even degrees and 0 at odd degrees.
     """
-    return _solve_by_parity(algebra, "z_star", bound)
+    center = degreewise_set(algebra, "center", bound)
+    per_degree = {i: () if i % 2 else basis for i, basis in center.per_degree.items()}
+    return DegreewiseSet("z_star", bound, per_degree)
 
 
 # ----------------------------------------------------- degreewise sets: brute force

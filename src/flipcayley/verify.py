@@ -1,7 +1,10 @@
 """Named verification suites behind the ``verify`` CLI subcommand.
 
-Each suite checks one structural statement end to end and reports PASS or
-FAIL with the first counterexample.  Suites are deterministic: the same
+Each suite checks one structural statement end to end.  It is a generator
+that yields one report line per case checked and raises ``SuiteFailure``
+with the witness at its first counterexample; ``run_suite`` alone turns
+that into a ``SuiteResult``, which keeps the lines yielded before the
+failure and renders PASS or FAIL.  Suites are deterministic: the same
 inputs always produce a byte-identical report.  The ``axioms`` suite reads
 every ring product from the rings' tables of basis-monomial products
 (``FlipPolyRing._basis``).
@@ -52,6 +55,10 @@ class SuiteResult:
         return out
 
 
+class SuiteFailure(Exception):
+    """A suite's first counterexample; the message is its witness."""
+
+
 def _algebra_set(names, restrict):
     chosen = [restrict] if restrict else list(names)
     return [(name, named(name)) for name in chosen]
@@ -59,7 +66,6 @@ def _algebra_set(names, restrict):
 
 def suite_thm1(algebra=None, mu=None, bound=None):
     """Quotient by X^2 - mu versus the doubled algebra, as star-algebras."""
-    result = SuiteResult("thm1", "quotient-matches-cayley-double")
     mus = [mu] if mu is not None else [-1, 1]
     for name, A in _algebra_set(THM1_ALGEBRAS, algebra):
         for m in mus:
@@ -68,19 +74,16 @@ def suite_thm1(algebra=None, mu=None, bound=None):
             basis = double.basis()
             for u, v in product(basis, repeat=2):
                 if quotient.mul(u, v) != double.mul(u, v):
-                    result.failure = (
+                    raise SuiteFailure(
                         f"{name}, mu={m}: products differ on ({u.coords}, {v.coords})"
                     )
-                    return result
             for u in basis:
                 if quotient.star(u) != double.star(u):
-                    result.failure = f"{name}, mu={m}: stars differ on {u.coords}"
-                    return result
-            result.lines.append(
+                    raise SuiteFailure(f"{name}, mu={m}: stars differ on {u.coords}")
+            yield (
                 f"{name}, mu={m}: {len(basis)}x{len(basis)} products and "
                 f"{len(basis)} stars agree"
             )
-    return result
 
 
 def _pair_monomials(algebra, tdeg):
@@ -96,7 +99,6 @@ def _pair_monomials(algebra, tdeg):
 
 def suite_thm2(algebra=None, mu=None, bound=None):
     """The flipped ring as the double of the polynomial algebra in t."""
-    result = SuiteResult("thm2", "ring-is-double-of-poly-algebra")
     tdeg = 2
     for name, A in _algebra_set(THM2_ALGEBRAS, algebra):
         ring = star_skew_ring(A)
@@ -105,30 +107,25 @@ def suite_thm2(algebra=None, mu=None, bound=None):
             lhs = psi(A, cayley_t_mul(A, u, v))
             rhs = ring.mul(psi(A, u), psi(A, v))
             if lhs != rhs:
-                result.failure = (
+                raise SuiteFailure(
                     f"{name}: psi not multiplicative on "
                     f"({poly_to_text(u.p)};{poly_to_text(u.q)}) x "
                     f"({poly_to_text(v.p)};{poly_to_text(v.q)}): "
                     f"{poly_to_text(lhs)} vs {poly_to_text(rhs)}"
                 )
-                return result
         for u in gens:
             if psi(A, cayley_t_star(A, u)) != alpha(ring, psi(A, u)):
-                result.failure = f"{name}: psi not star-compatible"
-                return result
+                raise SuiteFailure(f"{name}: psi not star-compatible")
             if psi_inv(A, psi(A, u)) != u:
-                result.failure = f"{name}: psi_inv o psi differs from the identity"
-                return result
-        result.lines.append(
+                raise SuiteFailure(f"{name}: psi_inv o psi differs from the identity")
+        yield (
             f"{name}: multiplicative on {len(gens)}^2 generator pairs, "
             f"star-compatible, inverse round-trips"
         )
-    return result
 
 
 def suite_props(algebra=None, mu=None, bound=None):
     """Inheritance criteria against direct evaluation on the quotient algebras."""
-    result = SuiteResult("props", "inheritance-criteria")
     mus = [mu] if mu is not None else [-1, 1]
     for name, A in _algebra_set(PROPS_ALGEBRAS, algebra):
         ring = star_skew_ring(A)
@@ -152,24 +149,19 @@ def suite_props(algebra=None, mu=None, bound=None):
             )
             for label, predicted, actual in checks:
                 if predicted != actual:
-                    result.failure = (
+                    raise SuiteFailure(
                         f"{name}, mu={m}: criterion says {label}={predicted} "
                         f"but the quotient has {label}={actual}"
                     )
-                    return result
         flags = "".join(
             "T" if f else "F"
             for f in (commutative, associative, alternative, flexible)
         )
-        result.lines.append(
-            f"{name}: (comm, assoc, alt, flex) = {flags}, matches both quotients"
-        )
-    return result
+        yield f"{name}: (comm, assoc, alt, flex) = {flags}, matches both quotients"
 
 
 def suite_centers(algebra=None, mu=None, bound=None):
     """Degreewise structural sets: criteria versus the brute-force oracle."""
-    result = SuiteResult("centers", "structural-sets-crosscheck")
     b = min(bound if bound is not None else 4, sa.BRUTE_BOUND_LIMIT)
     for name, A in _algebra_set(CENTERS_ALGEBRAS, algebra):
         dims = {}
@@ -177,22 +169,19 @@ def suite_centers(algebra=None, mu=None, bound=None):
             predicted = sa.degreewise_set(A, kind, b)
             brute = sa.degreewise_set_bruteforce(A, kind, b)
             if predicted != brute:
-                result.failure = (
+                raise SuiteFailure(
                     f"{name}, {kind}: criteria dims {predicted.dims()} vs "
                     f"brute-force dims {brute.dims()}"
                 )
-                return result
             dims[kind] = predicted.dims()
         summary = ", ".join(
             f"{kind}={list(dims[kind].values())}" for kind in sa.SET_KINDS
         )
-        result.lines.append(f"{name} (bound {b}): {summary}")
-    return result
+        yield f"{name} (bound {b}): {summary}"
 
 
 def suite_corollary(algebra=None, mu=None, bound=None):
     """Commuter/center/nucleus patterns along the -1 doubling tower."""
-    result = SuiteResult("corollary", "tower-patterns")
     b = bound if bound is not None else 6
     for n in range(5):
         A = tower([-1] * n)
@@ -201,8 +190,7 @@ def suite_corollary(algebra=None, mu=None, bound=None):
         z_star = sa.z_star_of_b(A, b)
         nucleus = sa.degreewise_set(A, "nucleus", b)
         if commuter.per_degree != center.per_degree:
-            result.failure = f"tower n={n}: commuter and center differ"
-            return result
+            raise SuiteFailure(f"tower n={n}: commuter and center differ")
         for i in range(b + 1):
             c_dim = len(center.per_degree[i])
             zs_dim = len(z_star.per_degree[i])
@@ -211,17 +199,15 @@ def suite_corollary(algebra=None, mu=None, bound=None):
             want_zs = 1 if i % 2 == 0 else 0
             want_n = A.dim if n <= 1 else (1 if i % 2 == 0 else 0)
             if (c_dim, zs_dim, n_dim) != (want_c, want_zs, want_n):
-                result.failure = (
+                raise SuiteFailure(
                     f"tower n={n}, degree {i}: dims (center, star-center, nucleus) = "
                     f"({c_dim}, {zs_dim}, {n_dim}), expected "
                     f"({want_c}, {want_zs}, {want_n})"
                 )
-                return result
-        result.lines.append(
+        yield (
             f"tower n={n} (dim {A.dim}): center/star-center/nucleus dims match "
             f"the expected pattern up to degree {b}"
         )
-    return result
 
 
 def _first_difference(ring_a, ring_b, max_degree):
@@ -240,7 +226,6 @@ def _first_difference(ring_a, ring_b, max_degree):
 
 def suite_axioms(algebra=None, mu=None, bound=None):
     """Ring axiom families and the flip/unflip coincidence over commutative bases."""
-    result = SuiteResult("axioms", "ring-axioms")
     b = bound if bound is not None else 4
     H = named("H")
     C = named("C")
@@ -249,49 +234,40 @@ def suite_axioms(algebra=None, mu=None, bound=None):
 
     rep = check_axioms(ring_h, "F", b)
     if not rep.passed:
-        result.failure = f"F-family fails on the quaternion ring: {rep.summary()}"
-        return result
-    result.lines.append(f"F-family on the quaternion ring: {rep.summary()}")
+        raise SuiteFailure(f"F-family fails on the quaternion ring: {rep.summary()}")
+    yield f"F-family on the quaternion ring: {rep.summary()}"
 
     rep = check_axioms(ring_h, "N", b)
     if rep.passed:
-        result.failure = (
+        raise SuiteFailure(
             "N-family unexpectedly holds on the quaternion ring "
             "(the generator should fail the right-slot axiom)"
         )
-        return result
     first = rep.failures[0]
-    result.lines.append(
+    yield (
         f"N-family on the quaternion ring fails as predicted; witness: "
         f"[{first.axiom}] {first.witness}"
     )
 
     rep = check_axioms(ring_c, "O", b)
     if not rep.passed:
-        result.failure = f"O-family fails on the complex ring: {rep.summary()}"
-        return result
-    result.lines.append(f"O-family on the complex ring: {rep.summary()}")
+        raise SuiteFailure(f"O-family fails on the complex ring: {rep.summary()}")
+    yield f"O-family on the complex ring: {rep.summary()}"
 
     unflipped_c = FlipPolyRing(C, ring_c.sigma, ring_c.delta, flipped=False)
     if _first_difference(ring_c, unflipped_c, 5) is not None:
-        result.failure = "flipped and unflipped products differ over the complex numbers"
-        return result
-    result.lines.append(
-        "flipped = unflipped over the commutative base (degrees <= 5)"
-    )
+        raise SuiteFailure("flipped and unflipped products differ over the complex numbers")
+    yield "flipped = unflipped over the commutative base (degrees <= 5)"
 
     unflipped_h = FlipPolyRing(H, ring_h.sigma, ring_h.delta, flipped=False)
     witness = _first_difference(ring_h, unflipped_h, 2)
     if witness is None:
-        result.failure = (
+        raise SuiteFailure(
             "flipped and unflipped products coincide over the quaternions, "
             "which would make the flip vacuous on a noncommutative base"
         )
-        return result
     m, n, _, _ = witness
-    result.lines.append(
-        f"flipped != unflipped over the quaternions; witness degrees (m={m}, n={n})"
-    )
+    yield f"flipped != unflipped over the quaternions; witness degrees (m={m}, n={n})"
 
     # the flip of a product rule swaps its coefficients when n is odd
     degrees, indices = range(5), range(H.dim)
@@ -307,27 +283,33 @@ def suite_axioms(algebra=None, mu=None, bound=None):
         }
 
     if flip(flip(rule)) != rule:
-        result.failure = "double flip of the tabulated rule is not the identity"
-        return result
-    result.lines.append("double flip of the tabulated rule returns the rule (degrees <= 4)")
-    return result
+        raise SuiteFailure("double flip of the tabulated rule is not the identity")
+    yield "double flip of the tabulated rule returns the rule (degrees <= 4)"
 
 
+# name -> (tag, suite); each suite yields its report lines
 SUITES = {
-    "thm1": suite_thm1,
-    "thm2": suite_thm2,
-    "props": suite_props,
-    "centers": suite_centers,
-    "corollary": suite_corollary,
-    "axioms": suite_axioms,
+    "thm1": ("quotient-matches-cayley-double", suite_thm1),
+    "thm2": ("ring-is-double-of-poly-algebra", suite_thm2),
+    "props": ("inheritance-criteria", suite_props),
+    "centers": ("structural-sets-crosscheck", suite_centers),
+    "corollary": ("tower-patterns", suite_corollary),
+    "axioms": ("ring-axioms", suite_axioms),
 }
 
 
 def run_suite(name, algebra=None, mu=None, bound=None):
+    """Run one suite; its report lines, and its first counterexample if any."""
     try:
-        suite = SUITES[name]
+        tag, suite = SUITES[name]
     except KeyError:
         raise ValueError(
             f"unknown suite {name!r}; valid suites: {', '.join(SUITES)}"
         ) from None
-    return suite(algebra=algebra, mu=mu, bound=bound)
+    result = SuiteResult(name, tag)
+    try:
+        for line in suite(algebra=algebra, mu=mu, bound=bound):
+            result.lines.append(line)
+    except SuiteFailure as failure:
+        result.failure = str(failure)
+    return result

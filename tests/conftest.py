@@ -233,6 +233,29 @@ def matrix_algebras():
     return [(f"M_2(Q) {name}", matrix_algebra(name)) for name in ("transpose", "adjugate")]
 
 
+def triangular_algebras():
+    """Upper triangular 2x2 rational matrices, with the star a -> J a^T J for
+    the exchange matrix J (it swaps E11 and E22 and fixes E12), on two bases.
+
+    On (1, E22, E12) the first zero divisor of the search is E22 (1 - E22).
+    On (1, 2 E11, E12) the prefix (1, 2 E11) has no +-1 zero divisor, and
+    E12 (2 E11) = 0 while (2 E11) E12 = 2 E12, so the first hit depends on
+    the order of the operands.  On both the commutators span E12, so
+    x(bc) - x(cb) = 0 keeps a proper subspace (the matrices with a zero
+    (1, 1) entry).
+    """
+    return [
+        ("triangular", StarAlgebra(
+            [[[(0, 1)], [(1, 1)], [(2, 1)]], [[(1, 1)], [(1, 1)], []], [[(2, 1)], [(2, 1)], []]],
+            linalg.LinearMap.from_rows([[1, 1, 0], [0, -1, 0], [0, 0, 1]]),
+        )),
+        ("ordered triangular", StarAlgebra(
+            [[[(0, 1)], [(1, 1)], [(2, 1)]], [[(1, 1)], [(1, 2)], [(2, 2)]], [[(2, 1)], [], []]],
+            linalg.LinearMap.from_rows([[1, 2, 0], [0, -1, 0], [0, 0, 1]]),
+        )),
+    ]
+
+
 # ------------------------------------------------ rings with random sigma, delta
 def _map_of(A, f, kind):
     """The ``AdditiveMap`` of the given kind whose column j is f(e_j)."""

@@ -1,6 +1,6 @@
 import tracemalloc
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, islice, product
 
 import pytest
 
@@ -16,7 +16,12 @@ from flipcayley import (
     tower,
 )
 from flipcayley.linalg import LinearMap
-from conftest import exchange_algebras, matrix_algebras, sparse_exchange_algebras
+from conftest import (
+    exchange_algebras,
+    matrix_algebras,
+    sparse_exchange_algebras,
+    triangular_algebras,
+)
 
 
 def test_double_of_base_gives_imaginary_unit():
@@ -141,18 +146,25 @@ def test_search_budget_exhaustion(algebras, monkeypatch):
 
 
 def _dense_zero_divisor(algebra, budget):
-    """The dense search route: every candidate built up front as an
-    ``AlgebraElement``, singles then pairs, and each pair multiplied by ``mul``;
-    ``(k, (x, y))`` for the k-th pair, the first with zero product, or None."""
+    """The dense search route: the candidates of each prefix e_0..e_(s-1),
+    s = 1, 2, 4, ... and then dim, built up front as ``AlgebraElement``s,
+    singles then pairs, and each pair multiplied by ``mul``; ``(k, (x, y))``
+    for the k-th pair over all prefixes, the first with zero product, or None."""
     n = algebra.dim
-    candidates = [basis_element(n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for sign in (1, -1):
-                coords = [0] * n
-                coords[i], coords[j] = 1, sign
-                candidates.append(AlgebraElement(coords))
-    for k, (x, y) in enumerate(islice(product(candidates, repeat=2), budget)):
+    sizes = []
+    while not sizes or sizes[-1] < n:
+        sizes.append(min(2 * sizes[-1], n) if sizes else 1)
+    pairs = []
+    for size in sizes:
+        candidates = [basis_element(n, i) for i in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                for sign in (1, -1):
+                    coords = [0] * n
+                    coords[i], coords[j] = 1, sign
+                    candidates.append(AlgebraElement(coords))
+        pairs.append(product(candidates, repeat=2))
+    for k, (x, y) in enumerate(islice(chain.from_iterable(pairs), budget)):
         if algebra.mul(x, y).is_zero():
             return k, (x, y)
     return None
@@ -163,16 +175,13 @@ def test_zero_divisor_search_matches_the_dense_route(algebras, monkeypatch):
     with it, at the default budget and at the budgets that stop just before
     and just after that hit."""
     default = cayley_dickson.ZERO_DIVISOR_BUDGET
-    # upper triangular 2x2 matrices on the basis (1, E22, E12), star a -> J a^T J
-    # for the exchange matrix J: E22 E12 = 0 but E12 E22 = E12, so the first
-    # hit depends on the order of the operands
-    triangular = StarAlgebra(
-        [[[(0, 1)], [(1, 1)], [(2, 1)]], [[(1, 1)], [(1, 1)], []], [[(2, 1)], [(2, 1)], []]],
-        LinearMap.from_rows([[1, 1, 0], [0, -1, 0], [0, 0, 1]]),
-    )
+    ordered = dict(triangular_algebras())["ordered triangular"]
+    e = ordered.basis()
+    assert [x.coords for x in find_zero_divisor(ordered)] == [e[2].coords, e[1].coords]
+    assert not ordered.mul(e[1], e[2]).is_zero()
     cases = [(name, algebras[name]) for name in ("C", "H", "C'", "H'", "O'", "S")]
-    cases += [("tower(1/2, 3)", tower([Fraction(1, 2), 3])), ("triangular", triangular)]
-    cases += matrix_algebras()
+    cases += [("tower(1/2, 3)", tower([Fraction(1, 2), 3]))]
+    cases += triangular_algebras() + matrix_algebras()
     for name, A in cases:
         dense = _dense_zero_divisor(A, default)
         if dense is None:
@@ -186,6 +195,20 @@ def test_zero_divisor_search_matches_the_dense_route(algebras, monkeypatch):
                 assert got is None, (name, budget)
             else:
                 assert [e.coords for e in got] == [e.coords for e in expected], (name, budget)
+
+
+def test_deep_towers_find_the_sedenion_zero_divisor():
+    """Each deeper -1 tower holds the sedenions as its prefix e_0..e_15, so
+    the search finds their first pair there, within the budget."""
+    A = tower([-1] * 5)
+    for _ in range(4):  # dim 64 to 512
+        A = cayley_double(A, -1)
+        x, y = find_zero_divisor(A)
+        assert (x.coords[:16], y.coords[:16]) == (
+            tuple(1 if i in (1, 10) else 0 for i in range(16)),
+            tuple({4: 1, 15: -1}.get(i, 0) for i in range(16)),
+        ), A.dim
+        assert not any(x.coords[16:] + y.coords[16:]), A.dim
 
 
 def test_zero_divisor_search_builds_no_candidate_list(monkeypatch):

@@ -272,6 +272,26 @@ def test_verify_suite_fails_on_a_broken_dependency(capsys, monkeypatch, suite):
     assert capsys.readouterr().out.splitlines()[-1] == f"  result: FAIL - {witness}"
 
 
+def test_failing_suite_keeps_the_lines_before_its_counterexample(capsys, monkeypatch):
+    # mu is negated only when doubling an algebra of dim 4 or more, so the
+    # doubles of R, C and C' still agree and H is the first counterexample
+    monkeypatch.setattr(
+        verify, "cayley_double", lambda A, mu: cayley_double(A, -mu if A.dim >= 4 else mu)
+    )
+    assert main(["verify", "--suite=thm1"]) == 1
+    assert capsys.readouterr().out == (
+        "suite thm1 [quotient-matches-cayley-double]\n"
+        "  R, mu=-1: 2x2 products and 2 stars agree\n"
+        "  R, mu=1: 2x2 products and 2 stars agree\n"
+        "  C, mu=-1: 4x4 products and 4 stars agree\n"
+        "  C, mu=1: 4x4 products and 4 stars agree\n"
+        "  C', mu=-1: 4x4 products and 4 stars agree\n"
+        "  C', mu=1: 4x4 products and 4 stars agree\n"
+        "  result: FAIL - H, mu=-1: products differ on "
+        "((0, 0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0, 0))\n"
+    )
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["mul", "--algebra=H"]) == 2
     assert main(["mul", "--algebra=Q", "e0", "e0"]) == 2
@@ -337,6 +357,24 @@ e3  e3  e2   -e1  -e0
             "1       0    -\n"
             "2       1    e0\n"
             "cross-check vs brute force (bound 2): OK\n",
+        ),
+        # the star-fixed center is 0 at odd degrees, where R's center is not
+        (
+            ["analyze", "--algebra=R", "--set=z_star", "--bound=3"],
+            "degree  dim  basis\n"
+            "0       1    e0\n"
+            "1       0    -\n"
+            "2       1    e0\n"
+            "3       0    -\n",
+        ),
+        # over a commutative algebra x(bc) - x(cb) vanishes: all of C at every degree
+        (
+            ["analyze", "--algebra=C", "--set=nucleus", "--bound=3"],
+            "degree  dim  basis\n"
+            "0       2    e0; e1\n"
+            "1       2    e0; e1\n"
+            "2       2    e0; e1\n"
+            "3       2    e0; e1\n",
         ),
     ],
 )

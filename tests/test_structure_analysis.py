@@ -23,6 +23,7 @@ from conftest import (
     random_sigma_delta_rings,
     raw_rows,
     sparse_exchange_algebras,
+    triangular_algebras,
 )
 
 
@@ -281,13 +282,24 @@ def test_row_space_route_matches_raw_rows(algebras):
         public = [
             (A.commuter_basis(), ("commuter",)),
             (A.nucleus_basis(), nuclei),
-            (A.center_basis(), ("commuter",) + nuclei),
-            (A.c_star_basis(), ("commuter", "star_fixed")),
             (A.z_star_basis(), ("commuter",) + nuclei + ("star_fixed",)),
         ]
         public += [(A.nucleus_basis(side), (f"nucleus_{side}",)) for side in sa.X_SIDES]
         for got, kinds in public:
             assert got == _raw_solve(A, kinds), (name, kinds)
+
+
+def test_z_star_matches_the_negation_fixed_route(algebras):
+    """``z_star_of_b`` is the center at even degrees and 0 at odd ones; the
+    reference solves the center's even kinds, and its odd kinds plus -x = x,
+    from the raw rows."""
+    even, odd = sa._KIND_ROWS["center"]
+    want = (even, odd + ("negation_fixed",))
+    cases = list(algebras.items()) + _TOWERS + exchange_algebras() + sparse_exchange_algebras()
+    for name, A in cases:
+        per_degree = sa.z_star_of_b(A, 3).per_degree
+        for i in range(4):
+            assert per_degree[i] == _raw_solve(A, want[i % 2]), (name, i)
 
 
 def test_basis_wise_route_matches_elimination(algebras):
@@ -321,15 +333,17 @@ def test_single_entry_tables_off_xor_are_not_monomial():
         assert A._has_monomial_table() is False
         for kinds in tuples:
             assert A._solve(kinds) == _raw_solve(A, kinds), (A.table, kinds)
-    assert z3.center_basis() == tuple(z3.basis())
+    assert z3._solve(sa._Z_ROWS) == tuple(z3.basis())  # the center
     assert uv.nucleus_basis("middle") == (uv.unit, AlgebraElement([0, 1, -1]))
 
 
 def test_each_row_kind_matches_raw_rows(algebras):
     # a wrong kind can hide in the joint nullspace of a kind tuple, so each kind
     # is compared on its own; a kind of rank 0 or dim cannot tell a wrong
-    # identity from a right one, so the pair kinds must meet a proper rank
+    # identity from a right one, so the pair kinds and kill_commutators must
+    # meet a proper rank (the latter only on the triangular algebras)
     cases = list(algebras.items()) + _TOWERS + exchange_algebras() + sparse_exchange_algebras()
+    cases += triangular_algebras()
     proper = set()
     for name, A in cases:
         for kind in _ROW_KINDS:
@@ -338,6 +352,7 @@ def test_each_row_kind_matches_raw_rows(algebras):
             if 0 < len(got) < A.dim:
                 proper.add(kind)
     assert {"swap_right", "outer_twist", "exchange_right", "exchange_left"} <= proper
+    assert "kill_commutators" in proper
 
 
 def test_constraint_rows_are_distinct_and_nonzero(algebras):
