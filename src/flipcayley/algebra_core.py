@@ -22,12 +22,19 @@ A Cayley-Dickson tower is monomial: e_i e_j = g(i, j) e_(i xor j), g nonzero,
 with a diagonal star (a twisted group algebra of (Z/2)^n).  There every
 constraint row has one nonzero entry, so ``StarAlgebra._solve`` decides each
 basis element on its own; other algebras go through elimination, its oracle.
+On such a table each identity at (x, b, c) is one scalar times
+e_(x xor b xor c), a signed sum of products g(p, q) g(p xor q, r); each word
+of ``IDENTITIES`` is compiled once into that sum.  The predicate walks and
+the per-element vanishing tests read it from the algebra's cached sign
+matrix; ``identity_at`` stays the general kernel and their oracle, and
+builds each witness's value.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from . import linalg
@@ -75,6 +82,43 @@ def _parse_identity(text):
 _TERMS = {kind: _parse_identity(text) for kind, text in IDENTITIES.items()}
 # the number of letters (x, then b and perhaps c) of each identity
 IDENTITY_ARITY = {kind: len(set(text) & set(_LETTERS)) for kind, text in IDENTITIES.items()}
+
+
+def _sign_word(kind):
+    """The parsed word compiled to ``f(g, slots)``: its coefficient at the basis
+    slots (x, b, c) on a monomial table with sign matrix g, where each term
+    lands on the xor of the slots and (pq)r contributes g(p, q) g(p xor q, r)."""
+    products = []
+    for positive, p, q, r, inner_left in _TERMS[kind]:
+        p, q = _LETTERS[p], _LETTERS[q]
+        word = f"g[{p}][{q}]"
+        if r is not None:
+            r = _LETTERS[r]
+            word += f" * g[{p} ^ {q}][{r}]" if inner_left else f" * g[{r}][{p} ^ {q}]"
+        products.append(("+ " if positive else "- ") + word)
+    letters = ", ".join(_LETTERS[: IDENTITY_ARITY[kind]])
+    namespace = {}
+    exec(
+        f"def {kind}(g, slots):\n    {letters} = slots\n"
+        f"    return {' '.join(products).removeprefix('+ ')}",
+        namespace,
+    )
+    return namespace[kind]
+
+
+def _cancels_at_unit(terms):
+    """Whether the terms cancel formally once the unit fills slot x: each term
+    is then the product of its other letters in their order."""
+    counts = {}
+    for positive, p, q, r, inner_left in terms:
+        rest = tuple(s for s in ((p, q, r) if inner_left else (r, p, q)) if s not in (0, None))
+        counts[rest] = counts.get(rest, 0) + (1 if positive else -1)
+    return not any(counts.values())
+
+
+_SIGN_WORDS = {kind: _sign_word(kind) for kind in IDENTITIES}
+# the identities that hold at x = e_0 in every unital algebra
+_UNIT_KINDS = frozenset(kind for kind, terms in _TERMS.items() if _cancels_at_unit(terms))
 
 
 def identity_at(table, kind, slots):
@@ -280,7 +324,11 @@ class StarAlgebra:
 
     def _witness(self, kind, index_tuples):
         """The basis elements at the first indices where the identity ``kind``
-        fails, followed by its value there; None if it never fails."""
+        fails, followed by its value there; None if it never fails.  On a
+        monomial table the walk reads the sign matrix, and ``identity_at``
+        builds the value at the first failing indices alone."""
+        if self._has_monomial_table():
+            index_tuples = filter(partial(_SIGN_WORDS[kind], self._signs()), index_tuples)
         for indices in index_tuples:
             v = identity_at(self.table, kind, indices)
             if any(v.values()):
@@ -391,14 +439,21 @@ class StarAlgebra:
 
         return self.cached("monomial", build)
 
+    def _signs(self):
+        """The sign matrix g of a monomial table: e_i e_j = g[i][j] e_(i xor j)."""
+        return self.cached(
+            "signs", lambda: tuple(tuple(entry[0][1] for entry in row) for row in self.table)
+        )
+
     def _vanishes_at(self, kind, a):
         """Whether every row of ``_rows(kind)`` vanishes at e_a, on a monomial
-        algebra, where no product of basis elements is zero."""
+        algebra, where no product of basis elements is zero.  An identity
+        whose word cancels formally at the unit holds at e_0 unwalked."""
         if kind in IDENTITIES:
-            return not any(
-                any(identity_at(self.table, kind, (a,) + rest).values())
-                for rest in product(range(self.dim), repeat=IDENTITY_ARITY[kind] - 1)
-            )
+            if a == 0 and kind in _UNIT_KINDS:
+                return True
+            slots = product((a,), *[range(self.dim)] * (IDENTITY_ARITY[kind] - 1))
+            return not any(map(partial(_SIGN_WORDS[kind], self._signs()), slots))
         if kind == "star_fixed":
             return self.involution.cols[a] == ((a, self.involution.den),)
         if kind == "kill_star_skew":  # each b* - b is 0 or -2b

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import linalg
-from .algebra_core import IDENTITY_ARITY, AlgebraElement
+from .algebra_core import IDENTITY_ARITY, AlgebraElement, identity_at
 from .flip_poly import star_skew_ring
 
 SET_KINDS = ("commuter", "left_right_nucleus", "middle_nucleus", "nucleus", "center")
@@ -170,18 +170,30 @@ def _norms_commute(algebra):
 
 def b_flexible_criterion(algebra):
     """Flexibility of the flipped star-skew ring over this algebra."""
-    if not algebra.is_flexible():
-        return False
-    if not _norms_commute(algebra):
-        return False
-    basis = algebra.basis()
-    for a in basis:
-        for b in basis:
-            for c in basis:
-                if algebra.associator(a, b, c) != algebra.associator(
-                    a, algebra.star(b), algebra.star(c)
-                ):
-                    return False
+    return (
+        algebra.is_flexible()
+        and _norms_commute(algebra)
+        and _associators_star_invariant(algebra)
+    )
+
+
+def _associators_star_invariant(algebra):
+    """Whether (a, b, c) = (a, b*, c*) for all basis elements a, b, c.  Each
+    associator is read from the table by ``identity_at``; with the star's
+    columns b* = sum (s/den) e_r and c* = sum (u/den) e_t, den^2 (a, b*, c*)
+    is the sum of s u (a, e_r, e_t)."""
+    n, table = algebra.dim, algebra.table
+    cols, den = algebra.involution.cols, algebra.involution.den
+    associators = {
+        slots: identity_at(table, "nucleus_left", slots) for slots in product(range(n), repeat=3)
+    }
+    for a, b, c in associators:
+        diff = {k: den * den * v for k, v in associators[a, b, c].items()}
+        for (r, s), (t, u) in product(cols[b], cols[c]):
+            for k, v in associators[a, r, t].items():
+                diff[k] = diff.get(k, 0) - s * u * v
+        if any(diff.values()):
+            return False
     return True
 
 

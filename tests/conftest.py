@@ -39,6 +39,23 @@ def is_zero_matrix(matrix):
     return all(not x for row in matrix for x in row)
 
 
+def mat_inverse(matrix):
+    """The inverse of an invertible square matrix, by Gauss-Jordan over Fractions."""
+    n = len(matrix)
+    rows = [
+        [Fraction(x) for x in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
 def subspace_le(inner, outer, ncols):
     red = linalg.RowReducer(ncols)
     red.add_many(outer)
@@ -254,6 +271,56 @@ def triangular_algebras():
             linalg.LinearMap.from_rows([[1, 2, 0], [0, -1, 0], [0, 0, 1]]),
         )),
     ]
+
+
+def rebased(A, basis):
+    """``A`` on a new basis, given as coordinate vectors in A's basis with the
+    unit first: the same algebra, with other structure constants and star."""
+    inverse = mat_inverse([[v[i] for v in basis] for i in range(A.dim)])
+
+    def coords(x):
+        return [sum(r * c for r, c in zip(row, x.coords)) for row in inverse]
+
+    f = [A.element(v) for v in basis]
+    table = [[enumerate(coords(A.mul(x, y))) for y in f] for x in f]
+    star_cols = [coords(A.star(x)) for x in f]
+    star = [[col[i] for col in star_cols] for i in range(A.dim)]
+    return StarAlgebra(table, linalg.LinearMap.from_rows(star))
+
+
+def rebased_octonions():
+    """The octonions on the basis e_0, e_1 + e_0/3, e_2 + e_1/2, e_j + e_(j-1):
+    a flexible, non-associative algebra whose star is not diagonal and has
+    denominator 3."""
+    basis = [[int(i == j) for i in range(8)] for j in range(8)]
+    basis[1][0] = Fraction(1, 3)
+    basis[2][1] = Fraction(1, 2)
+    for j in range(3, 8):
+        basis[j][j - 1] = 1
+    return rebased(named("O"), basis)
+
+
+def twisted_group_algebras(seed=20261019):
+    """Two seeded monomial algebras off the tower, of dimensions 4 and 8:
+    e_i e_j = g(i, j) e_(i xor j) with random nonzero signs g, some of them
+    Fractions, and a diagonal star e_j* = s_j e_j.  Anti-multiplicativity
+    fixes g(j, i) = s_i s_j s_(i xor j) g(i, j) for i < j; the rest is free,
+    so they are neither flexible nor alternative."""
+    rng = random.Random(seed)
+    cases = []
+    for n in (4, 8):
+        s = [1] + [rng.choice((1, -1)) for _ in range(n - 1)]
+        g = [[1] * n for _ in range(n)]
+        for i in range(1, n):
+            for j in range(i, n):
+                g[i][j] = rng.choice((1, -1, 2, Fraction(-1, 2), Fraction(3, 2)))
+                g[j][i] = s[i] * s[j] * s[i ^ j] * g[i][j] if i < j else g[i][j]
+        table = [[[(i ^ j, g[i][j])] for j in range(n)] for i in range(n)]
+        star = [[s[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        cases.append((f"twisted group algebra dim {n}", StarAlgebra(
+            table, linalg.LinearMap.from_rows(star)
+        )))
+    return cases
 
 
 # ------------------------------------------------ rings with random sigma, delta

@@ -1,6 +1,9 @@
 import json
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import xor
 
 import pytest
 
@@ -11,14 +14,25 @@ from flipcayley import (
     tower,
     zero_element,
 )
+from flipcayley.algebra_core import (
+    _SIGN_WORDS,
+    _UNIT_KINDS,
+    IDENTITIES,
+    IDENTITY_ARITY,
+    identity_at,
+)
 from conftest import (
     assert_json_is_algebra,
     constraint_rows,
     exchange_algebras,
     identity_matrix,
     mat_mul,
+    matrix_algebras,
+    sparse_exchange_algebras,
     subspace_eq,
     subspace_intersect,
+    triangular_algebras,
+    twisted_group_algebras,
 )
 
 
@@ -351,7 +365,7 @@ def _kernel_cases(algebras):
         ("tower(1/2, 3, -1)", tower([Fraction(1, 2), 3, -1])),
         ("tower(1, 1, 1)", tower([1, 1, 1])),
     ]
-    return cases + exchange_algebras()
+    return cases + exchange_algebras() + twisted_group_algebras()
 
 
 def test_associator_kernel_matches_mul_route(algebras):
@@ -387,3 +401,97 @@ def test_constraint_rows_transpose_and_drop_zero_and_repeated_rows(algebras):
         [[(1, 2)], [(1, 3)]],  # (2, 3) again
     ]
     assert C.constraint_rows(blocks) == ((2, 3), (2, 0), (3, 0))
+
+
+# ------------------------------------- sign matrix against the general kernel
+def _monomial_cases(algebras):
+    """Monomial tables: R to O', towers with Fraction and with split signs, and
+    the twisted group algebras, where every witness is reached."""
+    cases = [(name, algebras[name]) for name in ("R", "C", "C'", "H", "H'", "O", "O'")]
+    cases += [
+        ("tower(1/2, 3, -1, 1)", tower([Fraction(1, 2), 3, -1, 1])),
+        ("tower(1, 1, 1)", tower([1, 1, 1])),
+    ]
+    cases += twisted_group_algebras()
+    assert all(A._has_monomial_table() for _, A in cases)
+    return cases
+
+
+def _slots(A, kind, x=None):
+    rest = [range(A.dim)] * (IDENTITY_ARITY[kind] - 1)
+    return product(range(A.dim) if x is None else (x,), *rest)
+
+
+def test_sign_words_match_identity_at(algebras):
+    for name, A in _monomial_cases(algebras):
+        signs = A._signs()
+        for kind in IDENTITIES:
+            word = _SIGN_WORDS[kind]
+            for slots in _slots(A, kind):
+                value = word(signs, slots)
+                got = {reduce(xor, slots): value} if value else {}
+                want = {k: c for k, c in identity_at(A.table, kind, slots).items() if c}
+                assert got == want, (name, kind, slots)
+
+
+def _witnesses(A):
+    return (
+        A.commutativity_witness(),
+        A.associativity_witness(),
+        A.flexibility_witness(),
+        A.alternativity_witness(),
+    )
+
+
+def _coordinate_types(witnesses):
+    return [
+        [type(c) for c in part.coords] if isinstance(part, AlgebraElement) else part
+        for witness in witnesses
+        for part in witness or ()
+    ]
+
+
+def test_witnesses_match_the_general_route(algebras, monkeypatch):
+    cases = _monomial_cases(algebras)
+    fast = [_witnesses(A) for _, A in cases]
+    # every witness path, including a failing flexible law, is reached
+    assert all(any(w[i] is not None for w in fast) for i in range(4))
+    monkeypatch.setattr(StarAlgebra, "_has_monomial_table", lambda self: False)
+    for (name, A), got in zip(cases, fast):
+        want = _witnesses(A)
+        assert got == want, name
+        assert _coordinate_types(got) == _coordinate_types(want), name
+
+
+def test_vanishing_matches_the_full_walk(algebras):
+    """``_vanishes_at`` (the sign walk, and the unit shortcut at e_0) against
+    every identity_at value with x = e_a."""
+    found_false_at_unit = set()
+    for name, A in _monomial_cases(algebras):
+        for kind in IDENTITIES:
+            for a in range(A.dim):
+                want = not any(
+                    any(identity_at(A.table, kind, slots).values()) for slots in _slots(A, kind, a)
+                )
+                assert A._vanishes_at(kind, a) == want, (name, kind, a)
+                if a == 0 and not want:
+                    found_false_at_unit.add(kind)
+    # the shortcut is taken only by words that cancel at the unit
+    assert found_false_at_unit == set(IDENTITIES) - _UNIT_KINDS
+    assert _UNIT_KINDS == {
+        "commuter", "nucleus_left", "nucleus_middle", "nucleus_right",
+        "flexible", "alternative_left", "alternative_right",
+    }
+
+
+def test_unit_kinds_vanish_at_the_unit_off_the_tower():
+    cases = (
+        matrix_algebras() + exchange_algebras() + sparse_exchange_algebras()
+        + triangular_algebras()
+    )
+    for name, A in cases:
+        assert not A._has_monomial_table(), name
+        for kind in _UNIT_KINDS:
+            assert not any(
+                any(identity_at(A.table, kind, slots).values()) for slots in _slots(A, kind, 0)
+            ), (name, kind)

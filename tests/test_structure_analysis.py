@@ -22,8 +22,10 @@ from conftest import (
     memoized_mul,
     random_sigma_delta_rings,
     raw_rows,
+    rebased_octonions,
     sparse_exchange_algebras,
     triangular_algebras,
+    twisted_group_algebras,
 )
 
 
@@ -137,6 +139,26 @@ def test_flexible_and_alternative_criteria(algebras):
     assert not sa.b_alternative_criterion(algebras["O"])
     assert sa.b_flexible_criterion(algebras["O"])
     assert sa.b_flexible_criterion(algebras["H"])
+
+
+def test_star_twisted_associators_match_the_dense_loop(algebras):
+    """``_associators_star_invariant`` against (a, b, c) = (a, b*, c*) through
+    the public ``associator`` and ``star``, on every fixture algebra,
+    non-diagonal stars included."""
+    cases = (
+        list(algebras.items()) + _off_named_set() + triangular_algebras()
+        + twisted_group_algebras() + [("rebased O", rebased_octonions())]
+    )
+    outcomes = set()
+    for name, A in cases:
+        basis, assoc, star = A.basis(), A.associator, A.star
+        want = all(
+            assoc(a, b, c) == assoc(a, star(b), star(c))
+            for a in basis for b in basis for c in basis
+        )
+        assert sa._associators_star_invariant(A) == want, name
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_criteria_agree_with_quotient_evaluation(algebras):
@@ -273,7 +295,7 @@ _ROW_KINDS = sorted({kind for pair in sa._KIND_ROWS.values() for kinds in pair f
 
 
 def test_row_space_route_matches_raw_rows(algebras):
-    cases = list(algebras.items()) + _TOWERS + exchange_algebras()
+    cases = list(algebras.items()) + _TOWERS + exchange_algebras() + twisted_group_algebras()
     tuples = {kinds for pair in sa._KIND_ROWS.values() for kinds in pair}
     nuclei = ("nucleus_left", "nucleus_middle", "nucleus_right")
     for name, A in cases:
