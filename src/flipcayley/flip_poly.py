@@ -14,7 +14,13 @@ pi_i^m(e_j) as integer vectors per basis column j, each column only as deep
 as a product asks; the combinatorial sum is the test oracle ``pi_oracle``.
 
 ``mul`` takes every product, whatever the operands' shape, through one
-kernel and keeps none.  The ring's one product cache,
+kernel and keeps none.  The kernel is exact and uses Kronecker substitution
+along the degree axis: it packs the right operand's coefficients of each
+flip parity and basis column into one integer, one slot of w bits per
+degree.  Each pi image then adds a shifted multiple of that integer, and
+each output coordinate is one integer, unpacked once.  The width w comes
+from a bound on every output numerator that is proven from the operands,
+so no slot overflows into the next.  The ring's one product cache,
 ``FlipPolyRing._basis``, holds basis-monomial products;
 ``FlipPolyRing._identity`` and ``check_axioms`` read every product from it,
 and ``check_axioms`` reads its associators from ``algebra_core.IDENTITIES``.
@@ -147,9 +153,10 @@ class _BasisProducts(dict):
             value = self[slot] = _BasisProducts(self.ring, slot)
             return value
         (m, i), (n, j) = self.left, slot
-        terms = self.ring._cleared_product([(m, [(i, 1)])], [(n, [(j, 1)])], 1).items()
+        rows, d = self.ring._cleared_product([(m, [(i, 1)])], [(n, [(j, 1)])], 1)
         value = self[slot] = tuple(
-            ((d, k), v) for d, c in terms for k, v in enumerate(c.coords) if v
+            ((degree, k), v if d == 1 else simplify(Fraction(v, d)))
+            for degree, row in rows.items() for k, v in sorted(row.items())
         )
         return value
 
@@ -162,15 +169,24 @@ class FlipPolyRing:
     only as far as a product asks, by X (c X^k) = sigma(c) X^(k+1) +
     delta(c) X^k, and is published as a longer tuple of complete levels, so
     rings can be shared across threads.  ``mul`` clears each operand's
-    denominators once; for each left term a X^m it sums the right operand's
-    pi images into one integer vector per output degree and flip parity,
-    multiplies it by a (through the columns a e_s or e_s a when a has
-    several terms) and divides once per output coordinate.  Each product is a
-    fresh ``Poly`` that the caller may mutate.
+    denominators once and packs the right operand along its degrees: one
+    integer per flip parity and column r, with the coefficient of degree n
+    in the slot of w bits at n - n0.  For each left term a X^m, each pi image
+    of level m shifts that integer by its i and adds into one integer per
+    coordinate s, which goes into a e_s (e_s a under the flip) with one
+    big-integer multiply-add per table entry, giving one integer per output
+    coordinate.  Each of those is unpacked once, with a signed borrow from
+    slot to slot, and divided once per coordinate.  The width w is one more
+    than the bit length of A1 B1 P T, a bound on every output numerator
+    (see ``_cleared_product``); a right operand of one degree whose levels
+    read have one i each gives one slot and w = 0, so its packed integers
+    are the plain sums.  Each product is a fresh ``Poly`` that the caller
+    may mutate.
     """
 
     __slots__ = (
-        "coeff_algebra", "sigma", "delta", "flipped", "_table", "_step", "_columns", "_basis",
+        "coeff_algebra", "sigma", "delta", "flipped", "_table", "_t1", "_step", "_columns",
+        "_basis",
     )
 
     def __init__(self, coeff_algebra, sigma, delta, flipped):
@@ -185,6 +201,7 @@ class FlipPolyRing:
         self.sigma, self.delta = sigma, delta
         self.flipped = bool(flipped)
         self._table = _integer_table(coeff_algebra)
+        self._t1 = None  # the largest 1-norm of an entry of the integer table
         # (den, ((degree shift, columns, den / their denominator), ...)): sigma, a nonzero delta
         den = lcm(sigma.linear.den, delta.linear.den)
         maps = (1, sigma.linear), (0, delta.linear)
@@ -247,55 +264,98 @@ class FlipPolyRing:
         return total
 
     def _cleared_product(self, left, right, den):
-        """The product of the integer terms of ``_cleared`` over the denominator
-        ``den``, as a ``{degree: coefficient}`` dict, sorted and zero-free."""
+        """``(rows, d)`` for the product of the integer terms of ``_cleared``
+        over the denominator ``den``: ``rows`` maps each output degree with a
+        nonzero coefficient, ascending, to its nonzero numerators ``{k: x}`` over d.
+
+        The right operand is packed along its degrees (Kronecker substitution):
+        B[f, r] (``packed[f][r]``) is the sum of y_(n,r) 2^(w (n - n0)) over
+        the right terms of flip parity f, so slot j of a packed integer holds
+        output degree n0 + i_lo + j once the pi image of level i is shifted by
+        w (i - i_lo).  Every sum is then one big-integer operation per
+        (f, coordinate) in place of one per degree, and each output
+        coordinate is unpacked once.  When the right operand has one degree
+        and every level read has one i there is one slot, w is 0, and the
+        packed integers are the plain sums.
+        """
         table, dt = self._table
-        dim = len(table)
-        top, step = max(left)[0], self._step[0]
-        columns = self._columns
-        acc = {}  # output degree -> integer numerators over step ** top
-        for m, a in left:
-            sums = {}  # (output degree, flip) -> sum of y pi_i^m(e_r) over the right terms
-            for n, b in right:
-                flip = self.flipped and n % 2 == 1
-                for r, y in b:
-                    column = columns[r]
-                    if len(column) <= m:
-                        column = self._column(r, m)
-                    for i, vec in column[m]:
-                        out = sums.get((i + n, flip))
-                        if out is None:
-                            out = sums[i + n, flip] = [0] * dim
-                        for k, x in vec:
-                            out[k] += x * y
-            scale = step ** (top - m)
-            one = len(a) == 1  # then a e_s = x e_r e_s: a table entry, x in the scale
-            if one:
-                ((r0, x0),) = a
-                scale *= x0
-            products = {}  # (s, flip) -> a e_s, or e_s a under the flip, for a of several terms
-            for (d, flip), total in sums.items():
-                v = [(s, y * scale) for s, y in enumerate(total) if y]
-                out = acc.setdefault(d, [0] * dim)
-                for s, ys in v:
-                    if one:
-                        col = table[s][r0] if flip else table[r0][s]
-                    else:
-                        col = products.get((s, flip))
-                        if col is None:
-                            col = products[s, flip] = _times_basis(table, a, s, flip)
-                    for k, t in col:
-                        out[k] += ys * t
+        top, step = left[-1][0], self._step[0]
+        columns = {}  # r -> column r of the pi cache, held through level top
+        for _, b in right:
+            for r, _ in b:
+                if r not in columns:
+                    column = self._columns[r]
+                    columns[r] = column if len(column) > top else self._column(r, top)
+        i_lo, i_hi = top, -1  # the range of i over the levels read
+        for column in columns.values():
+            for m, _ in left:
+                level = column[m]
+                if level:
+                    if level[0][0] < i_lo:
+                        i_lo = level[0][0]
+                    if level[-1][0] > i_hi:
+                        i_hi = level[-1][0]
         d = den * dt * step ** top
-        result = {}
-        for k, out in sorted(acc.items()):
-            if any(out):
-                result[k] = AlgebraElement._trusted(
-                    tuple(out) if d == 1
-                    else tuple(x // d for x in out) if gcd(d, *out) == d  # integral
-                    else tuple(simplify(Fraction(x, d)) for x in out)
-                )
-        return result
+        if i_hi < 0:  # every pi image read is zero
+            return {}, d
+        n0 = right[0][0]
+        slots = i_hi - i_lo + right[-1][0] - n0 + 1
+        w = 0
+        if slots > 1:
+            # A slot of the result sums, over the left terms a X^m (scaled by
+            # step ** (top - m)) and the right entries y of each (r, n), the
+            # products y pi_i^m(e_r)[s] (a e_s)[k], with at most one i per
+            # (r, n) and slot.  So |slot| <= A1 B1 P T, with A1 the sum of
+            # step^(top-m) |a|_1, B1 the sum of |y|, P the largest |pi vector|_1
+            # read and T the largest |table entry|_1, and w = bit_length(A1 B1
+            # P T) + 1 keeps every slot in [-2^(w-1), 2^(w-1)), which the
+            # signed borrow below reads back.
+            a1 = sum(step ** (top - m) * sum(abs(x) for _, x in a) for m, a in left)
+            b1 = sum(abs(y) for _, b in right for _, y in b)
+            p1 = max(
+                sum(abs(x) for _, x in vec)
+                for column in columns.values() for m, _ in left for _, vec in column[m]
+            )
+            if self._t1 is None:  # found on the first product of several slots
+                self._t1 = max(sum(abs(t) for _, t in entry) for row in table for entry in row)
+            w = (a1 * b1 * p1 * self._t1).bit_length() + 1
+        packed = {}  # flip -> r -> the right entries of column r, packed along n
+        for n, b in right:
+            part = packed.setdefault(self.flipped and n % 2 == 1, {})
+            shift = w * (n - n0)
+            for r, y in b:
+                part[r] = part.get(r, 0) + (y << shift)
+        acc = {}  # output coordinate -> packed numerators over step ** top
+        for m, a in left:
+            scale = step ** (top - m)
+            for f, part in packed.items():
+                sums = {}  # s -> packed sum of y pi_i^m(e_r)[s] over the right terms
+                for r, y in part.items():
+                    for i, vec in columns[r][m]:
+                        y_i = y << w * (i - i_lo)
+                        for s, x in vec:
+                            sums[s] = sums.get(s, 0) + x * y_i
+                for s, v in sums.items():
+                    if v:  # add v a e_s, or v e_s a under the flip
+                        v *= scale
+                        for r, x in a:
+                            for k, t in table[s][r] if f else table[r][s]:
+                                acc[k] = acc.get(k, 0) + v * (x * t)
+        rows = {}  # output degree -> {k: numerator}
+        low, high = n0 + i_lo, n0 + i_lo + slots - 1  # the degrees of the first and last slot
+        mask, half = (1 << w) - 1, 1 << w >> 1
+        for k, v in acc.items():
+            for degree in range(low, high):
+                c = v & mask
+                v >>= w
+                if c & half:  # a negative slot borrowed one from the next
+                    c -= mask + 1
+                    v += 1
+                if c:
+                    rows.setdefault(degree, {})[k] = c
+            if v:
+                rows.setdefault(high, {})[k] = v
+        return dict(sorted(rows.items())), d
 
     def _identity(self, kind, slots):
         """The identity ``kind`` at the monomials e_i X^d of the ``(d, i)`` slots
@@ -307,14 +367,27 @@ class FlipPolyRing:
         return self.mul(Poly({m: a}), Poly({n: b})).coeffs
 
     def mul(self, p, q):
-        dp, left = _cleared(p.coeffs, self.coeff_algebra.dim)
-        dq, right = _cleared(q.coeffs, self.coeff_algebra.dim)
-        return Poly._trusted(self._cleared_product(left, right, dp * dq) if left and right else {})
+        dim = self.coeff_algebra.dim
+        dp, left = _cleared(p.coeffs, dim)
+        dq, right = _cleared(q.coeffs, dim)
+        if not (left and right):
+            return Poly._trusted({})
+        rows, d = self._cleared_product(left, right, dp * dq)
+        coeffs = {}
+        for degree, row in rows.items():
+            out = [row.get(k, 0) for k in range(dim)]
+            coeffs[degree] = AlgebraElement._trusted(
+                tuple(out) if d == 1
+                else tuple(x // d for x in out) if gcd(d, *out) == d  # integral
+                else tuple(simplify(Fraction(x, d)) for x in out)
+            )
+        return Poly._trusted(coeffs)
 
 
 def _cleared(coeffs, dim):
     """``(d, [(degree, [(index, int)])])``: the coefficients times one common
-    denominator d, as sparse integer vectors; a length other than ``dim`` raises ``ValueError``."""
+    denominator d, as sparse integer vectors, in the ascending degree order of
+    a ``Poly``; a length other than ``dim`` raises ``ValueError``."""
     den, terms = 0, []  # den stays 0 while every entry is an int
     for degree, c in coeffs.items():
         if len(c.coords) != dim:
@@ -326,16 +399,11 @@ def _cleared(coeffs, dim):
         terms.append((degree, pairs))
     if not den:
         return 1, terms
-    return den, [(degree, [(r, int(x * den)) for r, x in pairs]) for degree, pairs in terms]
-
-
-def _times_basis(table, a, s, flip):
-    """a e_s, or e_s a when ``flip``, for the sparse integer vector a, as sparse pairs."""
-    out = [0] * len(table)
-    for r, x in a:
-        for k, t in table[s][r] if flip else table[r][s]:
-            out[k] += x * t
-    return tuple((k, c) for k, c in enumerate(out) if c)
+    return den, [
+        (degree, [(r, x * den if type(x) is int else den // x.denominator * x.numerator)
+                  for r, x in pairs])
+        for degree, pairs in terms
+    ]
 
 
 def _integer_table(algebra):
@@ -367,10 +435,28 @@ def ordinary_ring(algebra):
 
 
 # ------------------------------------------------------------------ axiom checks
-@dataclass
 class AxiomFailure:
-    axiom: str
-    witness: str
+    """A failed identity; ``witness`` is its text, or a callable that renders
+    the text when ``witness`` is first read."""
+
+    __slots__ = ("axiom", "_witness")
+
+    def __init__(self, axiom, witness):
+        self.axiom, self._witness = axiom, witness
+
+    @property
+    def witness(self):
+        if callable(self._witness):
+            self._witness = self._witness()
+        return self._witness
+
+    def __eq__(self, other):
+        if isinstance(other, AxiomFailure):
+            return (self.axiom, self.witness) == (other.axiom, other.witness)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"AxiomFailure(axiom={self.axiom!r}, witness={self.witness!r})"
 
 
 @dataclass
@@ -410,7 +496,7 @@ def check_axioms(ring, family, degree_bound):
     for axiom, ok, witness in _axiom_checks(ring, family, degree_bound):
         report.checked += 1
         if not ok:
-            report.failures.append(AxiomFailure(axiom, witness()))
+            report.failures.append(AxiomFailure(axiom, witness))
     return report
 
 
@@ -419,9 +505,9 @@ def _axiom_checks(ring, family, degree_bound):
 
     Every ring product is read from the basis-monomial table ``ring._basis``
     as sparse ``((degree, k), coeff)`` terms, the slot of e_i X^d being
-    ``(d, i)``; a ``Poly`` is built only to render a failure.  ``witness()``
-    renders the failure text from the generator's current values, so it must
-    be called before the next check is drawn.
+    ``(d, i)``.  ``witness`` renders the failure text, with a ``Poly`` built
+    only there, from the values bound when the check is yielded, so a report
+    renders only the witnesses that are read.
     """
     algebra, table = ring.coeff_algebra, ring._basis
     dim, basis = algebra.dim, algebra.basis()
@@ -437,20 +523,22 @@ def _axiom_checks(ring, family, degree_bound):
         coeffs = {}
         for (degree, k), v in dict(terms).items():
             if v:
-                coeffs.setdefault(degree, [0] * dim)[k] = v
-        return poly_to_text(Poly({d: AlgebraElement(c) for d, c in coeffs.items()}))
+                coeffs.setdefault(degree, {})[k] = v
+        return poly_to_text(Poly({
+            d: AlgebraElement([c.get(k, 0) for k in indices]) for d, c in coeffs.items()
+        }))
 
     # power basis: (r X^m) X = r X^(m+1)
     for m, i in itertools.product(degrees, indices):
         lhs = table[m, i][x]
-        yield f"{family}1", lhs == (((m + 1, i), 1),), lambda: (
+        yield f"{family}1", lhs == (((m + 1, i), 1),), lambda m=m, i=i, lhs=lhs: (
             f"(rX^{m})X != rX^{m + 1} for r={basis[i].coords}: got {text(lhs)}"
         )
     # generator reduction: X r = sigma(r) X + delta(r)
     for i in indices:
         lhs = table[x][0, i]
         rhs = {(0, k): v for k, v in delta[i]} | {(1, k): v for k, v in sigma[i]}
-        yield f"{family}2", dict(lhs) == rhs, lambda: (
+        yield f"{family}2", dict(lhs) == rhs, lambda i=i, lhs=lhs, rhs=rhs: (
             f"Xr != sigma(r)X + delta(r) for r={basis[i].coords}: "
             f"{text(lhs)} vs {text(rhs)}"
         )
@@ -466,7 +554,7 @@ def _axiom_checks(ring, family, degree_bound):
                 for key, c in row[n, k]:
                     rhs[key] = rhs.get(key, 0) + v * c
             rhs = {key: v for key, v in rhs.items() if v}
-            yield "F3a", dict(lhs) == rhs, lambda: (
+            yield "F3a", dict(lhs) == rhs, lambda m=m, n=n, i=i, j=j, lhs=lhs, rhs=rhs: (
                 f"m={m} n={n} r={basis[i].coords} s={basis[j].coords}: "
                 f"{text(lhs)} vs {text(rhs)}"
             )
@@ -475,25 +563,26 @@ def _axiom_checks(ring, family, degree_bound):
             lhs = table[0, i][n, j]
             entry = algebra.table[j][i] if n % 2 else algebra.table[i][j]
             rhs = tuple(((n, k), c) for k, c in entry)
-            yield "F3b", lhs == rhs, lambda: (
+            yield "F3b", lhs == rhs, lambda n=n, i=i, j=j, lhs=lhs, rhs=rhs: (
                 f"n={n} r={basis[i].coords} s={basis[j].coords}: {text(lhs)} vs {text(rhs)}"
             )
     elif family == "N":
         # (X, p, q) in nucleus_right is (p, q, X); in nucleus_middle, (p, X, q)
         for j, k, b, c in itertools.product(degrees, degrees, indices, indices):
-            for kind, word in (("right", f"bX^{j}, cX^{k}, X"), ("middle", f"bX^{j}, X, cX^{k}")):
+            for kind, word in (("right", "bX^{j}, cX^{k}, X"), ("middle", "bX^{j}, X, cX^{k}")):
                 value = ring._identity(f"nucleus_{kind}", (x, (j, b), (k, c)))
-                yield "N3", not any(value.values()), lambda: (
-                    f"({word}) != 0 for b={basis[b].coords} c={basis[c].coords}: {text(value)}"
+                yield "N3", not any(value.values()), lambda j=j, k=k, b=b, c=c, w=word, v=value: (
+                    f"({w.format(j=j, k=k)}) != 0 for b={basis[b].coords} c={basis[c].coords}: "
+                    f"{text(v)}"
                 )
     else:  # "O": associativity sampled over all bounded monomial triples
         for i, j, k, a, b, c in itertools.product(
             degrees, degrees, degrees, indices, indices, indices
         ):
             value = ring._identity("nucleus_left", ((i, a), (j, b), (k, c)))
-            yield "O3", not any(value.values()), lambda: (
+            yield "O3", not any(value.values()), lambda i=i, j=j, k=k, a=a, b=b, c=c, v=value: (
                 f"(aX^{i}, bX^{j}, cX^{k}) != 0 for a={basis[a].coords} b={basis[b].coords} "
-                f"c={basis[c].coords}: {text(value)}"
+                f"c={basis[c].coords}: {text(v)}"
             )
 
 

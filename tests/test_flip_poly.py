@@ -351,6 +351,55 @@ def test_ring_mul_matches_pi_oracle_route(case):
     assert ring.mul(p, q) == _oracle_product(ring, p, q)
 
 
+_WIDE = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 6))
+
+
+@st.composite
+def _wide_operands(draw):
+    """A ring from ``_rings``, two operands of up to six terms each with
+    numerators up to 2^64 of both signs, and the degree where their product
+    cancels.  Each operand starts with two unit terms,
+    (g X^k + a X^(k+1)) (b X^n - (ab/g) X^(n+1)), n >= 1, whose product is
+    g b at degree n+k, 0 at n+k+1 and -a^2 b/g at n+k+2 (pi^m of the unit is
+    the unit at i = m).  The other terms skip a degree and sit at left
+    degrees above k+2 and right degrees above n+k+2, so none of their
+    products reaches degree n+k+2."""
+    ring = draw(_rings())
+    dim, one = ring.coeff_algebra.dim, ring.coeff_algebra.unit
+    g, a, b = (draw(_WIDE.filter(bool)) for _ in range(3))
+    k, n = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    coeff = st.lists(_WIDE, min_size=dim, max_size=dim).map(AlgebraElement)
+    left = {k: one.scaled(g), k + 1: one.scaled(a)}
+    left |= draw(st.dictionaries(st.integers(k + 3, 7), coeff, max_size=4))
+    right = {n: one.scaled(b), n + 1: one.scaled(-a * b / g)}
+    right |= draw(st.dictionaries(st.integers(n + k + 3, n + k + 9), coeff, max_size=4))
+    return ring, Poly(left), Poly(right), n + k + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wide_operands())
+def test_wide_products_match_pi_oracle_route(case):
+    """Products whose packed integers hold up to about 17 slots of 100 to 170
+    bits, with degree gaps, n0 > 0 and a slot that cancels between two
+    nonzero ones, equal the pi_oracle route."""
+    ring, p, q, cancelled = case
+    want = _oracle_product(ring, p, q)
+    assert cancelled not in want.coeffs
+    assert {cancelled - 1, cancelled + 1} <= set(want.coeffs)
+    assert ring.mul(p, q) == want
+
+
+def test_packed_slot_at_the_width_bound(algebras):
+    """A slot of 2^64 beside a slot of 1: the width bound is 2^64 + 1, so the
+    slot needs all bit_length(2^64 + 1) + 1 bits of its signed range."""
+    H = algebras["H"]
+    ring = FlipPolyRing(H, AdditiveMap.identity(4), AdditiveMap.zero(4), flipped=False)
+    for sign in (1, -1):
+        one = H.unit.scaled(sign)
+        want = Poly({1: one.scaled(2**64), 2: one})
+        assert ring.mul(ring.x(), Poly({0: one.scaled(2**64), 1: one})) == want
+
+
 def evaluate_identity(kind, values, mul):
     """The identity ``kind`` at ``values`` (for x, b, c), from the product ``mul``:
     the words of ``algebra_core.IDENTITIES`` multiplied out one by one."""
