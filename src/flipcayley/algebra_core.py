@@ -13,10 +13,10 @@ written once, in ``IDENTITIES``, as signed bracketed words.  One sparse
 kernel, ``identity_at``, evaluates them from a table of basis products: the
 algebra's ``table``, for the constraint rows and the predicates, or a ring's
 basis monomial products, for the brute-force oracles of ``structure_analysis``
-and for ``flip_poly.check_axioms``.
-``StarAlgebra.constraint_rows`` keeps only the distinct nonzero rows of each
-kind, and each kind is cached as its reduced row space alone.  The tests
-compare the kernel with dense rows built from the public ``mul``/``associator``.
+and for ``flip_poly.check_axioms``; ``identity_rows`` makes its constraint
+rows on either table, and ``StarAlgebra._nullspace`` solves them, each kind
+cached as its reduced row space alone.  The tests compare the kernel with
+dense rows built from the public ``mul``/``associator``.
 
 A Cayley-Dickson tower is monomial: e_i e_j = g(i, j) e_(i xor j), g nonzero,
 with a diagonal star (a twisted group algebra of (Z/2)^n).  There every
@@ -141,6 +141,17 @@ def identity_at(table, kind, slots):
                 for k, t in products:
                     out[k] = out.get(k, 0) - s * t
     return out
+
+
+def identity_rows(table, kind, xs, others):
+    """The distinct nonzero rows of the identity ``kind`` on an unknown x with
+    one column per slot of ``xs``: one block per tuple of slots of ``others``
+    for b (and c)."""
+    blocks = (
+        [identity_at(table, kind, (x,) + rest).items() for x in xs]
+        for rest in product(others, repeat=IDENTITY_ARITY[kind] - 1)
+    )
+    return linalg.constraint_rows(blocks, len(xs))
 
 
 class AlgebraElement:
@@ -375,27 +386,6 @@ class StarAlgebra:
         return self.cached("alternative", lambda: self.alternativity_witness() is None)
 
     # ------------------------------------------------------ structural subspaces
-    def constraint_rows(self, blocks):
-        """The distinct nonzero rows of stacked linear maps, given sparsely.
-
-        Each block lists the images of e_0, ..., e_(dim-1) under one linear
-        map, each image as ``(r, v)`` pairs (zero ``v`` allowed).  Its rows
-        are the transposed ``{x: v}``; zero rows and rows seen before are
-        dropped, and only the survivors are made dense, in first-seen order.
-        """
-        rows = {}  # sparse row -> None: an ordered set
-        for images in blocks:
-            block = {}
-            for x, image in enumerate(images):
-                for r, v in image:
-                    if v:
-                        block.setdefault(r, []).append((x, v))
-            rows.update(dict.fromkeys(tuple(row) for row in block.values()))
-        return tuple(
-            tuple(entries.get(x, 0) for x in range(self.dim))
-            for entries in map(dict, rows)
-        )
-
     def _rows(self, kind):
         """The distinct constraint rows of one kind on an unknown x.
 
@@ -413,18 +403,15 @@ class StarAlgebra:
             return [enumerate(f(e).coords) for e in basis]
 
         if kind in IDENTITIES:
-            blocks = (
-                [identity_at(self.table, kind, (x,) + rest).items() for x in range(n)]
-                for rest in product(range(n), repeat=IDENTITY_ARITY[kind] - 1)
-            )
-        elif kind == "star_fixed":
+            return identity_rows(self.table, kind, range(n), range(n))
+        if kind == "star_fixed":
             blocks = [images(lambda x: self.star(x) - x)]
         elif kind == "kill_star_skew":
             span = linalg.row_space([(self.star(b) - b).coords for b in basis], n)
             blocks = (images(lambda x, w=AlgebraElement(w): self.mul(x, w)) for w in span)
         else:
             raise ValueError(f"unknown constraint kind {kind!r}")
-        return self.constraint_rows(blocks)
+        return linalg.constraint_rows(blocks, n)
 
     def _has_monomial_table(self):
         """Whether each e_i e_j is a nonzero multiple of e_(i xor j) and each
@@ -482,14 +469,19 @@ class StarAlgebra:
                         for kind in kinds
                     )
                 )
-            rows = []
-            for kind in kinds:
-                rows.extend(self.cached(
-                    ("row_space", kind), lambda: linalg.row_space(self._rows(kind), self.dim)
-                ))
-            return tuple(AlgebraElement(v) for v in linalg.nullspace(rows, self.dim))
+            return self._nullspace(kinds, self._rows)
 
         return self.cached(("solve", kinds), build)
+
+    def _nullspace(self, keys, rows):
+        """Basis of the elements that every row of ``rows(key)`` kills, for each
+        key; each key enters as its cached reduced row space (at most dim rows)."""
+        stacked = []
+        for key in keys:
+            stacked.extend(self.cached(
+                ("row_space", key), lambda: linalg.row_space(rows(key), self.dim)
+            ))
+        return tuple(AlgebraElement(v) for v in linalg.nullspace(stacked, self.dim))
 
     def commuter_basis(self):
         return self._solve(("commuter",))

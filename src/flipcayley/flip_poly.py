@@ -21,14 +21,15 @@ degree.  Each pi image then adds a shifted multiple of that integer, and
 each output coordinate is one integer, unpacked once.  The width w comes
 from a bound on every output numerator that is proven from the operands,
 so no slot overflows into the next.  The ring's one product cache,
-``FlipPolyRing._basis``, holds basis-monomial products;
-``FlipPolyRing._identity`` and ``check_axioms`` read every product from it,
-and ``check_axioms`` reads its associators from ``algebra_core.IDENTITIES``.
+``FlipPolyRing._basis``, holds basis-monomial products; ``check_axioms``
+and the oracles of ``structure_analysis`` read every product from it
+through ``algebra_core.identity_at``.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -42,11 +43,11 @@ AXIOM_DEGREE_LIMIT = 8
 AXIOM_FAMILIES = ("O", "N", "F")
 
 
-class AdditiveMap:
-    """Additive (hence rational-linear) self-map of the coefficient algebra."""
+class AdditiveMap(linalg.LinearMap):
+    """Additive (so rational-linear) self-map of the coefficients: a ``LinearMap`` with a kind."""
 
     KINDS = ("sigma", "delta")
-    __slots__ = ("linear", "kind")
+    __slots__ = ("kind",)
 
     def __init__(self, matrix, kind):
         """``matrix`` is a ``linalg.LinearMap`` or the rows of a square matrix."""
@@ -54,22 +55,11 @@ class AdditiveMap:
             raise ValueError("kind must be 'sigma' or 'delta'")
         if not isinstance(matrix, linalg.LinearMap):
             matrix = linalg.LinearMap.from_rows(matrix)
-        self.linear = matrix
+        super().__init__(matrix.dim, matrix.cols, matrix.den)
         self.kind = kind
 
-    @property
-    def matrix(self):
-        return self.linear.matrix
-
     def __call__(self, elem):
-        return AlgebraElement._trusted(self.linear.apply(elem.coords))
-
-    def check_unit_constraint(self, algebra):
-        image = self(algebra.unit)
-        if self.kind == "sigma" and image != algebra.unit:
-            raise ValueError("sigma must map the unit to the unit")
-        if self.kind == "delta" and not image.is_zero():
-            raise ValueError("delta must map the unit to zero")
+        return AlgebraElement._trusted(self.apply(elem.coords))
 
     @classmethod
     def identity(cls, dim):
@@ -186,28 +176,31 @@ class FlipPolyRing:
 
     __slots__ = (
         "coeff_algebra", "sigma", "delta", "flipped", "_table", "_t1", "_step", "_columns",
-        "_basis",
+        "_basis", "_lock",
     )
 
     def __init__(self, coeff_algebra, sigma, delta, flipped):
         if sigma.kind != "sigma" or delta.kind != "delta":
             raise ValueError("maps must be passed as (sigma, delta)")
-        dim = coeff_algebra.dim
-        if sigma.linear.dim != dim or delta.linear.dim != dim:
+        dim, unit = coeff_algebra.dim, coeff_algebra.unit
+        if sigma.dim != dim or delta.dim != dim:
             raise ValueError("dimension mismatch")
-        sigma.check_unit_constraint(coeff_algebra)
-        delta.check_unit_constraint(coeff_algebra)
+        if sigma(unit) != unit:
+            raise ValueError("sigma must map the unit to the unit")
+        if not delta(unit).is_zero():
+            raise ValueError("delta must map the unit to zero")
         self.coeff_algebra = coeff_algebra
         self.sigma, self.delta = sigma, delta
         self.flipped = bool(flipped)
         self._table = _integer_table(coeff_algebra)
         self._t1 = None  # the largest 1-norm of an entry of the integer table
         # (den, ((degree shift, columns, den / their denominator), ...)): sigma, a nonzero delta
-        den = lcm(sigma.linear.den, delta.linear.den)
-        maps = (1, sigma.linear), (0, delta.linear)
+        den = lcm(sigma.den, delta.den)
+        maps = (1, sigma), (0, delta)
         self._step = den, tuple((k, f.cols, den // f.den) for k, f in maps if not f.is_zero())
         self._columns = [(((0, ((j, 1),)),),) for j in range(dim)]
         self._basis = _BasisProducts(self)
+        self._lock = threading.Lock()  # held to publish a column
 
     def x(self):
         return Poly({1: self.coeff_algebra.unit})
@@ -232,7 +225,10 @@ class FlipPolyRing:
                 (i, v) for i, out in sorted(nxt.items())
                 if (v := tuple((t, c) for t, c in enumerate(out) if c))
             ))
-        column = self._columns[j] = tuple(levels)
+        column = tuple(levels)
+        with self._lock:  # another thread may have published a deeper column meanwhile
+            if len(column) > len(self._columns[j]):
+                self._columns[j] = column
         return column
 
     def pi_matrix(self, i, m):
@@ -356,11 +352,6 @@ class FlipPolyRing:
             if v:
                 rows.setdefault(high, {})[k] = v
         return dict(sorted(rows.items())), d
-
-    def _identity(self, kind, slots):
-        """The identity ``kind`` at the monomials e_i X^d of the ``(d, i)`` slots
-        for x, b, c, as ``{(degree, k): coeff}`` (zero coefficients may remain)."""
-        return identity_at(self._basis, kind, slots)
 
     def monomial_product(self, m, a, n, b):
         """(a X^m)(b X^n) as a dict degree -> coefficient."""
@@ -516,7 +507,7 @@ def _axiom_checks(ring, family, degree_bound):
     # column j of sigma and of delta: the (k, entry) of sigma(e_j), delta(e_j)
     sigma, delta = (
         [[(k, simplify(Fraction(v, f.den))) for k, v in col] for col in f.cols]
-        for f in (ring.sigma.linear, ring.delta.linear)
+        for f in (ring.sigma, ring.delta)
     )
 
     def text(terms):  # sparse terms as a Poly's text, zero coefficients dropped
@@ -570,7 +561,7 @@ def _axiom_checks(ring, family, degree_bound):
         # (X, p, q) in nucleus_right is (p, q, X); in nucleus_middle, (p, X, q)
         for j, k, b, c in itertools.product(degrees, degrees, indices, indices):
             for kind, word in (("right", "bX^{j}, cX^{k}, X"), ("middle", "bX^{j}, X, cX^{k}")):
-                value = ring._identity(f"nucleus_{kind}", (x, (j, b), (k, c)))
+                value = identity_at(table, f"nucleus_{kind}", (x, (j, b), (k, c)))
                 yield "N3", not any(value.values()), lambda j=j, k=k, b=b, c=c, w=word, v=value: (
                     f"({w.format(j=j, k=k)}) != 0 for b={basis[b].coords} c={basis[c].coords}: "
                     f"{text(v)}"
@@ -579,7 +570,7 @@ def _axiom_checks(ring, family, degree_bound):
         for i, j, k, a, b, c in itertools.product(
             degrees, degrees, degrees, indices, indices, indices
         ):
-            value = ring._identity("nucleus_left", ((i, a), (j, b), (k, c)))
+            value = identity_at(table, "nucleus_left", ((i, a), (j, b), (k, c)))
             yield "O3", not any(value.values()), lambda i=i, j=j, k=k, a=a, b=b, c=c, v=value: (
                 f"(aX^{i}, bX^{j}, cX^{k}) != 0 for a={basis[a].coords} b={basis[b].coords} "
                 f"c={basis[c].coords}: {text(v)}"
@@ -593,7 +584,7 @@ def even_square_ring(ring):
     The parity grading (``quotient_iso.psi_inv``) requires
     sigma*delta + delta*sigma = 0, trivially true for delta = 0.
     """
-    sigma, delta = ring.sigma.linear, ring.delta.linear
+    sigma, delta = ring.sigma, ring.delta
     if not (sigma.compose(delta) + delta.compose(sigma)).is_zero():
         raise ValueError("grading requires sigma*delta + delta*sigma = 0")
     return FlipPolyRing(

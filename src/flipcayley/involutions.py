@@ -20,11 +20,7 @@ from .flip_poly import Poly
 
 def _require_star_skew(ring):
     algebra = ring.coeff_algebra
-    if (
-        not ring.flipped
-        or ring.sigma.linear != algebra.involution
-        or not ring.delta.linear.is_zero()
-    ):
+    if not ring.flipped or ring.sigma != algebra.involution or not ring.delta.is_zero():
         raise ValueError(
             "requires the flipped ring with sigma equal to the involution and delta zero"
         )

@@ -6,10 +6,11 @@ canonical representative of a subspace is the reduced row echelon basis of
 its span; two subspaces are equal iff their canonical bases are equal tuples.
 ``RowReducer`` keeps that basis as sparse tails after each pivot, with
 integral entries kept as ``int``, answers membership in the span, and
-rejects rows whose length is not its column count with ``ValueError``.
-``LinearMap`` is the one sparse type for linear self-maps (an algebra's star
-map, sigma and delta, a ring's ``pi_matrix``): integer columns over one
-common denominator.
+rejects rows whose length is not its column count with ``ValueError``;
+``span`` returns one that holds the given vectors.  ``constraint_rows`` is
+the one constraint-row builder.  ``LinearMap`` is the one sparse type for
+linear self-maps (an algebra's star map, a ring's ``pi_matrix``, sigma and
+delta as ``flip_poly.AdditiveMap``): integer columns over one denominator.
 """
 
 from __future__ import annotations
@@ -41,15 +42,15 @@ class LinearMap:
         self.cols = cols
         self.den = den
 
-    @classmethod
-    def from_rows(cls, matrix):
+    @staticmethod
+    def from_rows(matrix):
         """The map of a square matrix given as rows of ints or Fractions."""
         rows = tuple(tuple(simplify(c) for c in row) for row in matrix)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
         den = lcm(1, *(c.denominator for row in rows for c in row if type(c) is not int))
-        return cls(
+        return LinearMap(
             n,
             tuple(
                 tuple((i, int(rows[i][j] * den)) for i in range(n) if rows[i][j])
@@ -216,14 +217,36 @@ class RowReducer:
         return row_space(vectors, self.ncols)
 
 
-def row_space(vectors, ncols):
-    """Canonical (reduced echelon) basis of the span of the given vectors."""
+def span(vectors, ncols):
+    """A ``RowReducer`` holding the span of the given vectors."""
     red = RowReducer(ncols)
     red.add_many(vectors)
-    return red.rows()
+    return red
+
+
+def row_space(vectors, ncols):
+    """Canonical (reduced echelon) basis of the span of the given vectors."""
+    return span(vectors, ncols).rows()
 
 
 def nullspace(rows, ncols):
-    red = RowReducer(ncols)
-    red.add_many(rows)
-    return red.nullspace()
+    return span(rows, ncols).nullspace()
+
+
+def constraint_rows(blocks, ncols):
+    """The distinct nonzero rows of stacked linear maps, given sparsely.
+
+    Each block lists the images of the ``ncols`` unknowns under one linear
+    map, each image as ``(r, v)`` pairs (zero ``v`` allowed).  Its rows are
+    the transposed ``{x: v}``; zero rows and rows seen before are dropped,
+    and only the survivors are made dense, in first-seen order.
+    """
+    rows = {}  # sparse row -> None: an ordered set
+    for images in blocks:
+        block = {}
+        for x, image in enumerate(images):
+            for r, v in image:
+                if v:
+                    block.setdefault(r, []).append((x, v))
+        rows.update(dict.fromkeys(tuple(row) for row in block.values()))
+    return tuple(tuple(entries.get(x, 0) for x in range(ncols)) for entries in map(dict, rows))

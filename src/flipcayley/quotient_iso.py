@@ -60,14 +60,12 @@ class QuotientRing:
         return Poly({0: AlgebraElement(u.coords[:n]), 1: AlgebraElement(u.coords[n:])})
 
     def reduce(self, p):
-        """Fold each X^(2n) term into mu^n and each X^(2n+1) term into mu^n X."""
-        a = b = self.algebra.zero()
-        for degree, coeff in p.coeffs.items():
-            folded = coeff.scaled(self.mu ** (degree // 2))
-            if degree % 2 == 0:
-                a = a + folded
-            else:
-                b = b + folded
+        """The halves of ``psi_inv`` at t = mu: X^(2n) -> mu^n, X^(2n+1) -> mu^n X."""
+        pair = psi_inv(self.algebra, p)
+        a, b = (
+            sum((c.scaled(self.mu ** d) for d, c in half.coeffs.items()), self.algebra.zero())
+            for half in (pair.p, pair.q)
+        )
         return AlgebraElement._trusted(a.coords + b.coords)
 
     def mul(self, u, v):
@@ -125,11 +123,7 @@ def psi_inv(algebra, p):
 
     The even slot is the layer ``flip_poly.even_square_ring`` multiplies in.
     """
-    even = {}
-    odd = {}
+    halves = ({}, {})  # even, odd; each stays sorted and free of zeros
     for degree, coeff in p.coeffs.items():
-        if degree % 2 == 0:
-            even[degree // 2] = coeff
-        else:
-            odd[degree // 2] = coeff
-    return PolyPair(Poly(even), Poly(odd))
+        halves[degree % 2][degree // 2] = coeff
+    return PolyPair(*map(Poly._trusted, halves))

@@ -10,8 +10,9 @@ slots (degrees 0 and 1 already generate every constraint; one more is a
 safety margin).  The test suites require the two routes to coincide.  The
 oracles (this one and ``x_in_nucleus_bruteforce``) read the commutator and
 associators from ``algebra_core.IDENTITIES``, the words behind the criteria's
-row kinds, through ``FlipPolyRing._identity``: every product they use is a
-cached ring product of two basis monomials.
+row kinds, with ``identity_at`` on the ring's cached basis-monomial products,
+and the degreewise one builds and solves its rows as the criteria do, with
+``identity_rows`` and ``StarAlgebra._nullspace``.
 
 The map-shape predicates (sigma an endomorphism, delta a left or right
 sigma-derivation) are laws checked on every basis pair by one loop.
@@ -28,10 +29,11 @@ over a non-commutative one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from . import linalg
-from .algebra_core import IDENTITY_ARITY, AlgebraElement, identity_at
+from .algebra_core import identity_at, identity_rows
 from .flip_poly import star_skew_ring
 
 SET_KINDS = ("commuter", "left_right_nucleus", "middle_nucleus", "nucleus", "center")
@@ -112,17 +114,14 @@ def x_in_nucleus(ring, side):
             and delta_is_right_sigma_derivation(ring)
         )
     if side == "middle":
-        reducer = linalg.RowReducer(algebra.dim)
-        for e in algebra.basis():
-            reducer.add(ring.sigma(e).coords)
+        reducer = linalg.span((ring.sigma(e).coords for e in algebra.basis()), algebra.dim)
         changed = True
         while changed:
             changed = False
             for row in reducer.rows():
-                if reducer.add(ring.delta.linear.apply(row)):
+                if reducer.add(ring.delta.apply(row)):
                     changed = True
-        commuter = linalg.RowReducer(algebra.dim)
-        commuter.add_many(e.coords for e in algebra.commuter_basis())
+        commuter = linalg.span((e.coords for e in algebra.commuter_basis()), algebra.dim)
         return all(commuter.contains(row) for row in reducer.rows())
     return algebra.is_commutative()
 
@@ -137,7 +136,7 @@ def x_in_nucleus_bruteforce(ring, side, degree_bound=4):
     x = (1, 0)  # the generator X = e_0 X
     degrees, indices = range(degree_bound + 1), range(ring.coeff_algebra.dim)
     return not any(
-        any(ring._identity(kind, (x, (j, b), (k, c))).values())
+        any(identity_at(ring._basis, kind, (x, (j, b), (k, c))).values())
         for j, k, b, c in product(degrees, degrees, indices, indices)
     )
 
@@ -157,8 +156,7 @@ def ring_is_associative_criterion(ring):
 
 def _norms_commute(algebra):
     """a a* commutes with everything, decided through its char-0 polarization."""
-    commuter = linalg.RowReducer(algebra.dim)
-    commuter.add_many(e.coords for e in algebra.commuter_basis())
+    commuter = linalg.span((e.coords for e in algebra.commuter_basis()), algebra.dim)
     basis = algebra.basis()
     for i, a in enumerate(basis):
         for b in basis[i:]:
@@ -203,8 +201,7 @@ def b_alternative_criterion(algebra):
         return False
     if not _norms_commute(algebra):
         return False
-    nucleus = linalg.RowReducer(algebra.dim)
-    nucleus.add_many(e.coords for e in algebra.nucleus_basis("full"))
+    nucleus = linalg.span((e.coords for e in algebra.nucleus_basis("full")), algebra.dim)
     for a in algebra.basis():
         v = a.scaled(2) + algebra.star(a)
         if not nucleus.contains(v.coords):
@@ -289,29 +286,13 @@ def z_star_of_b(algebra, bound):
 
 
 # ----------------------------------------------------- degreewise sets: brute force
-def _brute_primitive_rows(algebra, ring, degree, kind):
-    """The reduced row space of the rows of the identity ``kind`` on the degree-
-    ``degree`` coefficient: one per (degree, coordinate) of its ring value."""
-
-    def build():
-        n = algebra.dim
-        window = range(BRUTE_DEGREE_WINDOW + 1)
-        others = IDENTITY_ARITY[kind] - 1
-        blocks = (
-            [ring._identity(kind, ((degree, a),) + tuple(zip(ds, es))).items() for a in range(n)]
-            for ds in product(window, repeat=others)
-            for es in product(range(n), repeat=others)
-        )
-        return linalg.row_space(algebra.constraint_rows(blocks), n)
-
-    return algebra.cached(("brute_rows", degree, kind), build)
-
-
-def _brute_nullspace(algebra, ring, degree, kinds):
-    rows = []
-    for kind in kinds:
-        rows.extend(_brute_primitive_rows(algebra, ring, degree, kind))
-    return tuple(AlgebraElement(v) for v in linalg.nullspace(rows, algebra.dim))
+def _brute_primitive_rows(ring, key):
+    """The rows of the identity ``kind`` on the degree-``degree`` coefficient,
+    for ``key = (degree, kind)``: one per (degree, coordinate) of its ring value."""
+    degree, kind = key
+    n = ring.coeff_algebra.dim
+    others = product(range(BRUTE_DEGREE_WINDOW + 1), range(n))
+    return identity_rows(ring._basis, kind, [(degree, a) for a in range(n)], others)
 
 
 def degreewise_set_bruteforce(algebra, which, bound):
@@ -326,10 +307,12 @@ def degreewise_set_bruteforce(algebra, which, bound):
     if not 0 <= bound <= BRUTE_BOUND_LIMIT:
         raise ValueError(f"bound must be between 0 and {BRUTE_BOUND_LIMIT}")
     ring = algebra.cached("star_skew_ring", lambda: star_skew_ring(algebra))
+    rows = partial(_brute_primitive_rows, ring)
     per_degree = {}
     for degree in range(bound + 1):
         first, *others = (
-            _brute_nullspace(algebra, ring, degree, kinds) for kinds in _BRUTE_KINDS[which]
+            algebra._nullspace([(degree, kind) for kind in kinds], rows)
+            for kinds in _BRUTE_KINDS[which]
         )
         for other in others:
             if other != first:

@@ -400,7 +400,7 @@ def test_constraint_rows_transpose_and_drop_zero_and_repeated_rows(algebras):
         [{1: 2, 0: 3}.items(), {0: 0}.items()],  # rows (2, 0) and (3, 0)
         [[(1, 2)], [(1, 3)]],  # (2, 3) again
     ]
-    assert C.constraint_rows(blocks) == ((2, 3), (2, 0), (3, 0))
+    assert linalg.constraint_rows(blocks, C.dim) == ((2, 3), (2, 0), (3, 0))
 
 
 # ------------------------------------- sign matrix against the general kernel

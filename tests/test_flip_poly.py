@@ -25,7 +25,7 @@ from flipcayley import (
     star_skew_ring,
     tower,
 )
-from flipcayley.algebra_core import _TERMS, IDENTITIES
+from flipcayley.algebra_core import _TERMS, IDENTITIES, identity_at
 from flipcayley.flip_poly import (
     AxiomFailure,
     AxiomReport,
@@ -142,7 +142,7 @@ PI_RECURSION_DEGREE = 40
 def _right_recursion_pi(ring, top):
     """Levels ``{i: LinearMap}`` of pi_i^m for m <= top, zero maps dropped, by
     the right recursion pi_i^(m+1) = pi_(i-1)^m o sigma + pi_i^m o delta."""
-    sigma, delta = ring.sigma.linear, ring.delta.linear
+    sigma, delta = ring.sigma, ring.delta
     levels = [{0: linalg.LinearMap.identity(sigma.dim)}]
     for _ in range(top):
         nxt = {}
@@ -418,7 +418,7 @@ def evaluate_identity(kind, values, mul):
 @settings(max_examples=60, deadline=None)
 @given(_rings(), st.data())
 def test_identity_kernel_matches_ring_mul_route(ring, data):
-    """``FlipPolyRing._identity`` against the identity's words read with
+    """``identity_at`` on ``FlipPolyRing._basis`` against the identity's words read with
     ``ring.mul`` on monomial ``Poly`` operands."""
     basis = ring.coeff_algebra.basis()
     kind = data.draw(st.sampled_from(sorted(IDENTITIES)))
@@ -426,7 +426,7 @@ def test_identity_kernel_matches_ring_mul_route(ring, data):
     slots = tuple(data.draw(slot) for _ in range(3))
     value = evaluate_identity(kind, [Poly({d: basis[i]}) for d, i in slots], ring.mul)
     want = {(d, k): v for d, c in value.coeffs.items() for k, v in enumerate(c.coords) if v}
-    assert {key: v for key, v in ring._identity(kind, slots).items() if v} == want
+    assert {key: v for key, v in identity_at(ring._basis, kind, slots).items() if v} == want
 
 
 def test_basis_products_keep_operand_order(algebras):
@@ -541,7 +541,35 @@ def test_shared_ring_across_threads(algebras):
     assert len(single) == len(degrees) ** 2
     assert all(product == expected_single[d] for d, product in single)
     top = max(degrees)
+    # no extension of a column was lost: each column read is as deep as the deepest product
+    assert all(len(shared._columns[r]) > top for r in (1, 2, 3))
     assert all(shared.pi_matrix(i, top) == fresh.pi_matrix(i, top) for i in range(top + 1))
+
+
+def test_shallow_extension_keeps_a_deeper_column(algebras):
+    """Two extensions of one pi column start from the same tuple, and the
+    deeper one is published first: here it runs from inside the shallower
+    one's loop, the interleaving two threads can take.  The shallower one
+    must not replace the deeper column when it finishes."""
+    H = algebras["H"]
+
+    def make_ring():
+        return FlipPolyRing(H, AdditiveMap.from_star(H), shift_map(4), flipped=True)
+
+    ring, deep = make_ring(), []
+
+    class Interleaved(tuple):  # sigma's columns; the first read runs the deeper extension
+        def __getitem__(self, k):
+            if not deep:
+                deep.append(None)  # before the nested call, which reads these columns too
+                deep[0] = ring._column(1, 20)
+            return tuple.__getitem__(self, k)
+
+    den, steps = ring._step
+    ring._step = den, tuple((shift, Interleaved(cols), scale) for shift, cols, scale in steps)
+    shallow = ring._column(1, 5)
+    assert len(shallow) == 6 and len(deep[0]) == 21
+    assert ring._columns[1] == deep[0] == make_ring()._column(1, 20)
 
 
 # ---------------------------------------------------------------------- the flip
@@ -825,6 +853,18 @@ def test_poly_invariants():
     assert p.degree() == 2
     assert Poly().degree() == -1
     assert p.coeff(1, 2).is_zero()
+
+
+def test_additive_map_is_a_linear_map_with_a_kind(algebras):
+    H = algebras["H"]
+    sigma, delta = AdditiveMap.from_star(H), shift_map(4)
+    assert isinstance(sigma, linalg.LinearMap) and sigma.kind == "sigma"
+    assert sigma == H.involution == AdditiveMap.from_rows(H.involution.matrix)
+    ring = FlipPolyRing(H, sigma, delta, flipped=True)
+    assert ring.sigma.matrix == ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
+    assert ring.delta.matrix == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"maps must be passed as \(sigma, delta\)"):
+        FlipPolyRing(H, delta, sigma, flipped=True)
 
 
 def test_additive_map_unit_constraints(algebras):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,7 @@ from flipcayley import (
     tower,
 )
 from flipcayley import structure_analysis as sa
-from flipcayley.algebra_core import NUCLEUS_SIDES
+from flipcayley.algebra_core import NUCLEUS_SIDES, identity_at
 from flipcayley.flip_poly import AdditiveMap, FlipPolyRing, check_axioms
 from conftest import (
     exchange_algebras,
@@ -118,6 +119,21 @@ def test_associativity_criterion(algebras):
     assert sa.ring_is_associative_criterion(star_skew_ring(algebras["C"]))
     assert not sa.ring_is_associative_criterion(star_skew_ring(algebras["H"]))
     assert sa.ring_is_associative_criterion(ordinary_ring(algebras["R"]))
+
+
+def test_associativity_criterion_matches_the_ring_associators(algebras):
+    """The criterion against every associator (a X^i, b X^j, c X^k) of basis
+    monomials of degree <= 2, read from the ring's cached products."""
+    answers = set()
+    for name, s, d, ring in random_sigma_delta_rings(algebras):
+        slots = list(product(range(3), range(ring.coeff_algebra.dim)))
+        associative = not any(
+            any(identity_at(ring._basis, "nucleus_left", triple).values())
+            for triple in product(slots, repeat=3)
+        )
+        assert sa.ring_is_associative_criterion(ring) == associative, (name, s, d)
+        answers.add(associative)
+    assert answers == {True, False}
 
 
 def test_criteria_reject_unflipped_rings_over_noncommutative_algebras(algebras):
@@ -437,7 +453,7 @@ def test_brute_row_spaces_span_the_raw_rows(algebras):
         top = sa.BRUTE_BOUND_LIMIT if A.dim <= 4 else sa.BRUTE_DEGREE_WINDOW
         for degree in range(top + 1):
             for kind in _BRUTE_PRIMITIVES:
-                got = sa._brute_primitive_rows(A, ring, degree, kind)
+                got = linalg.row_space(sa._brute_primitive_rows(ring, (degree, kind)), A.dim)
                 raw = _raw_brute_rows(A, mul, degree, kind)
                 if name == "H":
                     assert len(raw) > A.dim, (degree, kind)
