@@ -27,7 +27,6 @@ from .flip_poly import (
 )
 from .involutions import alpha, beta, degree_one_extension_violations
 from .quotient_iso import (
-    PolyPair,
     QuotientRing,
     cayley_t_mul,
     cayley_t_star,
@@ -44,7 +43,6 @@ __all__ = [
     "FlipPolyRing",
     "NAMED_TOWERS",
     "Poly",
-    "PolyPair",
     "QuotientRing",
     "StarAlgebra",
     "alpha",

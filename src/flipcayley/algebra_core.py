@@ -26,8 +26,8 @@ On such a table each identity at (x, b, c) is one scalar times
 e_(x xor b xor c), a signed sum of products g(p, q) g(p xor q, r); each word
 of ``IDENTITIES`` is compiled once into that sum.  The predicate walks and
 the per-element vanishing tests read it from the algebra's cached sign
-matrix; ``identity_at`` stays the general kernel and their oracle, and
-builds each witness's value.
+matrix (None off such tables); ``identity_at`` stays the general kernel and
+their oracle, and builds each witness's value.
 """
 
 from __future__ import annotations
@@ -199,9 +199,6 @@ class AlgebraElement:
     def __hash__(self):
         return hash(self.coords)
 
-    def __len__(self):
-        return len(self.coords)
-
     def __repr__(self):
         return f"AlgebraElement({list(self.coords)!r})"
 
@@ -308,9 +305,6 @@ class StarAlgebra:
     def star(self, x):
         return AlgebraElement._trusted(self.involution.apply(x.coords))
 
-    def commutator(self, x, y):
-        return self.mul(x, y) - self.mul(y, x)
-
     def associator(self, x, y, z):
         return self.mul(self.mul(x, y), z) - self.mul(x, self.mul(y, z))
 
@@ -338,8 +332,9 @@ class StarAlgebra:
         fails, followed by its value there; None if it never fails.  On a
         monomial table the walk reads the sign matrix, and ``identity_at``
         builds the value at the first failing indices alone."""
-        if self._has_monomial_table():
-            index_tuples = filter(partial(_SIGN_WORDS[kind], self._signs()), index_tuples)
+        signs = self._signs()
+        if signs is not None:
+            index_tuples = filter(partial(_SIGN_WORDS[kind], signs), index_tuples)
         for indices in index_tuples:
             v = identity_at(self.table, kind, indices)
             if any(v.values()):
@@ -413,24 +408,21 @@ class StarAlgebra:
             raise ValueError(f"unknown constraint kind {kind!r}")
         return linalg.constraint_rows(blocks, n)
 
-    def _has_monomial_table(self):
-        """Whether each e_i e_j is a nonzero multiple of e_(i xor j) and each
-        e_j* is +-e_j, as in every Cayley-Dickson tower."""
+    def _signs(self):
+        """The sign matrix g with e_i e_j = g[i][j] e_(i xor j), g nonzero, when
+        the table is monomial and each e_j* is +-e_j, as in every Cayley-Dickson
+        tower; None otherwise."""
 
         def build():
             den, cols = self.involution.den, self.involution.cols
-            return all(
+            if all(
                 len(entry) == 1 and entry[0][0] == i ^ j
                 for i, row in enumerate(self.table) for j, entry in enumerate(row)
-            ) and all(col in (((j, den),), ((j, -den),)) for j, col in enumerate(cols))
+            ) and all(col in (((j, den),), ((j, -den),)) for j, col in enumerate(cols)):
+                return tuple(tuple(entry[0][1] for entry in row) for row in self.table)
+            return None
 
-        return self.cached("monomial", build)
-
-    def _signs(self):
-        """The sign matrix g of a monomial table: e_i e_j = g[i][j] e_(i xor j)."""
-        return self.cached(
-            "signs", lambda: tuple(tuple(entry[0][1] for entry in row) for row in self.table)
-        )
+        return self.cached("signs", build)
 
     def _vanishes_at(self, kind, a):
         """Whether every row of ``_rows(kind)`` vanishes at e_a, on a monomial
@@ -460,7 +452,7 @@ class StarAlgebra:
         """
 
         def build():
-            if self._has_monomial_table():
+            if self._signs() is not None:
                 return tuple(
                     basis_element(self.dim, a)
                     for a in range(self.dim)

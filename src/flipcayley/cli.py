@@ -265,6 +265,8 @@ def cmd_quotient(args):
         raise CliError(f"bad --mu value: {exc}") from None
     doubled_dim = 2 * algebra.dim
     if args.action == "table":
+        if args.operands:
+            raise CliError("quotient table takes no element literals")
         _print_algebra(quotient.to_star_algebra(), args.json)
         return 0
     if args.action == "mul":

@@ -280,8 +280,7 @@ class FlipPolyRing:
         for _, b in right:
             for r, _ in b:
                 if r not in columns:
-                    column = self._columns[r]
-                    columns[r] = column if len(column) > top else self._column(r, top)
+                    columns[r] = self._column(r, top)
         i_lo, i_hi = top, -1  # the range of i over the levels read
         for column in columns.values():
             for m, _ in left:

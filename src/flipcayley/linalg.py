@@ -189,10 +189,6 @@ class RowReducer:
         self._tails[pivot] = new
         return True
 
-    def add_many(self, vectors):
-        for v in vectors:
-            self.add(v)
-
     def rows(self):
         out = []
         for p in sorted(self._tails):
@@ -220,7 +216,8 @@ class RowReducer:
 def span(vectors, ncols):
     """A ``RowReducer`` holding the span of the given vectors."""
     red = RowReducer(ncols)
-    red.add_many(vectors)
+    for v in vectors:
+        red.add(v)
     return red
 
 

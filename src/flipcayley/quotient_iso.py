@@ -12,29 +12,19 @@ by construction).  The ring does not depend on mu: every quotient of one
 algebra reads the algebra's cached ``star_skew_ring``, the ring the
 brute-force oracles also use.
 
-The un-quotiented ring is itself a double: of the ordinary polynomial
-algebra in a central variable t, with t as the doubling scalar.  The
-identification substitutes t -> X^2 in the first slot and t -> X^2 followed
-by a right factor X in the second.
+The un-quotiented ring is itself a double, on plain pairs ``(p, q)``: of the
+ordinary polynomial algebra in a central variable t, with t as the doubling
+scalar.  The identification substitutes t -> X^2 in p and t -> X^2 followed
+by a right factor X in q.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .algebra_core import AlgebraElement, StarAlgebra, basis_element
 from .flip_poly import Poly, ordinary_ring, star_skew_ring
 from .involutions import alpha
 from .linalg import LinearMap
 from .scalars import simplify
-
-
-@dataclass(frozen=True)
-class PolyPair:
-    """Element (p, q) of the double of the ordinary polynomial algebra."""
-
-    p: Poly
-    q: Poly
 
 
 class QuotientRing:
@@ -61,10 +51,9 @@ class QuotientRing:
 
     def reduce(self, p):
         """The halves of ``psi_inv`` at t = mu: X^(2n) -> mu^n, X^(2n+1) -> mu^n X."""
-        pair = psi_inv(self.algebra, p)
         a, b = (
             sum((c.scaled(self.mu ** d) for d, c in half.coeffs.items()), self.algebra.zero())
-            for half in (pair.p, pair.q)
+            for half in psi_inv(self.algebra, p)
         )
         return AlgebraElement._trusted(a.coords + b.coords)
 
@@ -101,29 +90,30 @@ def cayley_t_mul(algebra, u, v):
     on one algebra share its cached ordinary ring.
     """
     ring = algebra.cached("ordinary_ring", lambda: ordinary_ring(algebra))
-    p, q, r, s = u.p, u.q, v.p, v.q
+    (p, q), (r, s) = u, v
     first = ring.mul(p, r) + _t_shift(ring.mul(_star_coeffwise(algebra, s), q))
     second = ring.mul(s, p) + ring.mul(q, _star_coeffwise(algebra, r))
-    return PolyPair(first, second)
+    return first, second
 
 
 def cayley_t_star(algebra, u):
-    return PolyPair(_star_coeffwise(algebra, u.p), -u.q)
+    return _star_coeffwise(algebra, u[0]), -u[1]
 
 
 def psi(algebra, pair):
     """(p(t), q(t)) -> p(X^2) + q(X^2) X."""
-    acc = {2 * d: c for d, c in pair.p.coeffs.items()}
-    acc.update({2 * d + 1: c for d, c in pair.q.coeffs.items()})
+    p, q = pair
+    acc = {2 * d: c for d, c in p.coeffs.items()}
+    acc.update({2 * d + 1: c for d, c in q.coeffs.items()})
     return Poly(acc)
 
 
 def psi_inv(algebra, p):
-    """Split by degree parity; inverse of ``psi``.
+    """Split by degree parity into the pair ``(even, odd)``; inverse of ``psi``.
 
     The even slot is the layer ``flip_poly.even_square_ring`` multiplies in.
     """
     halves = ({}, {})  # even, odd; each stays sorted and free of zeros
     for degree, coeff in p.coeffs.items():
         halves[degree % 2][degree // 2] = coeff
-    return PolyPair(*map(Poly._trusted, halves))
+    return tuple(map(Poly._trusted, halves))

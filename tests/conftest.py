@@ -57,8 +57,7 @@ def mat_inverse(matrix):
 
 
 def subspace_le(inner, outer, ncols):
-    red = linalg.RowReducer(ncols)
-    red.add_many(outer)
+    red = linalg.span(outer, ncols)
     return all(red.contains(v) for v in inner)
 
 

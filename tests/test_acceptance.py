@@ -14,7 +14,6 @@ from flipcayley import (
     AlgebraElement,
     FlipPolyRing,
     Poly,
-    PolyPair,
     QuotientRing,
     alpha,
     beta,
@@ -92,8 +91,8 @@ def test_criterion_3_ring_is_double_of_poly_algebra(algebras):
             gens = []
             for d in range(3):  # t-degrees <= 2
                 for e in A.basis():
-                    gens.append(PolyPair(Poly({d: e}), zero))
-                    gens.append(PolyPair(zero, Poly({d: e})))
+                    gens.append((Poly({d: e}), zero))
+                    gens.append((zero, Poly({d: e})))
             for u, v in product(gens, repeat=2):
                 lhs = psi(A, cayley_t_mul(A, u, v))
                 assert lhs == ring.mul(psi(A, u), psi(A, v))
@@ -159,7 +158,7 @@ def test_criterion_7_properties_ladder(algebras):
             assert A.is_flexible() is flex, name
             if not comm:
                 x, y, value = A.commutativity_witness()
-                assert A.commutator(x, y) == value and not value.is_zero()
+                assert A.mul(x, y) - A.mul(y, x) == value and not value.is_zero()
                 witnesses[name, "commutative"] = (x, y)
             if not assoc:
                 x, y, z, value = A.associativity_witness()
@@ -244,6 +243,6 @@ def test_criterion_10_grading(algebras):
                 for a in H.basis():
                     for b in H.basis():
                         prod = ring.mul(Poly({2 * m: a}), Poly({2 * n: b}))
-                        split = psi_inv(H, prod)
-                        assert split.q.is_zero()
-                        assert split.p == square.mul(Poly({m: a}), Poly({n: b}))
+                        even, odd = psi_inv(H, prod)
+                        assert odd.is_zero()
+                        assert even == square.mul(Poly({m: a}), Poly({n: b}))

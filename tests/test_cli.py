@@ -292,6 +292,27 @@ def test_failing_suite_keeps_the_lines_before_its_counterexample(capsys, monkeyp
     )
 
 
+def test_disagreeing_one_sided_nuclei_fail_the_centers_suite(capsys, monkeypatch):
+    monkeypatch.setitem(
+        sa._BRUTE_KINDS, "left_right_nucleus", (("nucleus_right",), ("commuter",))
+    )
+    result = verify.run_suite("centers", algebra="C")
+    assert result.failure.startswith(
+        "C, left_right_nucleus: left and right nucleus disagree at degree "
+    )
+    assert main(["verify", "--suite=centers", "--algebra=C"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"  result: FAIL - {result.failure}"
+
+
+def test_a_quotient_that_is_no_star_algebra_fails_the_props_suite(monkeypatch):
+    monkeypatch.setattr(verify.QuotientRing, "star", lambda self, u: u.scaled(2))
+    result = verify.run_suite("props")
+    assert result.lines == []
+    assert result.failure == (
+        "R, mu=-1: the quotient is not a star-algebra: involution must square to the identity"
+    )
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["mul", "--algebra=H"]) == 2
     assert main(["mul", "--algebra=Q", "e0", "e0"]) == 2
@@ -323,6 +344,7 @@ def test_too_many_doublings_exit_2(capsys):
         (["involution", "--algebra=H", ""], None),
         (["involution", "--algebra=H", "--validate", ""], None),
         (["analyze", "--algebra=C", "--set=z_star", "--cross-check"], None),
+        (["quotient", "--algebra=C", "--mu=-1", "table", "e1"], None),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(argv, max_degree, capsys, monkeypatch):

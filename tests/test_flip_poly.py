@@ -32,7 +32,16 @@ from flipcayley.flip_poly import (
     even_square_ring,
     poly_to_json,
 )
-from conftest import _map_of, memoized_mul, random_sigma_delta_rings
+from conftest import (
+    _map_of,
+    exchange_algebras,
+    matrix_algebras,
+    memoized_mul,
+    random_sigma_delta_rings,
+    sparse_exchange_algebras,
+    triangular_algebras,
+    twisted_group_algebras,
+)
 
 
 def shift_map(dim):
@@ -185,6 +194,43 @@ def test_star_skew_monomial_products(algebras):
             assert ring.mul(Poly({m: r}), ring.x()) == Poly({m + 1: r})
     # the degrees come out sorted although the kernel meets them out of order
     assert list(ring.mul(Poly({0: i, 3: j}), Poly({0: k, 1: one})).coeffs) == [0, 1, 3, 4]
+
+
+def _is_parity_periodic(ring, top):
+    """Whether each (e_i X^m)(e_j X^n) with m, n <= top is the product at
+    degrees (m mod 2, n mod 2) with every output degree raised by
+    (m - m mod 2) + (n - n mod 2), all read from ``ring._basis``."""
+    degrees, indices = range(top + 1), range(ring.coeff_algebra.dim)
+    for m, n, i, j in itertools.product(degrees, degrees, indices, indices):
+        shift = m - m % 2 + n - n % 2
+        base = ring._basis[m % 2, i][n % 2, j]
+        if ring._basis[m, i][n, j] != tuple(((d + shift, k), c) for (d, k), c in base):
+            return False
+    return True
+
+
+def test_star_skew_ring_is_parity_periodic(algebras):
+    """sigma the star (of order 1 or 2) and delta 0 make every basis-monomial
+    product depend on its degrees only through their parities: the lemma
+    behind the ``props`` suite's verdicts holding at every degree."""
+    cases = [(name, algebras[name]) for name in ("R", "C", "C'", "H", "H'", "O", "O'")]
+    cases += (
+        matrix_algebras() + exchange_algebras() + sparse_exchange_algebras()
+        + triangular_algebras() + twisted_group_algebras()
+    )
+    for mus in ([Fraction(1, 2), 3], [Fraction(1, 2), 3, -1], [2, -1, 5]):
+        cases.append((f"tower{tuple(mus)}", tower(mus)))
+    assert len(cases) == 23
+    for name, A in cases:
+        assert _is_parity_periodic(star_skew_ring(A), 4), name
+    # a nonzero delta, or a sigma of order 3, breaks the period
+    H = algebras["H"]
+    e1 = H.basis()[1]
+    delta = _map_of(H, lambda x: H.mul(x, e1) - H.mul(e1, x), "delta")
+    u = H.element([Fraction(1, 2)] * 4)  # u^3 = -1, so conjugation by u has order 3
+    sigma = _map_of(H, lambda x: H.mul(H.mul(u, x), H.star(u)), "sigma")
+    assert not _is_parity_periodic(FlipPolyRing(H, AdditiveMap.from_star(H), delta, True), 4)
+    assert not _is_parity_periodic(FlipPolyRing(H, sigma, AdditiveMap.zero(4), True), 4)
 
 
 def test_ring_mul_of_degree_one_monomials(algebras):
@@ -582,6 +628,33 @@ def test_flip_of_plain_rule_swaps_on_odd_degrees(algebras):
             assert ring.monomial_product(m, i, n, j) == {m + n: tau(ring, n, i, j)}
 
 
+def _flip_relation_holds(flipped, top):
+    """Whether the flipped ring's (e_i X^m)(e_j X^n) is the sum over k of
+    tau_n(e_i, c_k) X^k, where sum c_k X^k is (1 X^m)(e_j X^n) in the
+    unflipped ring with the same sigma and delta; both sides are read from
+    the rings' ``_basis`` and the algebra's table."""
+    A = flipped.coeff_algebra
+    plain = FlipPolyRing(A, flipped.sigma, flipped.delta, flipped=False)
+    degrees, indices = range(top + 1), range(A.dim)
+    for m, n, i, j in itertools.product(degrees, degrees, indices, indices):
+        want = {}
+        for (d, k), c in plain._basis[m, 0][n, j]:
+            for s, t in A.table[k][i] if n % 2 else A.table[i][k]:
+                want[d, s] = want.get((d, s), 0) + c * t
+        if dict(flipped._basis[m, i][n, j]) != {key: v for key, v in want.items() if v}:
+            return False
+    return True
+
+
+def test_flipped_product_is_tau_of_the_unflipped_one(algebras):
+    for name in ("C", "H", "H'", "O"):
+        assert _flip_relation_holds(star_skew_ring(algebras[name]), 4), name
+    rings = list(random_sigma_delta_rings(algebras))
+    assert len(rings) == 64
+    for name, s, d, ring in rings:
+        assert _flip_relation_holds(ring, 3), (name, s, d)
+
+
 # ----------------------------------------------------------------- axiom suites
 def test_axioms_f_family_holds_on_quaternion_ring(algebras):
     ring = star_skew_ring(algebras["H"])
@@ -738,7 +811,7 @@ def _axiom_test_rings(algebras):
     for name in ("H", "O"):
         A = algebras[name]
         e1 = A.basis()[1]
-        cols = [A.commutator(e, e1).scaled(Fraction(1, 3)).coords for e in A.basis()]
+        cols = [(A.mul(e, e1) - A.mul(e1, e)).scaled(Fraction(1, 3)).coords for e in A.basis()]
         delta = AdditiveMap([[col[i] for col in cols] for i in range(A.dim)], "delta")
         for label, sigma in (("star", AdditiveMap.from_star(A)), ("1", AdditiveMap.identity(A.dim))):
             ring = FlipPolyRing(A, sigma, delta, flipped=True)
@@ -777,15 +850,15 @@ def test_graded_split_reindexes(algebras):
     H = algebras["H"]
     one, i, j, k = H.basis()
     p = Poly({0: one, 1: i, 2: j, 3: k})
-    split = psi_inv(H, p)
-    assert split.p == Poly({0: one, 1: j})
-    assert split.q == Poly({0: i, 1: k})
-    assert psi(H, split) == p
+    even, odd = psi_inv(H, p)
+    assert even == Poly({0: one, 1: j})
+    assert odd == Poly({0: i, 1: k})
+    assert psi(H, (even, odd)) == p
 
 
 def test_graded_split_of_zero(algebras):
-    split = psi_inv(algebras["H"], Poly())
-    assert split.p.is_zero() and split.q.is_zero()
+    even, odd = psi_inv(algebras["H"], Poly())
+    assert even.is_zero() and odd.is_zero()
 
 
 def test_even_square_ring_requires_anticommuting_maps(algebras):
@@ -804,9 +877,9 @@ def test_even_layer_multiplies_like_the_square_ring(algebras):
             for a in H.basis():
                 for b in H.basis():
                     product = ring.mul(Poly({2 * m: a}), Poly({2 * n: b}))
-                    split = psi_inv(H, product)
-                    assert split.q.is_zero()
-                    assert split.p == square.mul(Poly({m: a}), Poly({n: b}))
+                    even, odd = psi_inv(H, product)
+                    assert odd.is_zero()
+                    assert even == square.mul(Poly({m: a}), Poly({n: b}))
 
 
 # -------------------------------------------------------------------- io/forms

@@ -63,8 +63,7 @@ def test_rank_nullity():
             tuple(rng.randint(-3, 3) for _ in range(ncols))
             for _ in range(rng.randint(0, 6))
         ]
-        red = linalg.RowReducer(ncols)
-        red.add_many(rows)
+        red = linalg.span(rows, ncols)
         assert red.rank + len(red.nullspace()) == ncols
 
 
@@ -74,8 +73,7 @@ def test_subspace_operations():
     other = [e2, e3]
     assert subspace_intersect(plane, other, 3) == ((0, 1, 0),)
     assert subspace_eq([(1, 1, 0), (1, -1, 0)], plane, 3)
-    red = linalg.RowReducer(3)
-    red.add_many(plane)
+    red = linalg.span(plane, 3)
     assert red.contains((3, -2, 0))
     assert not red.contains((0, 0, 1))
     assert subspace_le([e1], plane, 3)
@@ -97,8 +95,7 @@ def test_row_space_fraction_pivots():
 
 
 def test_integral_entries_stay_int():
-    red = linalg.RowReducer(3)
-    red.add_many([(2, 4, 6), (Fraction(3), 6, 12), (Fraction(1, 2), 1, 2)])
+    red = linalg.span([(2, 4, 6), (Fraction(3), 6, 12), (Fraction(1, 2), 1, 2)], 3)
     assert red.rows() == ((1, 2, 0), (0, 0, 1))
     assert all(type(x) is int for row in red.rows() for x in row)
 
@@ -165,8 +162,7 @@ def _sympy_matrix(rows, ncols):
 @given(_matrices())
 def test_elimination_matches_sympy(matrix):
     ncols, rows = matrix
-    red = linalg.RowReducer(ncols)
-    red.add_many(rows)
+    red = linalg.span(rows, ncols)
     # a lone zero row stands in for the empty matrix, which sympy cannot reduce
     m = _sympy_matrix(rows or [(0,) * ncols], ncols)
     assert red.rows() == _sympy_rref(m)

@@ -9,7 +9,6 @@ from flipcayley import (
     named,
     ordinary_ring,
     Poly,
-    PolyPair,
     QuotientRing,
     alpha,
     basis_element,
@@ -179,15 +178,15 @@ def test_quotient_table_is_the_double(mus, mu):
 def test_psi_substitution(algebras):
     H = algebras["H"]
     t = Poly({1: H.unit})
-    assert psi(H, PolyPair(t, Poly())) == Poly({2: H.unit})
-    assert psi(H, PolyPair(Poly(), Poly({0: H.unit}))) == Poly({1: H.unit})
+    assert psi(H, (t, Poly())) == Poly({2: H.unit})
+    assert psi(H, (Poly(), Poly({0: H.unit}))) == Poly({1: H.unit})
 
 
 def test_psi_round_trip(algebras):
     rng = random.Random(12)
     H = algebras["H"]
     for _ in range(20):
-        pair = PolyPair(rand_poly(H, rng, 3), rand_poly(H, rng, 3))
+        pair = (rand_poly(H, rng, 3), rand_poly(H, rng, 3))
         assert psi_inv(H, psi(H, pair)) == pair
         p = rand_poly(H, rng, 6)
         assert psi(H, psi_inv(H, p)) == p
@@ -196,8 +195,8 @@ def test_psi_round_trip(algebras):
 def test_cayley_t_unit_is_neutral(algebras):
     H = algebras["H"]
     rng = random.Random(6)
-    one = PolyPair(Poly({0: H.unit}), Poly())
-    pair = PolyPair(rand_poly(H, rng, 2), rand_poly(H, rng, 2))
+    one = (Poly({0: H.unit}), Poly())
+    pair = (rand_poly(H, rng, 2), rand_poly(H, rng, 2))
     assert cayley_t_mul(H, one, pair) == pair
     assert cayley_t_mul(H, pair, one) == pair
 
@@ -211,7 +210,7 @@ def test_cayley_t_mul_reuses_one_ordinary_ring(monkeypatch):
 
     monkeypatch.setattr(quotient_iso, "ordinary_ring", counting)
     H = tower([-1, -1])
-    pair = PolyPair(Poly({1: H.basis()[1]}), Poly({0: H.basis()[2]}))
+    pair = (Poly({1: H.basis()[1]}), Poly({0: H.basis()[2]}))
     first = cayley_t_mul(H, pair, pair)
     assert cayley_t_mul(H, pair, pair) == first
     assert built == [H]
@@ -224,8 +223,8 @@ def test_psi_is_multiplicative_on_monomial_generators(algebras):
     gens = []
     for d in range(2):
         for e in C.basis():
-            gens.append(PolyPair(Poly({d: e}), zero))
-            gens.append(PolyPair(zero, Poly({d: e})))
+            gens.append((Poly({d: e}), zero))
+            gens.append((zero, Poly({d: e})))
     for u, v in product(gens, repeat=2):
         assert psi(C, cayley_t_mul(C, u, v)) == ring.mul(psi(C, u), psi(C, v))
 
@@ -236,7 +235,7 @@ def test_psi_is_star_compatible(algebras):
         A = algebras[name]
         ring = star_skew_ring(A)
         for _ in range(15):
-            pair = PolyPair(rand_poly(A, rng, 3), rand_poly(A, rng, 3))
+            pair = (rand_poly(A, rng, 3), rand_poly(A, rng, 3))
             assert psi(A, cayley_t_star(A, pair)) == alpha(ring, psi(A, pair))
 
 

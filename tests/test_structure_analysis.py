@@ -347,9 +347,9 @@ def test_basis_wise_route_matches_elimination(algebras):
     ]
     tuples = sorted({kinds for pair in sa._KIND_ROWS.values() for kinds in pair})
     for name, A in cases:
-        assert A._has_monomial_table(), name
+        assert A._signs() is not None, name
         general = StarAlgebra(A.table, A.involution)  # a copy with its own cache
-        general._cache["monomial"] = False  # that solves by elimination
+        general._cache["signs"] = None  # that solves by elimination
         for kinds in tuples:
             assert A._solve(kinds) == general._solve(kinds), (name, kinds)
         for side in NUCLEUS_SIDES:
@@ -368,7 +368,7 @@ def test_single_entry_tables_off_xor_are_not_monomial():
     uv = algebra(lambda i, j: i or j if i * j == 0 else 0)
     tuples = sorted({kinds for pair in sa._KIND_ROWS.values() for kinds in pair})
     for A in (z3, uv):
-        assert A._has_monomial_table() is False
+        assert A._signs() is None
         for kinds in tuples:
             assert A._solve(kinds) == _raw_solve(A, kinds), (A.table, kinds)
     assert z3._solve(sa._Z_ROWS) == tuple(z3.basis())  # the center
