@@ -26,7 +26,7 @@ from .flip_poly import (
     parse_poly,
     poly_to_json,
     poly_to_text,
-    split_signed_terms,
+    signed_terms,
     star_skew_ring,
 )
 from .involutions import alpha, beta, degree_one_extension_violations
@@ -41,8 +41,9 @@ class CliError(Exception):
 
 
 # ------------------------------------------------------------------ literals
-_ELEMENT_TERM = re.compile(r"^(\d+(?:/\d+)?)?\s*\*?\s*e(\d+)$")
-_SCALAR_TERM = re.compile(r"^\d+(?:/\d+)?$")
+# a coefficient p or p/q, then an optional * and a basis symbol e<k>; or a
+# bare coefficient, which counts at e0
+_ELEMENT_TERM = re.compile(r"(?:([0-9]+(?:/[0-9]+)?)\s*(?:\*\s*)?)?e([0-9]+)|([0-9]+(?:/[0-9]+)?)")
 
 
 def _rational(text, what):
@@ -55,26 +56,18 @@ def _rational(text, what):
 def parse_element(text, dim):
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1].strip()
-    if "[" in body or "]" in body:
-        raise CliError(f"cannot parse element literal {text!r}")
+        body = body[1:-1]
     try:
-        terms = split_signed_terms(body)
+        terms = signed_terms(body, _ELEMENT_TERM)
     except ValueError as exc:
         raise CliError(f"bad element literal: {exc}") from None
     coords = [0] * dim
-    for sign, term in terms:
-        match = _ELEMENT_TERM.match(term)
-        if match:
-            coefficient = _rational(match.group(1), "coefficient") if match.group(1) else 1
-            index = int(match.group(2))
-            if index >= dim:
-                raise CliError(f"basis symbol e{index} out of range for dim {dim}")
-            coords[index] += sign * coefficient
-        elif _SCALAR_TERM.match(term):
-            coords[0] += sign * _rational(term, "coefficient")
-        else:
-            raise CliError(f"cannot parse element term {term!r}")
+    for sign, (coefficient, index, scalar) in terms:
+        value = _rational(coefficient or scalar or "1", "coefficient")
+        index = int(index or 0)
+        if index >= dim:
+            raise CliError(f"basis symbol e{index} out of range for dim {dim}")
+        coords[index] += sign * value
     return AlgebraElement(simplify(c) for c in coords)
 
 
@@ -238,6 +231,8 @@ def cmd_involution(args):
     algebra = _build_algebra(args)
     ring = star_skew_ring(algebra)
     if args.validate is not None:
+        if args.poly is not None:
+            raise CliError("use either --validate or a polynomial literal, not both")
         candidate = _parse_poly(args.validate, algebra.dim)
         violations = degree_one_extension_violations(ring, candidate)
         if not violations:

@@ -29,6 +29,7 @@ through ``algebra_core.identity_at``.
 from __future__ import annotations
 
 import itertools
+import re
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -611,73 +612,45 @@ def poly_to_text(p):
     return " + ".join(parts)
 
 
-def split_signed_terms(text):
-    """Split a literal at the top-level signs into ``(sign, body)`` pairs.
+_SIGN = re.compile(r"\s*([+-]?)\s*")
+_POLY_TERM = re.compile(r"\[([^\[\]]*)\](\s*\*\s*X(?:\^([0-9]+))?)?|0")
 
-    Brackets nest, so signs inside a coordinate vector stay in its term.  An
-    empty literal or unbalanced brackets raise ``ValueError``.
+
+def signed_terms(text, term):
+    """Scan ``[sign] term (sign term)...`` into ``(sign, groups)`` pairs.
+
+    ``term`` is a compiled regex matched at each position; a sign is ``+`` or
+    ``-``, optional before the first term only, and whitespace may surround
+    it.  Anything else, an empty literal included, raises ``ValueError``.
     """
-    terms = []
-    current = ""
-    depth = 0
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced brackets")
-        if ch in "+-" and depth == 0 and current.strip():
-            terms.append(current.strip())
-            current = ch
-        else:
-            current += ch
-    if depth != 0:
-        raise ValueError("unbalanced brackets")
-    if current.strip():
-        terms.append(current.strip())
-    if not terms:
-        raise ValueError("empty literal")
     pairs = []
-    for term in terms:
-        if term[0] in "+-":
-            pairs.append((-1 if term[0] == "-" else 1, term[1:].strip()))
-        else:
-            pairs.append((1, term))
-    return pairs
+    pos = 0
+    while True:
+        sign = _SIGN.match(text, pos)
+        if pairs and not sign.group(1):
+            if sign.end() < len(text):
+                raise ValueError(f"expected + or - before {text[sign.end():]!r}")
+            return pairs
+        match = term.match(text, sign.end())
+        if match is None:
+            raise ValueError(f"cannot parse term {text[sign.end():]!r}")
+        pairs.append((-1 if sign.group(1) == "-" else 1, match.groups()))
+        pos = match.end()
 
 
 def parse_poly(text, dim):
-    """Parse the textual polynomial form; coefficients are bracketed vectors."""
-    acc = {}
-    for sign, term in split_signed_terms(text):
-        if term == "0":
+    """Parse ``poly_to_text``'s form: signed terms ``[c0,...]``, ``[c0,...]*X``,
+    ``[c0,...]*X^k`` (ASCII digits) and ``0``."""
+    total = Poly()
+    for sign, (vector, x, power) in signed_terms(text, _POLY_TERM):
+        if vector is None:  # the term 0
             continue
-        if not term.startswith("["):
-            raise ValueError(f"cannot parse polynomial term {term!r}")
-        close = term.index("]")
-        inner = term[1:close]
-        coords = [parse_rational(c) for c in inner.split(",")] if inner.strip() else []
+        coords = [sign * parse_rational(c) for c in vector.split(",")]
         if len(coords) != dim:
             raise ValueError(f"coefficient vector must have length {dim}")
-        rest = term[close + 1:].strip()
-        if not rest:
-            degree = 0
-        else:
-            if not rest.startswith("*"):
-                raise ValueError(f"cannot parse polynomial term {term!r}")
-            rest = rest[1:].strip()
-            if rest == "X":
-                degree = 1
-            elif rest.startswith("X^"):
-                degree = int(rest[2:])
-            else:
-                raise ValueError(f"cannot parse polynomial term {term!r}")
-        coeff = AlgebraElement(coords)
-        if sign < 0:
-            coeff = -coeff
-        acc[degree] = acc[degree] + coeff if degree in acc else coeff
-    return Poly(acc)
+        degree = int(power) if power else (1 if x else 0)
+        total = total + Poly({degree: AlgebraElement(coords)})
+    return total
 
 
 def poly_to_json(p):

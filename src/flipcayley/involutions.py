@@ -8,9 +8,9 @@ alone when i is odd; ``alpha`` additionally negates odd-degree coefficients:
     beta:  a_i X^i  ->         *^(i+1)(a_i) X^i
 
 ``alpha`` is the involution the rest of the package treats as canonical (the
-quotient construction inherits it); ``beta`` is kept alongside for the
-property suite.  The two differ exactly on X whenever doubling the algebra
-does not kill it.
+quotient construction inherits it); ``beta`` is the other choice of
+``flipcayley involution --which``.  The two differ exactly on X whenever
+doubling the algebra does not kill it.
 """
 
 from __future__ import annotations

@@ -4,11 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from flipcayley import AdditiveMap, FlipPolyRing, StarAlgebra, linalg, named
 from flipcayley.scalars import parse_rational
 
 ALL_NAMES = ("R", "C", "C'", "H", "H'", "O", "O'", "S")
+
+# exact coordinates for the text-form round trips: signed ints and Fractions,
+# zero drawn often
+exact_scalars = st.one_of(
+    st.just(0), st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6)
+)
 
 
 @pytest.fixture(scope="session")

@@ -7,11 +7,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flipcayley import cayley_double, find_zero_divisor, named, ordinary_ring, verify
+from flipcayley import (
+    AlgebraElement,
+    cayley_double,
+    find_zero_divisor,
+    named,
+    ordinary_ring,
+    verify,
+)
 from flipcayley import structure_analysis as sa
 from flipcayley.cayley_dickson import MAX_DOUBLINGS
 from flipcayley.cli import format_element, main, parse_element
-from conftest import assert_json_is_algebra
+from conftest import assert_json_is_algebra, exact_scalars
 
 
 # -------------------------------------------------------------------- literals
@@ -39,6 +46,17 @@ def test_parse_element_errors():
         parse_element("x + y", 4)
     with pytest.raises(CliError):
         parse_element("", 4)
+    # ASCII digits only, and a * only after a coefficient
+    for text in ("e\u0663", "\u0663", "*e1"):
+        with pytest.raises(CliError):
+            parse_element(text, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.lists(exact_scalars, min_size=n, max_size=n)))
+def test_format_element_round_trips(coords):
+    x = AlgebraElement(coords)
+    assert parse_element(format_element(x), len(coords)) == x
 
 
 def test_format_element_round_trip(algebras):
@@ -345,6 +363,9 @@ def test_too_many_doublings_exit_2(capsys):
         (["involution", "--algebra=H", "--validate", ""], None),
         (["analyze", "--algebra=C", "--set=z_star", "--cross-check"], None),
         (["quotient", "--algebra=C", "--mu=-1", "table", "e1"], None),
+        (["involution", "--algebra=C", "[0,1]*X^1_0"], None),
+        (["mul", "--algebra=H", "*e1", "e2"], None),
+        (["involution", "--algebra=C", "--validate", "[0,1]*X", "[1,0]"], None),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(argv, max_degree, capsys, monkeypatch):

@@ -34,6 +34,7 @@ from flipcayley.flip_poly import (
 )
 from conftest import (
     _map_of,
+    exact_scalars,
     exchange_algebras,
     matrix_algebras,
     memoized_mul,
@@ -893,6 +894,15 @@ def test_poly_text_round_trip(algebras):
     assert poly_to_text(Poly()) == "0"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_poly_text_round_trips(data):
+    dim = data.draw(st.integers(1, 16))
+    vectors = st.lists(exact_scalars, min_size=dim, max_size=dim).map(AlgebraElement)
+    p = Poly(data.draw(st.dictionaries(st.integers(0, 12), vectors, max_size=13)))
+    assert parse_poly(poly_to_text(p), dim) == p
+
+
 def test_poly_text_parse_accepts_signed_terms():
     p = parse_poly("[1,0] - [0,2]*X + [0,1]*X^3", 2)
     assert p.coeffs[1] == AlgebraElement((0, -2))
@@ -908,6 +918,10 @@ def test_poly_parse_errors():
         parse_poly("e0 + e1", 2)
     with pytest.raises(ValueError):
         parse_poly("[1,0]*Y", 2)
+    # the exponent is ASCII digits right after the caret
+    for text in ("[1,0]*X^1_000", "[1,0]*X^ 2", "[1,0]*X^\u0663"):
+        with pytest.raises(ValueError):
+            parse_poly(text, 2)
 
 
 def test_poly_json_round_trip(algebras):
