@@ -6,14 +6,14 @@ Polynomial literals use bracketed coordinate vectors per degree,
 e.g. ``[1,0,0,0] + [0,1,0,0]*X^2``.
 
 Exit codes: 0 success, 1 a check or suite failed (witness printed),
-2 usage or parse error.
+2 usage or parse error.  Degree bounds: ``check`` defaults to 4 and
+``analyze`` to 6, both at most 8; ``--cross-check`` runs to 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -22,6 +22,7 @@ from . import verify as verify_mod
 from .algebra_core import AlgebraElement
 from .cayley_dickson import NAMED_TOWERS, find_zero_divisor, named, tower
 from .flip_poly import (
+    AXIOM_FAMILIES,
     check_axioms,
     parse_poly,
     poly_to_json,
@@ -32,8 +33,6 @@ from .flip_poly import (
 from .involutions import alpha, beta, degree_one_extension_violations
 from .quotient_iso import QuotientRing
 from .scalars import format_rational, parse_rational, simplify
-
-DEFAULT_DEGREE_CAP = 6
 
 
 class CliError(Exception):
@@ -49,7 +48,7 @@ _ELEMENT_TERM = re.compile(r"(?:([0-9]+(?:/[0-9]+)?)\s*(?:\*\s*)?)?e([0-9]+)|([0
 def _rational(text, what):
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad {what}: {exc}") from None
 
 
@@ -118,33 +117,6 @@ def _print_algebra(algebra, as_json):
 
 
 # ------------------------------------------------------------------- helpers
-def _degree_cap():
-    raw = os.environ.get("FLIPCAYLEY_MAX_DEGREE")
-    if raw is None:
-        return DEFAULT_DEGREE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(f"FLIPCAYLEY_MAX_DEGREE must be an integer, got {raw!r}")
-    if cap < 0:
-        raise CliError("FLIPCAYLEY_MAX_DEGREE must be nonnegative")
-    return cap
-
-
-def _capped_bound(requested, default):
-    cap = _degree_cap()
-    bound = default if requested is None else requested
-    if bound < 0:
-        raise CliError("degree bound must be nonnegative")
-    if bound > cap:
-        print(
-            f"note: degree bound {bound} capped to {cap} (FLIPCAYLEY_MAX_DEGREE)",
-            file=sys.stderr,
-        )
-        bound = cap
-    return bound
-
-
 def _build_algebra(args):
     if args.algebra and args.mus:
         raise CliError("use either --algebra or --mus, not both")
@@ -165,7 +137,7 @@ def _build_algebra(args):
 def _parse_poly(text, dim):
     try:
         return parse_poly(text, dim)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad polynomial literal: {exc}") from None
 
 
@@ -218,9 +190,8 @@ def cmd_table(args):
 def cmd_check(args):
     algebra = _build_algebra(args)
     ring = star_skew_ring(algebra)
-    bound = _capped_bound(args.bound, 4)
     try:
-        report = check_axioms(ring, args.family, bound)
+        report = check_axioms(ring, args.family, args.bound)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     print(report.summary())
@@ -284,17 +255,16 @@ def cmd_analyze(args):
     if args.cross_check and args.set == "z_star":
         raise CliError("--cross-check has no brute-force oracle for --set=z_star")
     algebra = _build_algebra(args)
-    bound = _capped_bound(args.bound, 6)
     try:
         if args.set == "z_star":
-            degree_set = sa.z_star_of_b(algebra, bound)
+            degree_set = sa.z_star_of_b(algebra, args.bound)
         else:
-            degree_set = sa.degreewise_set(algebra, args.set, bound)
+            degree_set = sa.degreewise_set(algebra, args.set, args.bound)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     cross_failure = None
     if args.cross_check:
-        checked_to = min(bound, sa.BRUTE_BOUND_LIMIT)
+        checked_to = min(args.bound, sa.BRUTE_BOUND_LIMIT)
         try:
             brute = sa.degreewise_set_bruteforce(algebra, args.set, checked_to)
         except ValueError as exc:
@@ -312,7 +282,7 @@ def cmd_analyze(args):
     if args.json:
         payload = {
             "set": args.set,
-            "bound": bound,
+            "bound": args.bound,
             "degrees": [
                 {
                     "degree": degree,
@@ -360,10 +330,9 @@ def cmd_verify(args):
         raise CliError(
             f"unknown algebra {args.algebra!r}; valid names: {', '.join(NAMED_TOWERS)}"
         )
-    cap = _degree_cap()
     failed = False
     for name in names:
-        result = verify_mod.run_suite(name, algebra=args.algebra, mu=mu, bound=min(6, cap))
+        result = verify_mod.run_suite(name, algebra=args.algebra, mu=mu)
         for line in result.render():
             print(line)
         if not result.passed:
@@ -414,8 +383,8 @@ def build_parser():
     p = with_algebra(
         sub.add_parser("check", help="run an axiom family on the flipped ring"), emits_json=False
     )
-    p.add_argument("--family", choices=("O", "N", "F"), required=True)
-    p.add_argument("--bound", type=int, help="degree bound (default 4)")
+    p.add_argument("--family", choices=AXIOM_FAMILIES, required=True)
+    p.add_argument("--bound", type=int, default=4, help="degree bound (default %(default)s)")
     p.set_defaults(func=cmd_check)
 
     p = with_algebra(
@@ -442,7 +411,7 @@ def build_parser():
         choices=sa.SET_KINDS + ("z_star",),
         required=True,
     )
-    p.add_argument("--bound", type=int, help="degree bound (default 6)")
+    p.add_argument("--bound", type=int, default=6, help="degree bound (default %(default)s)")
     p.add_argument("--cross-check", action="store_true")
     p.set_defaults(func=cmd_analyze)
 

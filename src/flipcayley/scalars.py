@@ -26,8 +26,12 @@ def simplify(value):
 
 
 def parse_rational(text):
-    """Parse the textual form ``p`` or ``p/q``."""
-    return simplify(Fraction(str(text).strip()))
+    """Parse the textual form ``p`` or ``p/q``; a malformed text or a zero
+    ``q`` raises ``ValueError``."""
+    try:
+        return simplify(Fraction(str(text).strip()))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value):

@@ -232,7 +232,7 @@ def _first_difference(ring_a, ring_b, max_degree):
 
 def suite_axioms(algebra=None, mu=None, bound=None):
     """Ring axiom families and the flip/unflip coincidence over commutative bases."""
-    b = bound if bound is not None else 4
+    b = bound if bound is not None else 6
     H = named("H")
     C = named("C")
     ring_h = star_skew_ring(H)

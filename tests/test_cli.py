@@ -4,7 +4,7 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipcayley import (
@@ -204,12 +204,25 @@ def test_analyze_cross_check_json(capsys):
     assert data["degrees"][0]["dim"] == 2
 
 
-def test_analyze_degree_cap(capsys, monkeypatch):
-    monkeypatch.setenv("FLIPCAYLEY_MAX_DEGREE", "2")
-    assert main(["analyze", "--algebra=C", "--set=center", "--bound=5"]) == 0
+def test_analyze_runs_to_the_library_limit(capsys):
+    assert main(["analyze", "--algebra=C", "--set=center", "--bound=8"]) == 0
     captured = capsys.readouterr()
-    assert "capped to 2" in captured.err
-    assert "5" not in [line.split()[0] for line in captured.out.splitlines()[1:]]
+    degrees = [line.split()[0] for line in captured.out.splitlines()[1:]]
+    assert degrees == [str(d) for d in range(9)]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--algebra=C", "--set=center", "--bound=9"], "bound"),
+        (["analyze", "--algebra=C", "--set=z_star", "--bound=9"], "bound"),
+        (["check", "--algebra=H", "--family=O", "--bound=9"], "degree_bound"),
+    ],
+)
+def test_a_bound_past_the_library_limit_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message} must be between 0 and 8\n"
 
 
 def test_verify_single_suite(capsys):
@@ -235,6 +248,16 @@ def test_verify_all_is_deterministic(capsys):
 
 
 def test_verify_all_report_is_pinned(capsys):
+    assert main(["verify", "--all"]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "b74c94674264e92003f7a8e7a53e062bf5997b6527f631f92959a5055ac658dc"
+
+
+def test_verify_all_report_ignores_the_environment(capsys, monkeypatch):
+    # each suite's default is its only degree bound; the CLI once read a cap
+    # from this variable, and a cap of 2 changed the report
+    monkeypatch.setenv("FLIPCAYLEY_MAX_DEGREE", "2")
     assert main(["verify", "--all"]) == 0
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode()).hexdigest()
@@ -350,29 +373,31 @@ def test_too_many_doublings_exit_2(capsys):
     )
 
 
+_BAD_INPUTS = [
+    ["mul", "--algebra=H", "1/0*e1", "e2"],
+    ["involution", "--algebra=C", "[1/0,1]"],
+    ["analyze", "--algebra=C", "--set=center", "--bound=-1"],
+    ["analyze", "--algebra=C", "--set=center", "--bound=12"],
+    ["verify", "--suite=thm1", "--mu=0"],
+    ["mul", "--mus=-1,,-1", "e1", "e2"],
+    ["involution", "--algebra=H", ""],
+    ["involution", "--algebra=H", "--validate", ""],
+    ["analyze", "--algebra=C", "--set=z_star", "--cross-check"],
+    ["quotient", "--algebra=C", "--mu=-1", "table", "e1"],
+    ["involution", "--algebra=C", "[0,1]*X^1_0"],
+    ["mul", "--algebra=H", "*e1", "e2"],
+    ["involution", "--algebra=C", "--validate", "[0,1]*X", "[1,0]"],
+]
+
+
+# the ids of the cases are those they had when the table also set a degree cap
+# (20 for argv3, none for the rest), so that each case keeps its name
 @pytest.mark.parametrize(
-    "argv, max_degree",
-    [
-        (["mul", "--algebra=H", "1/0*e1", "e2"], None),
-        (["involution", "--algebra=C", "[1/0,1]"], None),
-        (["analyze", "--algebra=C", "--set=center", "--bound=-1"], None),
-        (["analyze", "--algebra=C", "--set=center", "--bound=12"], "20"),
-        (["verify", "--suite=thm1", "--mu=0"], None),
-        (["mul", "--mus=-1,,-1", "e1", "e2"], None),
-        (["involution", "--algebra=H", ""], None),
-        (["involution", "--algebra=H", "--validate", ""], None),
-        (["analyze", "--algebra=C", "--set=z_star", "--cross-check"], None),
-        (["quotient", "--algebra=C", "--mu=-1", "table", "e1"], None),
-        (["involution", "--algebra=C", "[0,1]*X^1_0"], None),
-        (["mul", "--algebra=H", "*e1", "e2"], None),
-        (["involution", "--algebra=C", "--validate", "[0,1]*X", "[1,0]"], None),
-    ],
+    "argv",
+    _BAD_INPUTS,
+    ids=[f"argv{i}-{20 if i == 3 else None}" for i in range(len(_BAD_INPUTS))],
 )
-def test_bad_input_exits_2_with_one_error_line(argv, max_degree, capsys, monkeypatch):
-    if max_degree is None:
-        monkeypatch.delenv("FLIPCAYLEY_MAX_DEGREE", raising=False)
-    else:
-        monkeypatch.setenv("FLIPCAYLEY_MAX_DEGREE", max_degree)
+def test_bad_input_exits_2_with_one_error_line(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -421,8 +446,7 @@ e3  e3  e2   -e1  -e0
         ),
     ],
 )
-def test_text_output_is_pinned(argv, expected, capsys, monkeypatch):
-    monkeypatch.delenv("FLIPCAYLEY_MAX_DEGREE", raising=False)
+def test_text_output_is_pinned(argv, expected, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
 
@@ -532,11 +556,10 @@ def _argv(draw):
     return argv + ["--"] + literals if literals else argv
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, deadline=None)
 @given(argv=_argv())
-def test_main_keeps_the_exit_code_contract(argv, monkeypatch):
+def test_main_keeps_the_exit_code_contract(argv):
     """No exception escapes ``main``, and exit code 1 means a check really failed."""
-    monkeypatch.delenv("FLIPCAYLEY_MAX_DEGREE", raising=False)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)

@@ -924,6 +924,12 @@ def test_poly_parse_errors():
             parse_poly(text, 2)
 
 
+def test_poly_parse_zero_denominator_is_a_value_error():
+    for text in ("[1/0,0]", "[1,0] + [0,2/0]*X"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_poly(text, 2)
+
+
 def test_poly_json_round_trip(algebras):
     H = algebras["H"]
     p = Poly({1: H.basis()[1], 4: H.basis()[2].scaled(Fraction(-2, 3))})

@@ -74,6 +74,12 @@ def test_parse_and_format():
     assert parse_rational("7") == 7
 
 
+def test_parse_rational_zero_denominator_is_a_value_error():
+    for text in ("1/0", "-3/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)
+
+
 def test_rat_constructor_canonical():
     v = simplify(Fraction(6, -4))
     assert v == Fraction(-3, 2)
