@@ -27,7 +27,8 @@ e_(x xor b xor c), a signed sum of products g(p, q) g(p xor q, r); each word
 of ``IDENTITIES`` is compiled once into that sum.  The predicate walks and
 the per-element vanishing tests read it from the algebra's cached sign
 matrix (None off such tables); ``identity_at`` stays the general kernel and
-their oracle, and builds each witness's value.
+their oracle, and builds each witness's value.  ``cayley_double`` seeds the
+double's matrix: ``StarAlgebra._from_signs`` builds it, checked on the signs.
 """
 
 from __future__ import annotations
@@ -253,6 +254,31 @@ class StarAlgebra:
         self.involution = involution
         self._cache = {}
         self._check_involution()
+
+    @classmethod
+    def _from_signs(cls, signs, star_signs):
+        """e_i e_j = signs[i][j] e_(i xor j) and e_j* = star_signs[j] e_j, from
+        nonzero canonical signs of power-of-two size (for ``cayley_double``):
+        the constructor's checks and messages, run on the signs, which it caches."""
+        n = len(signs)
+        for j in range(n):
+            if signs[0][j] != 1 or signs[j][0] != 1:
+                raise ValueError(f"unit axiom fails: e0 is not a two-sided unit at e{j}")
+        if any(s * s != 1 for s in star_signs):
+            raise ValueError("involution must square to the identity")
+        if star_signs[0] != 1:
+            raise ValueError("involution must fix the unit")
+        for i, (row, col) in enumerate(zip(signs, zip(*signs))):  # (e_i e_j)* = e_j* e_i*
+            lhs = [g * star_signs[i ^ j] for j, g in enumerate(row)]
+            if lhs != [star_signs[i] * s * h for s, h in zip(star_signs, col)]:
+                raise ValueError("involution must be anti-multiplicative")
+        algebra = object.__new__(cls)
+        algebra.table = tuple(
+            tuple(((i ^ j, g),) for j, g in enumerate(row)) for i, row in enumerate(signs)
+        )
+        algebra.involution = linalg.LinearMap(n, tuple(((j, s),) for j, s in enumerate(star_signs)))
+        algebra._cache = {"signs": signs}
+        return algebra
 
     # ------------------------------------------------------------------ basics
     @property

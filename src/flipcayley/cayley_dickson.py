@@ -13,6 +13,11 @@ e_i (0, e_j) = (0, e_j e_i)) wherever no star enters, and
 (0, e_i)(e_j, 0) = (0, e_i e_j*) and (0, e_i)(0, e_j) = (mu e_j* e_i, 0) are
 sums of table entries over the nonzero entries of star column j.
 
+A monomial parent (e_i e_j = g(i, j) e_(i xor j), e_j* = s_j e_j), as every
+tower is, is doubled on its signs alone, checked by ``StarAlgebra._from_signs``:
+g' has the blocks g(i, j), g(j, i), s_j g(i, j), mu s_j g(j, i) (rows i then
+n + i, columns j then n + j), and s' = (s, -1, ..., -1).
+
 Folding doubles over the scalar sequence (-1, -1, ...) produces the
 rational forms of the complex numbers, quaternions, octonions and
 sedenions; the +1 doublings give their split variants.
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from operator import add, mul
 
 from .algebra_core import AlgebraElement, StarAlgebra
 from .linalg import LinearMap
@@ -65,6 +71,15 @@ def cayley_double(algebra, mu):
         raise ValueError("mu must be a cancellable (nonzero) scalar")
     n = algebra.dim
     old, star = algebra.table, algebra.involution
+    g = algebra._signs()
+    if g is not None:  # e_j* = s_j e_j; cols[i] lists the g(j, i)
+        s = tuple(col[0][1] // star.den for col in star.cols)
+        mu_s, cols = [mu * x for x in s], tuple(zip(*g))
+        bottom = tuple(
+            tuple(map(mul, s, row)) + tuple(map(simplify, map(mul, mu_s, col)))
+            for row, col in zip(g, cols)
+        )
+        return StarAlgebra._from_signs(tuple(map(add, g, cols)) + bottom, s + (-1,) * n)
     table = [
         old[i] + tuple(tuple((k + n, c) for k, c in old[j][i]) for j in range(n))
         for i in range(n)

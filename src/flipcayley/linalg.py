@@ -95,22 +95,22 @@ class LinearMap:
         """The map ``self o inner`` (apply ``inner`` first)."""
         cols = []
         for pairs in inner.cols:
-            out = [0] * self.dim
+            out = {}
             for j, x in pairs:
                 for i, c in self.cols[j]:
-                    out[i] += c * x
-            cols.append(tuple((i, c) for i, c in enumerate(out) if c))
+                    out[i] = out.get(i, 0) + c * x
+            cols.append(tuple(sorted((i, c) for i, c in out.items() if c)))
         return LinearMap(self.dim, tuple(cols), self.den * inner.den)
 
     def __add__(self, other):
         den = lcm(self.den, other.den)
         cols = []
         for a, b in zip(self.cols, other.cols):
-            out = [0] * self.dim
+            out = {}
             for col, scale in ((a, den // self.den), (b, den // other.den)):
                 for i, c in col:
-                    out[i] += c * scale
-            cols.append(tuple((i, c) for i, c in enumerate(out) if c))
+                    out[i] = out.get(i, 0) + c * scale
+            cols.append(tuple(sorted((i, c) for i, c in out.items() if c)))
         return LinearMap(self.dim, tuple(cols), den)
 
     def __eq__(self, other):

@@ -276,16 +276,16 @@ def assert_doubles_agree(A, mu):
     return double
 
 
-@pytest.mark.parametrize(
-    "mus",
-    [
-        (-1,) * 7,  # every -1 tower up to dim 128
-        (Fraction(1, 2), 3, -1, 1),
-        (1, 1, 1),
-        (Fraction(2, 3), -1, 5),
-        (Fraction(-3, 7), Fraction(5, 2), -1),
-    ],
-)
+OTHER_MU_TOWERS = [
+    (Fraction(1, 2), 3, -1, 1),
+    (1, 1, 1),
+    (Fraction(2, 3), -1, 5),
+    (Fraction(-3, 7), Fraction(5, 2), -1),
+    (Fraction(1, 2), 2, Fraction(-1, 3), 3),  # products of the mus that are whole
+]
+
+
+@pytest.mark.parametrize("mus", [(-1,) * 7] + OTHER_MU_TOWERS)  # -1 up to dim 128
 def test_sparse_double_matches_dense_on_towers(mus):
     A = rational_base()
     for mu in mus:
@@ -300,3 +300,69 @@ def test_sparse_double_matches_dense_off_the_tower(mu):
     assert twisted.involution.den == 5
     for _, A in others + [("twisted H", twisted)]:
         assert_doubles_agree(A, mu)
+
+
+# ------------------------------------------ the sign route, against the checks
+def public_from_signs(signs, star_signs):
+    """The monomial algebra of ``StarAlgebra._from_signs`` through the public,
+    fully checked constructor."""
+    n = len(signs)
+    table = [[((i ^ j, g),) for j, g in enumerate(row)] for i, row in enumerate(signs)]
+    return StarAlgebra(table, LinearMap(n, tuple(((j, s),) for j, s in enumerate(star_signs))))
+
+
+def build_outcome(build, signs, star_signs):
+    """The constructor's ValueError message, or the table, star and sign
+    matrix of the algebra it accepted."""
+    try:
+        A = build(signs, star_signs)
+    except ValueError as err:
+        return str(err)
+    return A.table, A.involution, A._signs()
+
+
+def flipped(values, *index):
+    """A copy of the nested tuple with the entry at ``index`` negated."""
+    if len(index) == 1:
+        (i,) = index
+        return values[:i] + (-values[i],) + values[i + 1:]
+    i, rest = index[0], index[1:]
+    return values[:i] + (flipped(values[i], *rest),) + values[i + 1:]
+
+
+@pytest.mark.parametrize("name", ["H", "O"])
+def test_sign_route_checks_match_the_public_constructor(algebras, name):
+    """Every single-entry sign flip of the sign matrix and of the star signs
+    of H and O: the sign route raises exactly when the public constructor
+    raises, with its message, and otherwise builds the same algebra."""
+    A = algebras[name]
+    g, s = A._signs(), tuple(col[0][1] for col in A.involution.cols)
+    cases = {("g", i, j): (flipped(g, i, j), s) for i, j in product(range(A.dim), repeat=2)}
+    cases.update({("s", j): (g, flipped(s, j)) for j in range(A.dim)})
+    cases["s", "doubled"] = (g, (1,) + tuple(2 * x for x in s[1:]))
+    outcomes = {}
+    for case, (signs, star_signs) in cases.items():
+        want = build_outcome(public_from_signs, signs, star_signs)
+        assert build_outcome(StarAlgebra._from_signs, signs, star_signs) == want, case
+        outcomes[case] = want if isinstance(want, str) else "accepted"
+    assert outcomes["g", 1, 2] == "involution must be anti-multiplicative"
+    assert outcomes["g", 0, 3] == "unit axiom fails: e0 is not a two-sided unit at e3"
+    assert outcomes["g", 3, 3] == "accepted"
+    assert outcomes["s", 0] == "involution must fix the unit"
+    assert outcomes["s", "doubled"] == "involution must square to the identity"
+
+
+@pytest.mark.parametrize("mus", [(-1,) * 8] + OTHER_MU_TOWERS)  # -1 up to dim 256
+def test_sign_route_double_matches_the_public_constructor(mus):
+    """Each monomial double is built on its sign matrix, which it caches; the
+    public constructor accepts its table and star and scans the same signs.
+    The tables are compared by ``repr``, so a whole ``Fraction`` left in place
+    of an ``int`` shows."""
+    B = rational_base()
+    for mu in mus:
+        B = cayley_double(B, mu)
+        seeded = B._cache["signs"]
+        checked = StarAlgebra(B.table, B.involution)
+        assert "signs" not in checked._cache
+        assert checked.involution == B.involution, B.dim
+        assert repr((checked.table, checked._signs())) == repr((B.table, seeded)), B.dim
