@@ -249,11 +249,8 @@ def suite_axioms(algebra=None, mu=None, bound=None):
             "N-family unexpectedly holds on the quaternion ring "
             "(the generator should fail the right-slot axiom)"
         )
-    first = rep.failures[0]
-    yield (
-        f"N-family on the quaternion ring fails as predicted; witness: "
-        f"[{first.axiom}] {first.witness}"
-    )
+    axiom, witness = rep.first
+    yield f"N-family on the quaternion ring fails as predicted; witness: [{axiom}] {witness}"
 
     rep = check_axioms(ring_c, "O", b)
     if not rep.passed:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from flipcayley import AdditiveMap, FlipPolyRing, StarAlgebra, linalg, named
+from flipcayley import AdditiveMap, AlgebraElement, FlipPolyRing, StarAlgebra, linalg, named
 from flipcayley.scalars import parse_rational
 
 ALL_NAMES = ("R", "C", "C'", "H", "H'", "O", "O'", "S")
@@ -143,6 +143,12 @@ def memoized_mul(ring):
         return product
 
     return mul
+
+
+def pi_value(ring, i, m, s):
+    """pi_i^m(s) through ``ring.pi_matrix``, whose None is the zero map."""
+    pmap = ring.pi_matrix(i, m)
+    return ring.coeff_algebra.zero() if pmap is None else AlgebraElement(pmap.apply(s.coords))
 
 
 # -------------------------------------------------------------- json export
