@@ -169,10 +169,9 @@ class FlipPolyRing:
     coordinate.  Each of those is unpacked once, with a signed borrow from
     slot to slot, and divided once per coordinate.  The width w is one more
     than the bit length of A1 B1 P T, a bound on every output numerator
-    (see ``_cleared_product``); a right operand of one degree whose levels
-    read have one i each gives one slot and w = 0, so its packed integers
-    are the plain sums.  Each product is a fresh ``Poly`` that the caller
-    may mutate.
+    (see ``_cleared_product``).  A product of one term by one term, such as
+    every basis-monomial product, skips the packing.  Each product is a
+    fresh ``Poly`` that the caller may mutate.
     """
 
     __slots__ = (
@@ -266,50 +265,48 @@ class FlipPolyRing:
         output degree n0 + i_lo + j once the pi image of level i is shifted by
         w (i - i_lo).  Every sum is then one big-integer operation per
         (f, coordinate) in place of one per degree, and each output
-        coordinate is unpacked once.  When the right operand has one degree
-        and every level read has one i there is one slot, w is 0, and the
-        packed integers are the plain sums.
+        coordinate is unpacked once.  A product of one term by one term is
+        not packed: each i of the level read is its own output degree.
         """
         table, dt = self._table
         top, step = left[-1][0], self._step[0]
-        columns = {}  # r -> column r of the pi cache, held through level top
-        for _, b in right:
-            for r, _ in b:
-                if r not in columns:
-                    columns[r] = self._column(r, top)
-        i_lo, i_hi = top, -1  # the range of i over the levels read
-        for column in columns.values():
-            for m, _ in left:
-                level = column[m]
-                if level:
-                    if level[0][0] < i_lo:
-                        i_lo = level[0][0]
-                    if level[-1][0] > i_hi:
-                        i_hi = level[-1][0]
         d = den * dt * step ** top
-        if i_hi < 0:  # every pi image read is zero
+        if len(left) == 1 == len(right):  # each i of level top is its own degree: no packing
+            (_, a), (n, b) = left[0], right[0]
+            f, rows = self.flipped and n % 2, {}
+            for j, y in b:
+                for i, vec in self._column(j, top)[top]:
+                    row = rows.setdefault(i + n, {})
+                    for s, v in vec:  # add v y a e_s, or v y e_s a under the flip
+                        for r, x in a:
+                            for k, t in table[s][r] if f else table[r][s]:
+                                row[k] = row.get(k, 0) + v * y * (x * t)
+            return {
+                degree: kept for degree, row in sorted(rows.items())
+                if (kept := {k: v for k, v in row.items() if v})
+            }, d
+        # r -> column r of the pi cache, held through level top
+        columns = {r: self._column(r, top) for r in {r for _, b in right for r, _ in b}}
+        levels = [level for column in columns.values() for m, _ in left if (level := column[m])]
+        if not levels:  # every pi image read is zero
             return {}, d
+        i_lo, i_hi = min(level[0][0] for level in levels), max(level[-1][0] for level in levels)
         n0 = right[0][0]
         slots = i_hi - i_lo + right[-1][0] - n0 + 1
-        w = 0
-        if slots > 1:
-            # A slot of the result sums, over the left terms a X^m (scaled by
-            # step ** (top - m)) and the right entries y of each (r, n), the
-            # products y pi_i^m(e_r)[s] (a e_s)[k], with at most one i per
-            # (r, n) and slot.  So |slot| <= A1 B1 P T, with A1 the sum of
-            # step^(top-m) |a|_1, B1 the sum of |y|, P the largest |pi vector|_1
-            # read and T the largest |table entry|_1, and w = bit_length(A1 B1
-            # P T) + 1 keeps every slot in [-2^(w-1), 2^(w-1)), which the
-            # signed borrow below reads back.
-            a1 = sum(step ** (top - m) * sum(abs(x) for _, x in a) for m, a in left)
-            b1 = sum(abs(y) for _, b in right for _, y in b)
-            p1 = max(
-                sum(abs(x) for _, x in vec)
-                for column in columns.values() for m, _ in left for _, vec in column[m]
-            )
-            if self._t1 is None:  # found on the first product of several slots
-                self._t1 = max(sum(abs(t) for _, t in entry) for row in table for entry in row)
-            w = (a1 * b1 * p1 * self._t1).bit_length() + 1
+        # A slot of the result sums, over the left terms a X^m (scaled by
+        # step ** (top - m)) and the right entries y of each (r, n), the
+        # products y pi_i^m(e_r)[s] (a e_s)[k], with at most one i per
+        # (r, n) and slot.  So |slot| <= A1 B1 P T, with A1 the sum of
+        # step^(top-m) |a|_1, B1 the sum of |y|, P the largest |pi vector|_1
+        # read and T the largest |table entry|_1, and w = bit_length(A1 B1
+        # P T) + 1 keeps every slot in [-2^(w-1), 2^(w-1)), which the
+        # signed borrow below reads back.
+        a1 = sum(step ** (top - m) * sum(abs(x) for _, x in a) for m, a in left)
+        b1 = sum(abs(y) for _, b in right for _, y in b)
+        p1 = max(sum(abs(x) for _, x in vec) for level in levels for _, vec in level)
+        if self._t1 is None:  # found on the ring's first product of several terms
+            self._t1 = max(sum(abs(t) for _, t in entry) for row in table for entry in row)
+        w = (a1 * b1 * p1 * self._t1).bit_length() + 1
         packed = {}  # flip -> r -> the right entries of column r, packed along n
         for n, b in right:
             part = packed.setdefault(self.flipped and n % 2 == 1, {})
@@ -361,7 +358,9 @@ class FlipPolyRing:
         rows, d = self._cleared_product(left, right, dp * dq)
         coeffs = {}
         for degree, row in rows.items():
-            out = [row.get(k, 0) for k in range(dim)]
+            out = [0] * dim
+            for k, x in row.items():
+                out[k] = x
             coeffs[degree] = AlgebraElement._trusted(
                 tuple(out) if d == 1
                 else tuple(x // d for x in out) if gcd(d, *out) == d  # integral

@@ -5,8 +5,9 @@ representative a + bX of every class, folding X^(2n) into mu^n and
 X^(2n+1) into mu^n X.  ``QuotientRing`` works in the coordinates of the
 doubled algebra: the element a-coords ++ b-coords of dimension 2n stands for
 the class of a + bX.  It multiplies two classes and applies the involution
-alpha in the ring itself, then reduces; it holds no formula of its own.
-Theorem 1 says the result is the product and star of
+alpha in the ring itself, then reduces; its star-algebra table reads the
+ring's cached basis products and folds them alike, so it holds no formula
+of its own.  Theorem 1 says the result is the product and star of
 ``cayley_dickson.cayley_double`` on the same elements (same basis ordering,
 by construction).  The ring does not depend on mu: every quotient of one
 algebra reads the algebra's cached ``star_skew_ring``, the ring the
@@ -66,11 +67,20 @@ class QuotientRing:
         return self.reduce(alpha(self.ring, self.lift(u)))
 
     def to_star_algebra(self):
-        """Structure constants of the quotient on the basis e_0 .. e_(2n-1)."""
-        dim = 2 * self.algebra.dim
-        basis = [basis_element(dim, k) for k in range(dim)]
-        table = [[enumerate(self.mul(u, v).coords) for v in basis] for u in basis]
-        star_cols = [self.star(u).coords for u in basis]
+        """Structure constants of the quotient on the basis e_0 .. e_(2n-1).
+
+        Entry (a, i) x (b, j) reads the ring's cached basis product
+        (e_i X^a)(e_j X^b) and folds it as ``reduce`` does: a term at degree d
+        goes to slot k + n (d mod 2), times mu^(d // 2).  The public
+        constructor checks the result; the star is ``star`` on the basis.
+        """
+        n, mu, products = self.algebra.dim, self.mu, self.ring._basis
+        slots = [(a, i) for a in (0, 1) for i in range(n)]  # e_i X^a, in the double's order
+        table = [
+            [[(k + n * (d % 2), c * mu ** (d // 2)) for (d, k), c in products[u][v]] for v in slots]
+            for u in slots
+        ]
+        star_cols = [self.star(basis_element(2 * n, k)).coords for k in range(2 * n)]
         return StarAlgebra(table, LinearMap.from_rows(zip(*star_cols)))
 
 

@@ -127,7 +127,7 @@ def suite_props(algebra=None, mu=None, bound=None):
     """Inheritance criteria against direct evaluation on the quotient algebras."""
     mus = [mu] if mu is not None else [-1, 1]
     for name, A in _algebra_set(PROPS_ALGEBRAS, algebra):
-        ring = star_skew_ring(A)
+        ring = A.cached("star_skew_ring", lambda: star_skew_ring(A))  # the quotients' ring
         commutative = sa.b_commutative_criterion(A)
         associative = sa.ring_is_associative_criterion(ring)
         flexible = sa.b_flexible_criterion(A)

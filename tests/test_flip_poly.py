@@ -261,6 +261,15 @@ def test_zero_poly_multiplication(algebras):
     assert ring.mul(Poly(), Poly()).coeffs == {}
 
 
+def test_single_term_product_that_cancels_is_zero():
+    # the sedenion zero divisors (e3 + e10)(e6 - e15) = 0; sigma^2 is the
+    # identity, so (a X^2) b = (ab) X^2 cancels too, and no zero is kept
+    S = named("S")
+    ring, e = star_skew_ring(S), S.basis()
+    for m in (0, 2):
+        assert ring.mul(Poly({m: e[3] + e[10]}), Poly({0: e[6] - e[15]})).coeffs == {}
+
+
 def test_biadditivity(algebras):
     H = algebras["H"]
     ring = FlipPolyRing(H, AdditiveMap.from_star(H), shift_map(4), flipped=True)

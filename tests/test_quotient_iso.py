@@ -6,6 +6,7 @@ import pytest
 
 from flipcayley import (
     AlgebraElement,
+    FlipPolyRing,
     named,
     ordinary_ring,
     Poly,
@@ -21,6 +22,7 @@ from flipcayley import (
     tower,
 )
 from flipcayley import quotient_iso
+from flipcayley.cayley_dickson import NAMED_TOWERS
 from flipcayley import structure_analysis as sa
 
 
@@ -158,13 +160,19 @@ def test_tower_identity_octonions_from_quaternion_quotient(algebras):
     assert built.involution.matrix == octonions.involution.matrix
 
 
+TOWER_DEPTHS = (0, 1, 2, 4, 5, 6)  # with O, the -1 tower up to A of dim 64
+
+
 @pytest.mark.parametrize(
     "mus, mu",
-    [((Fraction(1, 2), 3), -1), ((Fraction(1, 2), 3), Fraction(2, 3)), ((-1, -1, -1), -1)],
-    ids=["tower(1/2, 3) mu=-1", "tower(1/2, 3) mu=2/3", "O mu=-1"],
+    [((Fraction(1, 2), 3), -1), ((Fraction(1, 2), 3), Fraction(2, 3)), ((-1, -1, -1), -1)]
+    + [((-1,) * k, -1) for k in TOWER_DEPTHS],
+    ids=["tower(1/2, 3) mu=-1", "tower(1/2, 3) mu=2/3", "O mu=-1"]
+    + [f"-1 tower of dim {2 ** k} mu=-1" for k in TOWER_DEPTHS],
 )
 def test_quotient_table_is_the_double(mus, mu):
-    # the ring route shares no code with the sparse doubling formula
+    # the ring route shares no code with the sparse doubling formula; along
+    # the -1 tower this is Theorem 1 up to a quotient of dim 128
     A = tower(mus)
     built = QuotientRing(A, mu).to_star_algebra()
     double = cayley_double(A, mu)
@@ -172,6 +180,51 @@ def test_quotient_table_is_the_double(mus, mu):
     if mus == (-1, -1, -1):
         S = named("S")
         assert (built.table, built.involution) == (S.table, S.involution)
+
+
+MEMO_ROUTE_ALGEBRAS = list(NAMED_TOWERS.items()) + [
+    ("tower(1/2, 3)", (Fraction(1, 2), 3)),
+    ("tower(1/2, 2, -1/3, 3)", (Fraction(1, 2), 2, Fraction(-1, 3), 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "mus", [mus for _, mus in MEMO_ROUTE_ALGEBRAS], ids=[name for name, _ in MEMO_ROUTE_ALGEBRAS]
+)
+def test_memo_table_matches_the_public_mul(mus):
+    # the table folds the ring's basis products; the public mul and star
+    # multiply the lifted classes in the ring and reduce them
+    A = tower(mus)
+    for mu in (-1, 1, Fraction(2, 3), -3):
+        quotient = QuotientRing(A, mu)
+        built = quotient.to_star_algebra()
+        basis = built.basis()
+        dense = [[quotient.mul(u, v).coords for v in basis] for u in basis]
+        assert built.table == tuple(
+            tuple(tuple((k, c) for k, c in enumerate(coords) if c) for coords in row)
+            for row in dense
+        )
+        assert [built.star(u) for u in basis] == [quotient.star(u) for u in basis]
+
+
+def test_second_quotient_table_reads_the_memo(monkeypatch):
+    # every quotient of one algebra shares its ring, so the other mu's table
+    # computes no ring product of its own
+    calls = []
+    kernel = FlipPolyRing._cleared_product
+
+    def counting(ring, left, right, den):
+        calls.append((left, right))
+        return kernel(ring, left, right, den)
+
+    monkeypatch.setattr(FlipPolyRing, "_cleared_product", counting)
+    A = named("O")
+    first = QuotientRing(A, -1).to_star_algebra()
+    assert len(calls) == (2 * A.dim) ** 2
+    second = QuotientRing(A, 1).to_star_algebra()
+    assert len(calls) == (2 * A.dim) ** 2
+    assert first.table != second.table
+    assert second.table == cayley_double(A, 1).table
 
 
 # ------------------------------------------------- double of the polynomial ring
