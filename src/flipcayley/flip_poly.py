@@ -158,25 +158,18 @@ class FlipPolyRing:
     ``_columns[j][m]`` lists the pairs ``(i, v)`` of the nonzero pi_i^m(e_j),
     v its sparse integer numerators over ``_step[0] ** m``.  A column grows
     only as far as a product asks, by X (c X^k) = sigma(c) X^(k+1) +
-    delta(c) X^k, and is published as a longer tuple of complete levels, so
-    rings can be shared across threads.  ``mul`` clears each operand's
-    denominators once and packs the right operand along its degrees: one
-    integer per flip parity and column r, with the coefficient of degree n
-    in the slot of w bits at n - n0.  For each left term a X^m, each pi image
-    of level m shifts that integer by its i and adds into one integer per
-    coordinate s, which goes into a e_s (e_s a under the flip) with one
-    big-integer multiply-add per table entry, giving one integer per output
-    coordinate.  Each of those is unpacked once, with a signed borrow from
-    slot to slot, and divided once per coordinate.  The width w is one more
-    than the bit length of A1 B1 P T, a bound on every output numerator
-    (see ``_cleared_product``).  A product of one term by one term, such as
-    every basis-monomial product, skips the packing.  Each product is a
-    fresh ``Poly`` that the caller may mutate.
+    delta(c) X^k, through one period only on a ring with a ``degree_period``
+    p: level m >= p is level m - p, each i raised by p and the numerators
+    scaled by ``_step[0] ** p``.  Columns are published as longer tuples of
+    complete levels, so rings can be shared across threads.  ``mul`` clears
+    each operand's denominators once and multiplies by Kronecker substitution
+    along the degrees (``_cleared_product``), which a product of one term by
+    one term skips.  Each product is a fresh ``Poly`` that the caller may mutate.
     """
 
     __slots__ = (
         "coeff_algebra", "sigma", "delta", "flipped", "_table", "_t1", "_step", "_columns",
-        "_basis", "_lock",
+        "_basis", "_lock", "_period",
     )
 
     def __init__(self, coeff_algebra, sigma, delta, flipped):
@@ -211,8 +204,16 @@ class FlipPolyRing:
         column = self._columns[j]
         if top < len(column):
             return column
-        steps, dim, levels = self._step[1], len(self._columns), list(column)
+        (step, steps), dim, levels = self._step, len(self._columns), list(column)
+        p = degree_period(self)
         while len(levels) <= top:
+            if p and len(levels) >= p:  # one period back, shifted by p
+                scale = step ** p
+                levels.append(tuple(
+                    (i + p, v if scale == 1 else tuple((t, c * scale) for t, c in v))
+                    for i, v in levels[-p]
+                ))
+                continue
             nxt = {}
             for i, vec in levels[-1]:
                 for shift, cols, scale in steps:
@@ -403,6 +404,28 @@ def _integer_table(algebra):
     return tuple(
         tuple(tuple((k, int(t * den)) for k, t in entry) for entry in row) for row in table
     ), den
+
+
+def degree_period(ring):
+    """The proven degree period of the ring's products, or None; found once, on first use.
+
+    With delta zero, (e_i X^m)(e_j X^n) = tau_n(e_i, sigma^m(e_j)) X^(m+n).  If
+    sigma^k is the identity, a factor at degree m + p in place of m raises the
+    product by p when k | p as a left factor (through sigma^m) and when 2 | p
+    as a right factor under the flip (through tau_n), and so every product of
+    products: the period is lcm(k, 2) on a flipped ring and k on an unflipped
+    one, k the least order of sigma up to 12 (the largest finite order of a
+    rational 4 x 4 matrix), checked exactly.
+    """
+    if not hasattr(ring, "_period"):
+        period, power = None, ring.sigma
+        for k in range(1, 13) if ring.delta.is_zero() else ():
+            if power.is_identity():
+                period = lcm(k, 2) if ring.flipped else k
+                break
+            power = ring.sigma.compose(power)
+        ring._period = period
+    return ring._period
 
 
 def star_skew_ring(algebra):

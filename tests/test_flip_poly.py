@@ -19,6 +19,7 @@ from flipcayley import (
     check_axioms,
     linalg,
     named,
+    ordinary_ring,
     parse_poly,
     poly_to_text,
     psi,
@@ -30,6 +31,7 @@ from flipcayley.algebra_core import _TERMS, IDENTITIES, identity_at
 from flipcayley.flip_poly import (
     AxiomReport,
     _axiom_checks,
+    degree_period,
     even_square_ring,
     poly_to_json,
 )
@@ -199,14 +201,28 @@ def test_star_skew_monomial_products(algebras):
     assert list(ring.mul(Poly({0: i, 3: j}), Poly({0: k, 1: one})).coeffs) == [0, 1, 3, 4]
 
 
-def _is_parity_periodic(ring, top):
+def _recurrence_twin(ring):
+    """A fresh ring with the same data whose pi columns grow level by level
+    by the recurrence alone: its period is set to "none proven"."""
+    twin = FlipPolyRing(ring.coeff_algebra, ring.sigma, ring.delta, ring.flipped)
+    twin._period = None
+    return twin
+
+
+def _order_three_sigma(H):
+    """Conjugation by u = (1 + e1 + e2 + e3)/2 on H, of order 3 as u^3 = -1."""
+    u = H.element([Fraction(1, 2)] * 4)
+    return _map_of(H, lambda x: H.mul(H.mul(u, x), H.star(u)), "sigma")
+
+
+def _is_periodic(ring, p, top):
     """Whether each (e_i X^m)(e_j X^n) with m, n <= top is the product at
-    degrees (m mod 2, n mod 2) with every output degree raised by
-    (m - m mod 2) + (n - n mod 2), all read from ``ring._basis``."""
+    degrees (m mod p, n mod p) with every output degree raised by
+    (m - m mod p) + (n - n mod p), all read from ``ring._basis``."""
     degrees, indices = range(top + 1), range(ring.coeff_algebra.dim)
     for m, n, i, j in itertools.product(degrees, degrees, indices, indices):
-        shift = m - m % 2 + n - n % 2
-        base = ring._basis[m % 2, i][n % 2, j]
+        shift = m - m % p + n - n % p
+        base = ring._basis[m % p, i][n % p, j]
         if ring._basis[m, i][n, j] != tuple(((d + shift, k), c) for (d, k), c in base):
             return False
     return True
@@ -215,7 +231,9 @@ def _is_parity_periodic(ring, top):
 def test_star_skew_ring_is_parity_periodic(algebras):
     """sigma the star (of order 1 or 2) and delta 0 make every basis-monomial
     product depend on its degrees only through their parities: the lemma
-    behind the ``props`` suite's verdicts holding at every degree."""
+    behind the ``props`` suite's verdicts holding at every degree, and the
+    period that ``degree_period`` proves from the ring's data.  The products
+    are made by the recurrence, so the lemma is checked, not assumed."""
     cases = [(name, algebras[name]) for name in ("R", "C", "C'", "H", "H'", "O", "O'")]
     cases += (
         matrix_algebras() + exchange_algebras() + sparse_exchange_algebras()
@@ -225,15 +243,60 @@ def test_star_skew_ring_is_parity_periodic(algebras):
         cases.append((f"tower{tuple(mus)}", tower(mus)))
     assert len(cases) == 23
     for name, A in cases:
-        assert _is_parity_periodic(star_skew_ring(A), 4), name
-    # a nonzero delta, or a sigma of order 3, breaks the period
+        ring = star_skew_ring(A)
+        assert degree_period(ring) == 2, name
+        assert _is_periodic(_recurrence_twin(ring), 2, 4), name
+    # a nonzero delta breaks the period, and degree_period proves none
     H = algebras["H"]
     e1 = H.basis()[1]
     delta = _map_of(H, lambda x: H.mul(x, e1) - H.mul(e1, x), "delta")
-    u = H.element([Fraction(1, 2)] * 4)  # u^3 = -1, so conjugation by u has order 3
-    sigma = _map_of(H, lambda x: H.mul(H.mul(u, x), H.star(u)), "sigma")
-    assert not _is_parity_periodic(FlipPolyRing(H, AdditiveMap.from_star(H), delta, True), 4)
-    assert not _is_parity_periodic(FlipPolyRing(H, sigma, AdditiveMap.zero(4), True), 4)
+    with_delta = FlipPolyRing(H, AdditiveMap.from_star(H), delta, True)
+    assert degree_period(with_delta) is None
+    assert not _is_periodic(with_delta, 2, 4)
+    # a sigma of order 3 breaks the parity period; the flip needs an even
+    # period, so the ring is 6-periodic, and 3-periodic without the flip
+    flipped, unflipped = (
+        FlipPolyRing(H, _order_three_sigma(H), AdditiveMap.zero(4), f) for f in (True, False)
+    )
+    assert (degree_period(flipped), degree_period(unflipped)) == (6, 3)
+    twin = _recurrence_twin(flipped)
+    assert not _is_periodic(twin, 2, 4) and not _is_periodic(twin, 3, 4)
+    assert _is_periodic(twin, 6, 7)
+    assert _is_periodic(_recurrence_twin(unflipped), 3, 5)
+    # over a commutative algebra with sigma the identity, no degree matters
+    C = algebras["C"]
+    assert degree_period(ordinary_ring(C)) == 1
+    assert _is_periodic(_recurrence_twin(ordinary_ring(C)), 1, 3)
+
+
+def test_periodic_pi_columns_match_the_recurrence(algebras):
+    """On a ring with a proven period each pi column is one period of
+    levels, repeated, shifted and scaled by ``_step[0] ** p``.  Column by
+    column to degree 400 it equals the column the recurrence grows, on S, O,
+    a mixed-mu tower, a flipped ring over H with a fractional sigma of order
+    2, whose step is 2, and the rings of a sigma of order 3 (periods 6 and 3);
+    a nonzero delta proves no period, and such rings keep the recurrence
+    (``test_pi_matrix_matches_the_right_recursion``)."""
+    H = algebras["H"]
+    sigma = AdditiveMap(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, Fraction(1, 2), -1, 0], [0, 0, 0, -1]], "sigma"
+    )  # e1 -> e1 + e2/2, e2 -> -e2, e3 -> -e3
+    fractional = FlipPolyRing(H, sigma, AdditiveMap.zero(4), flipped=True)
+    assert fractional._step[0] == 2
+    rings = [(star_skew_ring(algebras[name]), 2) for name in ("S", "O")]
+    rings += [(star_skew_ring(tower([Fraction(1, 2), 3, -1])), 2), (fractional, 2)]
+    rings += [
+        (FlipPolyRing(H, _order_three_sigma(H), AdditiveMap.zero(4), f), p)
+        for f, p in ((True, 6), (False, 3))
+    ]
+    for ring, period in rings:
+        assert degree_period(ring) == period
+        twin = _recurrence_twin(ring)
+        for j in range(ring.coeff_algebra.dim):
+            assert ring._column(j, 400) == twin._column(j, 400), j
+    e1 = H.basis()[1]
+    delta = _map_of(H, lambda x: H.mul(x, e1) - H.mul(e1, x), "delta")
+    assert degree_period(FlipPolyRing(H, sigma, delta, flipped=True)) is None
 
 
 def test_ring_mul_of_degree_one_monomials(algebras):
