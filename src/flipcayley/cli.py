@@ -241,12 +241,10 @@ def cmd_quotient(args):
         u = parse_element(args.operands[0], doubled_dim)
         v = parse_element(args.operands[1], doubled_dim)
         result = quotient.mul(u, v)
-    elif args.action == "star":
+    else:  # star: the parser admits no other action
         if len(args.operands) != 1:
             raise CliError("quotient star needs exactly one element literal")
         result = quotient.star(parse_element(args.operands[0], doubled_dim))
-    else:
-        raise CliError(f"unknown quotient action {args.action!r}")
     _print_element(result, args.json)
     return 0
 

@@ -195,9 +195,6 @@ class FlipPolyRing:
         self._basis = _BasisProducts(self)
         self._lock = threading.Lock()  # held to publish a column
 
-    def x(self):
-        return Poly({1: self.coeff_algebra.unit})
-
     # ------------------------------------------------------------------- kernels
     def _column(self, j, top):
         """Column j of the pi cache through level ``top``, extending it as needed."""
@@ -414,8 +411,10 @@ def degree_period(ring):
     product by p when k | p as a left factor (through sigma^m) and when 2 | p
     as a right factor under the flip (through tau_n), and so every product of
     products: the period is lcm(k, 2) on a flipped ring and k on an unflipped
-    one, k the least order of sigma up to 12 (the largest finite order of a
-    rational 4 x 4 matrix), checked exactly.
+    one, k the least order of sigma up to 12, checked exactly.  Up to dim 4,
+    12 is the largest finite order of a rational matrix; past it sigma may
+    have a longer one (a permutation of e1..e15 over S with cycles of length
+    3, 5 and 7 has order 105), and such a ring gets None and the recurrence.
     """
     if not hasattr(ring, "_period"):
         period, power = None, ring.sigma

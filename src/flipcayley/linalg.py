@@ -146,10 +146,6 @@ class RowReducer:
         self.ncols = ncols
         self._tails = {}  # pivot column -> tail; the basis is fully reduced
 
-    @property
-    def rank(self):
-        return len(self._tails)
-
     def _remainder(self, vector):
         if len(vector) != self.ncols:
             raise ValueError(f"row has {len(vector)} entries, expected {self.ncols}")

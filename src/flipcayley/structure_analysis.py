@@ -6,9 +6,9 @@ coefficient, depending only on the degree's parity.  ``degreewise_set``
 solves those conditions exactly.  ``degreewise_set_bruteforce`` is the
 independent oracle: it multiplies actual monomials in the ring and solves
 the resulting constraint systems, with the other slots' degrees through one
-``degree_period`` (2 on a star-skew ring, where higher degrees only repeat
-rows, which ``constraint_rows`` drops), else ``BRUTE_DEGREE_WINDOW``.  The
-test suites require the two routes to coincide.  The oracles (this one and
+``degree_period`` of the star-skew ring, always 2 (sigma is the involution,
+delta is 0; higher degrees only repeat rows).  The test suites require the
+two routes to coincide.  The oracles (this one and
 ``x_in_nucleus_bruteforce``) read the commutator and associators from
 ``algebra_core.IDENTITIES``, the words behind the criteria's row kinds, with
 ``identity_at`` on the ring's cached basis-monomial products, and the
@@ -41,8 +41,6 @@ SET_KINDS = ("commuter", "left_right_nucleus", "middle_nucleus", "nucleus", "cen
 X_SIDES = ("left", "middle", "right")
 CRITERIA_BOUND_LIMIT = 8
 BRUTE_BOUND_LIMIT = 4
-# other slots' top degree; a proven period replaces it, dropping only repeated rows
-BRUTE_DEGREE_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -293,7 +291,7 @@ def _brute_primitive_rows(ring, key):
     for ``key = (degree, kind)``: one per (degree, coordinate) of its ring value."""
     degree, kind = key
     n = ring.coeff_algebra.dim
-    others = product(range(degree_period(ring) or BRUTE_DEGREE_WINDOW + 1), range(n))
+    others = product(range(degree_period(ring)), range(n))
     return identity_rows(ring._basis, kind, [(degree, a) for a in range(n)], others)
 
 

@@ -160,7 +160,8 @@ def suite_props(algebra=None, mu=None, bound=None):
             "T" if f else "F"
             for f in (commutative, associative, alternative, flexible)
         )
-        yield f"{name}: (comm, assoc, alt, flex) = {flags}, matches both quotients"
+        checked = "both quotients" if mu is None else f"the mu={mu} quotient"
+        yield f"{name}: (comm, assoc, alt, flex) = {flags}, matches {checked}"
 
 
 def suite_centers(algebra=None, mu=None, bound=None):

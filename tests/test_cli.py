@@ -444,6 +444,13 @@ e3  e3  e2   -e1  -e0
             "2       2    e0; e1\n"
             "3       2    e0; e1\n",
         ),
+        # with a mu, props checks that one quotient only, and says so
+        (
+            ["verify", "--suite=props", "--algebra=O", "--mu=2"],
+            "suite props [inheritance-criteria]\n"
+            "  O: (comm, assoc, alt, flex) = FFFT, matches the mu=2 quotient\n"
+            "  result: PASS\n",
+        ),
     ],
 )
 def test_text_output_is_pinned(argv, expected, capsys):

@@ -18,7 +18,6 @@ from flipcayley import structure_analysis as sa
 from flipcayley.algebra_core import NUCLEUS_SIDES, identity_at
 from flipcayley.flip_poly import AdditiveMap, FlipPolyRing, check_axioms, degree_period
 from conftest import (
-    _map_of,
     exchange_algebras,
     matrix_algebras,
     memoized_mul,
@@ -408,7 +407,7 @@ _BRUTE_PRIMITIVES = ("commuter", "nucleus_left", "nucleus_middle", "nucleus_righ
 def _raw_brute_rows(A, mul, degree, kind):
     """The brute-force oracle's constraint rows over the algebra A, rebuilt
     from ``mul``, a memoized ``ring.mul``, with the other slots at degrees 0
-    to 2 whatever the library's window or the ring's period."""
+    to 2 whatever the ring's period."""
     n = A.dim
     window = range(3)
 
@@ -446,23 +445,18 @@ def _raw_brute_rows(A, mul, degree, kind):
 
 def test_brute_row_spaces_span_the_raw_rows(algebras):
     """The oracle's rows are the distinct nonzero rows of ring products with
-    the other slots at degrees 0 to 2: on star-skew rings, whose proven
-    period 2 leaves degree 2 out, and on H[X; *, delta], which has no proven
-    period and keeps the window (there degrees 0 and 1 alone give fewer rows)."""
+    the other slots at degrees 0 to 2, on star-skew rings, whose proven
+    period 2 leaves degree 2 out."""
     # every kind must meet a proper rank somewhere, or it could not tell a
     # wrong ring identity from a right one
     cases = [(name, star_skew_ring(algebras[name])) for name in ("C'", "H", "H'")]
     cases += [(name, star_skew_ring(A)) for name, A in _off_named_set()]
-    H = algebras["H"]
-    e1 = H.basis()[1]
-    delta = _map_of(H, lambda x: H.mul(x, e1) - H.mul(e1, x), "delta")
-    cases.append(("H delta", FlipPolyRing(H, AdditiveMap.from_star(H), delta, flipped=True)))
-    assert [degree_period(ring) for _, ring in cases] == [2] * (len(cases) - 1) + [None]
+    assert [degree_period(ring) for _, ring in cases] == [2] * len(cases)
     proper = set()
     for name, ring in cases:
         A = ring.coeff_algebra
         mul = memoized_mul(ring)  # one memo for every degree and kind
-        top = sa.BRUTE_BOUND_LIMIT if A.dim <= 4 else sa.BRUTE_DEGREE_WINDOW
+        top = sa.BRUTE_BOUND_LIMIT if A.dim <= 4 else 2
         for degree in range(top + 1):
             for kind in _BRUTE_PRIMITIVES:
                 rows = sa._brute_primitive_rows(ring, (degree, kind))
