@@ -6,8 +6,9 @@ Polynomial literals use bracketed coordinate vectors per degree,
 e.g. ``[1,0,0,0] + [0,1,0,0]*X^2``.
 
 Exit codes: 0 success, 1 a check or suite failed (witness printed),
-2 usage or parse error.  Degree bounds: ``check`` defaults to 4 and
-``analyze`` to 6, both at most 8; ``--cross-check`` runs to 4.
+2 usage or parse error (also a ``verify --algebra`` or ``--mu`` that no
+suite run reads).  Degree bounds: ``check`` defaults to 4 and ``analyze``
+to 6, both at most 8; ``--cross-check`` runs to 4.
 """
 
 from __future__ import annotations
@@ -144,9 +145,6 @@ def _parse_poly(text, dim):
 # -------------------------------------------------------------- subcommands
 def cmd_algebra(args):
     algebra = _build_algebra(args)
-    if args.json:
-        _print_algebra(algebra, True)
-        return 0
     print(f"dim: {algebra.dim}")
     print("unit: e0")
     print(f"commutative: {algebra.is_commutative()}")
@@ -202,8 +200,8 @@ def cmd_involution(args):
     algebra = _build_algebra(args)
     ring = star_skew_ring(algebra)
     if args.validate is not None:
-        if args.poly is not None:
-            raise CliError("use either --validate or a polynomial literal, not both")
+        if args.poly is not None or args.which is not None or args.json:
+            raise CliError("--validate takes no polynomial literal, --which or --json")
         candidate = _parse_poly(args.validate, algebra.dim)
         violations = degree_one_extension_violations(ring, candidate)
         if not violations:
@@ -215,7 +213,7 @@ def cmd_involution(args):
     if args.poly is None:
         raise CliError("a polynomial literal is required (or use --validate)")
     p = _parse_poly(args.poly, algebra.dim)
-    image = alpha(ring, p) if args.which == "alpha" else beta(ring, p)
+    image = beta(ring, p) if args.which == "beta" else alpha(ring, p)
     if args.json:
         print(json.dumps(poly_to_json(image)))
     else:
@@ -315,19 +313,21 @@ def cmd_analyze(args):
 
 
 def cmd_verify(args):
-    if args.run_all or args.suite in (None, "all"):
-        names = list(verify_mod.SUITES)
-    else:
-        names = [args.suite]
+    names = list(verify_mod.SUITES) if args.run_all or args.suite is None else [args.suite]
+    for option in ("algebra", "mu"):
+        readers = [name for name, read in verify_mod.SUITE_OPTIONS.items() if option in read]
+        if getattr(args, option) is not None and not set(names) & set(readers):
+            raise CliError(f"suite {args.suite} reads no --{option}; {', '.join(readers)} do")
     mu = None
     if args.mu is not None:
         mu = _rational(args.mu, "--mu value")
         if mu == 0:
             raise CliError("bad --mu value: mu must be nonzero")
-    if args.algebra is not None and args.algebra not in NAMED_TOWERS:
-        raise CliError(
-            f"unknown algebra {args.algebra!r}; valid names: {', '.join(NAMED_TOWERS)}"
-        )
+    if args.algebra is not None:
+        try:
+            named(args.algebra)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
     failed = False
     for name in names:
         result = verify_mod.run_suite(name, algebra=args.algebra, mu=mu)
@@ -356,7 +356,8 @@ def build_parser():
             p.add_argument("--json", action="store_true", help="emit JSON")
         return p
 
-    p = with_algebra(sub.add_parser("algebra", help="build an algebra and describe it"))
+    p = sub.add_parser("algebra", help="build an algebra and describe it")
+    p = with_algebra(p, emits_json=False)
     p.add_argument(
         "--zero-divisors",
         action="store_true",
@@ -388,7 +389,7 @@ def build_parser():
     p = with_algebra(
         sub.add_parser("involution", help="apply alpha/beta, or validate a candidate")
     )
-    p.add_argument("--which", choices=("alpha", "beta"), default="alpha")
+    p.add_argument("--which", choices=("alpha", "beta"), help="default: alpha")
     p.add_argument("--validate", metavar="POLY", help="candidate image of X to validate")
     p.add_argument("poly", nargs="?", help="polynomial literal")
     p.set_defaults(func=cmd_involution)
@@ -414,10 +415,10 @@ def build_parser():
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the named verification suites")
-    p.add_argument("--suite", choices=tuple(verify_mod.SUITES) + ("all",))
+    p.add_argument("--suite", choices=tuple(verify_mod.SUITES))
     p.add_argument("--all", action="store_true", dest="run_all")
-    p.add_argument("--algebra", help="restrict to one named algebra where applicable")
-    p.add_argument("--mu", help="restrict to one doubling scalar where applicable")
+    p.add_argument("--algebra", help="restrict the suites that read it to one named algebra")
+    p.add_argument("--mu", help="restrict the suites that read it to one doubling scalar")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -4,14 +4,15 @@ Each suite checks one structural statement end to end.  It is a generator
 that yields one report line per case checked and raises ``SuiteFailure``
 with the witness at its first counterexample; ``run_suite`` alone turns
 that into a ``SuiteResult``, which keeps the lines yielded before the
-failure and renders PASS or FAIL.  Suites are deterministic: the same
-inputs always produce a byte-identical report.  The ``axioms`` suite reads
-every ring product from the rings' tables of basis-monomial products
-(``FlipPolyRing._basis``).
+failure and renders PASS or FAIL.  A suite's parameters are the options it
+reads (``SUITE_OPTIONS``).  Suites are deterministic: the same inputs always
+produce a byte-identical report.  The ``axioms`` suite reads every ring
+product from the rings' tables of basis-monomial products (``FlipPolyRing._basis``).
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -63,7 +64,7 @@ def _algebra_set(names, restrict):
     return [(name, named(name)) for name in chosen]
 
 
-def suite_thm1(algebra=None, mu=None, bound=None):
+def suite_thm1(algebra=None, mu=None):
     """Quotient by X^2 - mu versus the doubled algebra, as star-algebras."""
     mus = [mu] if mu is not None else [-1, 1]
     for name, A in _algebra_set(THM1_ALGEBRAS, algebra):
@@ -96,7 +97,7 @@ def _pair_monomials(algebra, tdeg):
     return out
 
 
-def suite_thm2(algebra=None, mu=None, bound=None):
+def suite_thm2(algebra=None):
     """The flipped ring as the double of the polynomial algebra in t."""
     tdeg = 2
     for name, A in _algebra_set(THM2_ALGEBRAS, algebra):
@@ -123,7 +124,7 @@ def suite_thm2(algebra=None, mu=None, bound=None):
         )
 
 
-def suite_props(algebra=None, mu=None, bound=None):
+def suite_props(algebra=None, mu=None):
     """Inheritance criteria against direct evaluation on the quotient algebras."""
     mus = [mu] if mu is not None else [-1, 1]
     for name, A in _algebra_set(PROPS_ALGEBRAS, algebra):
@@ -164,7 +165,7 @@ def suite_props(algebra=None, mu=None, bound=None):
         yield f"{name}: (comm, assoc, alt, flex) = {flags}, matches {checked}"
 
 
-def suite_centers(algebra=None, mu=None, bound=None):
+def suite_centers(algebra=None, bound=None):
     """Degreewise structural sets: criteria versus the brute-force oracle."""
     b = min(bound if bound is not None else 4, sa.BRUTE_BOUND_LIMIT)
     for name, A in _algebra_set(CENTERS_ALGEBRAS, algebra):
@@ -187,7 +188,7 @@ def suite_centers(algebra=None, mu=None, bound=None):
         yield f"{name} (bound {b}): {summary}"
 
 
-def suite_corollary(algebra=None, mu=None, bound=None):
+def suite_corollary(bound=None):
     """Commuter/center/nucleus patterns along the -1 doubling tower."""
     b = bound if bound is not None else 6
     for n in range(5):
@@ -231,7 +232,7 @@ def _first_difference(ring_a, ring_b, max_degree):
     )
 
 
-def suite_axioms(algebra=None, mu=None, bound=None):
+def suite_axioms(bound=None):
     """Ring axiom families and the flip/unflip coincidence over commutative bases."""
     b = bound if bound is not None else 6
     H = named("H")
@@ -300,19 +301,24 @@ SUITES = {
     "corollary": ("tower-patterns", suite_corollary),
     "axioms": ("ring-axioms", suite_axioms),
 }
+# name -> the options its suite reads, which are the suite's parameters
+SUITE_OPTIONS = {
+    name: tuple(inspect.signature(suite).parameters) for name, (_, suite) in SUITES.items()
+}
 
 
 def run_suite(name, algebra=None, mu=None, bound=None):
-    """Run one suite; its report lines, and its first counterexample if any."""
+    """Run one suite on the options it reads; its lines and first counterexample."""
     try:
         tag, suite = SUITES[name]
     except KeyError:
         raise ValueError(
             f"unknown suite {name!r}; valid suites: {', '.join(SUITES)}"
         ) from None
+    given = {"algebra": algebra, "mu": mu, "bound": bound}
     result = SuiteResult(name, tag)
     try:
-        for line in suite(algebra=algebra, mu=mu, bound=bound):
+        for line in suite(**{option: given[option] for option in SUITE_OPTIONS[name]}):
             result.lines.append(line)
     except SuiteFailure as failure:
         result.failure = str(failure)

@@ -153,11 +153,10 @@ def test_check_takes_no_json_flag(capsys):
     assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
-def test_algebra_json_is_the_table_json(capsys):
-    assert main(["algebra", "--algebra=H", "--json"]) == 0
-    described = capsys.readouterr().out
-    assert main(["table", "--algebra=H", "--json"]) == 0
-    assert capsys.readouterr().out == described
+def test_algebra_takes_no_json_flag(capsys):
+    # table --json is the one JSON export of an algebra
+    assert main(["algebra", "--algebra=S", "--json", "--zero-divisors"]) == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_involution_commands(capsys):
@@ -230,6 +229,32 @@ def test_verify_single_suite(capsys):
     out = capsys.readouterr().out
     assert "suite thm1" in out
     assert "result: PASS" in out
+
+
+def test_verify_takes_no_suite_all(capsys):
+    # plain verify and verify --all run every suite
+    assert main(["verify", "--suite=all"]) == 2
+    assert "invalid choice: 'all'" in capsys.readouterr().err
+
+
+def test_each_suite_reads_the_options_it_declares():
+    assert verify.SUITE_OPTIONS == {
+        "thm1": ("algebra", "mu"),
+        "thm2": ("algebra",),
+        "props": ("algebra", "mu"),
+        "centers": ("algebra", "bound"),
+        "corollary": ("bound",),
+        "axioms": ("bound",),
+    }
+    # the benchmark passes every suite the same keywords; each reads its own
+    assert verify.run_suite("thm1", algebra="C", bound=6).render() == [
+        "suite thm1 [quotient-matches-cayley-double]",
+        "  C, mu=-1: 4x4 products and 4 stars agree",
+        "  C, mu=1: 4x4 products and 4 stars agree",
+        "  result: PASS",
+    ]
+    with pytest.raises(TypeError):
+        verify.run_suite("thm1", algebr="C")
 
 
 def test_verify_axioms_suite(capsys):
@@ -387,6 +412,12 @@ _BAD_INPUTS = [
     ["involution", "--algebra=C", "[0,1]*X^1_0"],
     ["mul", "--algebra=H", "*e1", "e2"],
     ["involution", "--algebra=C", "--validate", "[0,1]*X", "[1,0]"],
+    # an option that no suite run reads, and flags that --validate does not read
+    ["verify", "--suite=thm2", "--algebra=C", "--mu=2"],
+    ["verify", "--suite=axioms", "--mu=5"],
+    ["verify", "--suite=corollary", "--algebra=H"],
+    ["involution", "--algebra=H", "--validate", "[0,0,0,0] - [1,0,0,0]*X", "--json"],
+    ["involution", "--algebra=H", "--validate", "[0,0,0,0] - [1,0,0,0]*X", "--which=beta"],
 ]
 
 
@@ -508,7 +539,7 @@ _bound = st.integers(-1, 3).map("--bound={}".format)
 _json = st.just("--json")
 # command -> (required flags, optional flags, positional arguments)
 _COMMANDS = {
-    "algebra": ((_algebra,), (_json, st.just("--zero-divisors")), ()),
+    "algebra": ((_algebra,), (st.just("--zero-divisors"),), ()),
     "mul": ((_algebra,), (_json,), (_element,) * 2),
     "assoc": ((_algebra,), (_json,), (_element,) * 3),
     "table": ((_algebra,), (_json,), ()),
@@ -538,12 +569,17 @@ _COMMANDS = {
         (_bound, _json, st.just("--cross-check")),
         (),
     ),
-    # one suite on one algebra: every suite on every algebra takes seconds
+    # one suite, on one algebra where it reads one: every suite on every
+    # algebra takes seconds
     "verify": (
         (
-            st.sampled_from(("thm1", "thm2", "props", "centers", "corollary", "axioms"))
-            .map("--suite={}".format),
-            st.sampled_from(("R", "C", "H")).map("--algebra={}".format),
+            st.sampled_from(sorted(verify.SUITE_OPTIONS)).flatmap(
+                lambda suite: st.sampled_from(("R", "C", "H")).map(
+                    lambda name: ("--suite=" + suite, "--algebra=" + name)
+                )
+                if "algebra" in verify.SUITE_OPTIONS[suite]
+                else st.just(("--suite=" + suite,))
+            ),
         ),
         (_scalar.map("--mu={}".format),),
         (),
@@ -555,7 +591,10 @@ _COMMANDS = {
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     required, optional, positionals = _COMMANDS[command]
-    argv = [command] + [draw(flag) for flag in required]
+    argv = [command]
+    for flag in required:  # a flag strategy draws one argument or a tuple of them
+        drawn = draw(flag)
+        argv += drawn if isinstance(drawn, tuple) else [drawn]
     argv += draw(st.lists(st.one_of(optional), max_size=3))
     count = len(positionals) - draw(st.sampled_from((0, 0, 0, 1)))
     literals = [draw(p) for p in positionals[: max(count, 0)]]
