@@ -21,9 +21,9 @@ degree.  Each pi image then adds a shifted multiple of that integer, and
 each output coordinate is one integer, unpacked once.  The width w comes
 from a bound on every output numerator that is proven from the operands,
 so no slot overflows into the next.  The ring's one product cache,
-``FlipPolyRing._basis``, holds basis-monomial products; ``check_axioms``
-and the oracles of ``structure_analysis`` read every product from it
-through ``algebra_core.identity_at``.
+``FlipPolyRing._basis``, holds basis-monomial products, the kernel's for one
+``degree_period`` and raised past it; ``check_axioms`` and the oracles of
+``structure_analysis`` read them through ``algebra_core.identity_at``.
 """
 
 from __future__ import annotations
@@ -131,8 +131,10 @@ class Poly:
 
 class _BasisProducts(dict):
     """Slot ``(m, i)`` -> slot ``(n, j)`` -> ``(e_i X^m)(e_j X^n)`` as sparse
-    ``(((degree, k), coeff), ...)``, each computed by ``FlipPolyRing._cleared_product``
-    on first use: a ring's table for ``algebra_core.identity_at``."""
+    ``(((degree, k), coeff), ...)`` on first use, for ``algebra_core.identity_at``:
+    ``FlipPolyRing._cleared_product``'s for m, n < p (for all m, n on a ring with
+    no ``degree_period`` p), else the entry at (m mod p, n mod p), each degree
+    raised by (m - m mod p) + (n - n mod p)."""
 
     __slots__ = ("ring", "left")
 
@@ -143,7 +145,11 @@ class _BasisProducts(dict):
         if self.left is None:
             value = self[slot] = _BasisProducts(self.ring, slot)
             return value
-        (m, i), (n, j) = self.left, slot
+        (m, i), (n, j), p = self.left, slot, degree_period(self.ring)
+        if p and (m >= p or n >= p):  # the entry one period back in each degree, raised
+            base, shift = self.ring._basis[m % p, i][n % p, j], m - m % p + n - n % p
+            value = self[slot] = tuple(((degree + shift, k), v) for (degree, k), v in base)
+            return value
         rows, d = self.ring._cleared_product([(m, [(i, 1)])], [(n, [(j, 1)])], 1)
         value = self[slot] = tuple(
             ((degree, k), v if d == 1 else simplify(Fraction(v, d)))
@@ -163,8 +169,8 @@ class FlipPolyRing:
     scaled by ``_step[0] ** p``.  Columns are published as longer tuples of
     complete levels, so rings can be shared across threads.  ``mul`` clears
     each operand's denominators once and multiplies by Kronecker substitution
-    along the degrees (``_cleared_product``), which a product of one term by
-    one term skips.  Each product is a fresh ``Poly`` that the caller may mutate.
+    along the degrees (``_cleared_product``, which ``_basis`` runs within one
+    ``degree_period``).  Each product is a fresh ``Poly`` the caller may mutate.
     """
 
     __slots__ = (
@@ -478,7 +484,9 @@ def check_axioms(ring, family, degree_bound):
 
     ``*1``, ``*2`` and ``F3a`` restate the pi recurrence that defines
     ``FlipPolyRing.mul``, so on a ``FlipPolyRing`` only ``F3b``, ``N3`` and
-    ``O3`` can fail; they stay as self-checks of the product kernel.
+    ``O3`` can fail; they stay as self-checks of the product kernel.  With a
+    ``degree_period`` p, past p they check the kernel's one period against the
+    period lemma: F3a at m = p - 1 compares a raised entry with in-period sums.
     """
     if family not in AXIOM_FAMILIES:
         raise ValueError(f"family must be one of {AXIOM_FAMILIES}")
@@ -517,8 +525,7 @@ def _axiom_checks(ring, family, degree_bound):
     def text(terms):  # sparse terms as a Poly's text, zero coefficients dropped
         coeffs = {}
         for (degree, k), v in dict(terms).items():
-            if v:
-                coeffs.setdefault(degree, {})[k] = v
+            coeffs.setdefault(degree, {})[k] = v
         return poly_to_text(Poly({
             d: AlgebraElement([c.get(k, 0) for k in indices]) for d, c in coeffs.items()
         }))
@@ -563,13 +570,12 @@ def _axiom_checks(ring, family, degree_bound):
             )
     elif family == "N":
         # (X, p, q) in nucleus_right is (p, q, X); in nucleus_middle, (p, X, q)
-        for j, k, b, c in itertools.product(degrees, degrees, indices, indices):
-            for kind, word in (("right", "bX^{j}, cX^{k}, X"), ("middle", "bX^{j}, X, cX^{k}")):
-                value = identity_at(table, f"nucleus_{kind}", (x, (j, b), (k, c)))
-                yield "N3", not any(value.values()), lambda j=j, k=k, b=b, c=c, w=word, v=value: (
-                    f"({w.format(j=j, k=k)}) != 0 for b={basis[b].coords} c={basis[c].coords}: "
-                    f"{text(v)}"
-                )
+        words = {"right": "bX^{j}, cX^{k}, X", "middle": "bX^{j}, X, cX^{k}"}
+        for j, k, b, c, side, v in generator_associators(ring, words, degree_bound):
+            yield "N3", not any(v.values()), lambda j=j, k=k, b=b, c=c, w=words[side], v=v: (
+                f"({w.format(j=j, k=k)}) != 0 for b={basis[b].coords} c={basis[c].coords}: "
+                f"{text(v)}"
+            )
     else:  # "O": associativity sampled over all bounded monomial triples
         for i, j, k, a, b, c in itertools.product(
             degrees, degrees, degrees, indices, indices, indices
@@ -579,6 +585,15 @@ def _axiom_checks(ring, family, degree_bound):
                 f"(aX^{i}, bX^{j}, cX^{k}) != 0 for a={basis[a].coords} b={basis[b].coords} "
                 f"c={basis[c].coords}: {text(v)}"
             )
+
+
+def generator_associators(ring, sides, degree_bound):
+    """Yield ``(j, k, b, c, side, value)``, value the ``nucleus_<side>`` word at
+    (X, e_b X^j, e_c X^k) on ``ring._basis`` for j, k <= degree_bound, sides
+    innermost: the generator-nucleus brute force of family N and of ``x_in_nucleus_bruteforce``."""
+    x, degrees, indices = (1, 0), range(degree_bound + 1), range(ring.coeff_algebra.dim)
+    for j, k, b, c, side in itertools.product(degrees, degrees, indices, indices, sides):
+        yield j, k, b, c, side, identity_at(ring._basis, f"nucleus_{side}", (x, (j, b), (k, c)))
 
 
 # ------------------------------------------------------------------------ grading

@@ -7,13 +7,13 @@ solves those conditions exactly.  ``degreewise_set_bruteforce`` is the
 independent oracle: it multiplies actual monomials in the ring and solves
 the resulting constraint systems, with the other slots' degrees through one
 ``degree_period`` of the star-skew ring, always 2 (sigma is the involution,
-delta is 0; higher degrees only repeat rows).  The test suites require the
-two routes to coincide.  The oracles (this one and
-``x_in_nucleus_bruteforce``) read the commutator and associators from
+delta is 0; higher degrees only repeat rows).  The tests require the two
+routes to coincide.  The oracles (this one and ``x_in_nucleus_bruteforce``,
+whose loop is family N's) read the commutator and associators from
 ``algebra_core.IDENTITIES``, the words behind the criteria's row kinds, with
-``identity_at`` on the ring's cached basis-monomial products, and the
-degreewise one builds and solves its rows as the criteria do, with
-``identity_rows`` and ``StarAlgebra._nullspace``.
+``identity_at`` on the ring's basis-monomial memo (the kernel's within one
+period, raised past it); the degreewise one builds and solves its rows as
+the criteria do, with ``identity_rows`` and ``StarAlgebra._nullspace``.
 
 The map-shape predicates (sigma an endomorphism, delta a left or right
 sigma-derivation) are laws checked on every basis pair by one loop.
@@ -35,7 +35,7 @@ from itertools import product
 
 from . import linalg
 from .algebra_core import identity_at, identity_rows
-from .flip_poly import degree_period, star_skew_ring
+from .flip_poly import degree_period, generator_associators, star_skew_ring
 
 SET_KINDS = ("commuter", "left_right_nucleus", "middle_nucleus", "nucleus", "center")
 X_SIDES = ("left", "middle", "right")
@@ -115,12 +115,8 @@ def x_in_nucleus(ring, side):
         )
     if side == "middle":
         reducer = linalg.span((ring.sigma(e).coords for e in algebra.basis()), algebra.dim)
-        changed = True
-        while changed:
-            changed = False
-            for row in reducer.rows():
-                if reducer.add(ring.delta.apply(row)):
-                    changed = True
+        while any(reducer.add(ring.delta.apply(row)) for row in reducer.rows()):
+            pass  # until delta maps the span into itself
         commuter = linalg.span((e.coords for e in algebra.commuter_basis()), algebra.dim)
         return all(commuter.contains(row) for row in reducer.rows())
     return algebra.is_commutative()
@@ -132,13 +128,7 @@ def x_in_nucleus_bruteforce(ring, side, degree_bound=4):
         raise ValueError(f"side must be one of {X_SIDES}")
     if not 0 <= degree_bound <= BRUTE_BOUND_LIMIT:
         raise ValueError(f"degree_bound must be between 0 and {BRUTE_BOUND_LIMIT}")
-    kind = f"nucleus_{side}"
-    x = (1, 0)  # the generator X = e_0 X
-    degrees, indices = range(degree_bound + 1), range(ring.coeff_algebra.dim)
-    return not any(
-        any(identity_at(ring._basis, kind, (x, (j, b), (k, c))).values())
-        for j, k, b, c in product(degrees, degrees, indices, indices)
-    )
+    return not any(any(v.values()) for *_, v in generator_associators(ring, (side,), degree_bound))
 
 
 # ------------------------------------------------------------ inheritance criteria

@@ -229,12 +229,9 @@ def _is_periodic(ring, p, top):
     return True
 
 
-def test_star_skew_ring_is_parity_periodic(algebras):
-    """sigma the star (of order 1 or 2) and delta 0 make every basis-monomial
-    product depend on its degrees only through their parities: the lemma
-    behind the ``props`` suite's verdicts holding at every degree, and the
-    period that ``degree_period`` proves from the ring's data.  The products
-    are made by the recurrence, so the lemma is checked, not assumed."""
+def _star_skew_fixtures(algebras):
+    """23 ``(name, algebra)`` pairs: the named algebras to O', the fixture
+    algebras off the towers and three mixed-mu towers."""
     cases = [(name, algebras[name]) for name in ("R", "C", "C'", "H", "H'", "O", "O'")]
     cases += (
         matrix_algebras() + exchange_algebras() + sparse_exchange_algebras()
@@ -243,7 +240,16 @@ def test_star_skew_ring_is_parity_periodic(algebras):
     for mus in ([Fraction(1, 2), 3], [Fraction(1, 2), 3, -1], [2, -1, 5]):
         cases.append((f"tower{tuple(mus)}", tower(mus)))
     assert len(cases) == 23
-    for name, A in cases:
+    return cases
+
+
+def test_star_skew_ring_is_parity_periodic(algebras):
+    """sigma the star (of order 1 or 2) and delta 0 make every basis-monomial
+    product depend on its degrees only through their parities: the lemma
+    behind the ``props`` suite's verdicts holding at every degree, and the
+    period that ``degree_period`` proves from the ring's data.  The products
+    are made by the recurrence, so the lemma is checked, not assumed."""
+    for name, A in _star_skew_fixtures(algebras):
         ring = star_skew_ring(A)
         assert degree_period(ring) == 2, name
         assert _is_periodic(_recurrence_twin(ring), 2, 4), name
@@ -306,6 +312,74 @@ def test_periodic_pi_columns_match_the_recurrence(algebras):
     e1 = H.basis()[1]
     delta = _map_of(H, lambda x: H.mul(x, e1) - H.mul(e1, x), "delta")
     assert degree_period(FlipPolyRing(H, sigma, delta, flipped=True)) is None
+
+
+def _counting_kernel(monkeypatch):
+    """A list that gets ``(ring, (m, i), (n, j))`` for each ``_cleared_product``
+    call on single basis terms from now on."""
+    calls, kernel = [], FlipPolyRing._cleared_product
+
+    def counting(ring, left, right, den):
+        ((m, ((i, _),)),), ((n, ((j, _),)),) = left, right
+        calls.append((ring, (m, i), (n, j)))
+        return kernel(ring, left, right, den)
+
+    monkeypatch.setattr(FlipPolyRing, "_cleared_product", counting)
+    return calls
+
+
+def test_basis_memo_raises_one_period_to_every_degree(algebras, monkeypatch):
+    """On a ring with a ``degree_period`` p, every entry (e_i X^m)(e_j X^n) of
+    ``_basis`` with m, n <= 2p + 1 equals the entry that the kernel makes for
+    that very slot on the recurrence twin, and the ring runs the kernel for
+    the p^2 dim^2 slots of one period only: on periods 1 (``ordinary_ring(C)``),
+    2 (the 23 star-skew fixtures), and 3 and 6 (a sigma of order 3, unflipped
+    and flipped)."""
+    H = algebras["H"]
+    rings = [(name, star_skew_ring(A)) for name, A in _star_skew_fixtures(algebras)]
+    rings.append(("C ordinary", ordinary_ring(algebras["C"])))
+    for flipped in (False, True):
+        ring = FlipPolyRing(H, _order_three_sigma(H), AdditiveMap.zero(4), flipped)
+        rings.append((f"H order-3 sigma, flipped={flipped}", ring))
+    assert sorted({degree_period(ring) for _, ring in rings}) == [1, 2, 3, 6]
+    calls = _counting_kernel(monkeypatch)
+    for name, ring in rings:
+        p, indices = degree_period(ring), range(ring.coeff_algebra.dim)
+        twin, degrees = _recurrence_twin(ring), range(2 * p + 2)
+        for m, n, i, j in itertools.product(degrees, degrees, indices, indices):
+            assert ring._basis[m, i][n, j] == twin._basis[m, i][n, j], (name, m, n, i, j)
+        period = range(p)
+        assert sorted(slots for r, *slots in calls if r is ring) == sorted(
+            [(m, i), (n, j)] for m, n, i, j in itertools.product(period, period, indices, indices)
+        ), name
+        assert sum(r is twin for r, *_ in calls) == len(degrees) ** 2 * len(indices) ** 2, name
+
+
+def test_axiom_checks_run_the_kernel_on_one_period(algebras, monkeypatch):
+    """``check_axioms`` at bound 6 reads every basis product from ``_basis``,
+    which runs the kernel on one period only: 64 calls for family F on the
+    star-skew ring over H (period 2, dim 4) and 256 for family O over O
+    (period 2, dim 8), where filling each slot by the kernel took 916 and
+    8,512.  A ring with a nonzero delta proves no period and still fills
+    every slot it reads through the kernel, once each."""
+    calls = _counting_kernel(monkeypatch)
+    report = check_axioms(star_skew_ring(algebras["H"]), "F", 6)
+    assert (len(calls), report.checked, report.passed) == (64, 928, True)
+    calls.clear()
+    report = check_axioms(star_skew_ring(named("O")), "O", 6)
+    assert (len(calls), report.checked, report.failed) == (256, 175680, 76272)
+    H = algebras["H"]
+    e1 = H.basis()[1]
+    delta = _map_of(H, lambda x: H.mul(x, e1) - H.mul(e1, x), "delta")
+    with_delta = FlipPolyRing(H, AdditiveMap.from_star(H), delta, True)
+    assert degree_period(with_delta) is None
+    calls.clear()
+    for family in ("O", "N", "F"):
+        check_axioms(with_delta, family, 3)
+    filled = [[left, right] for left, row in with_delta._basis.items() for right in row]
+    assert sorted(slots for _, *slots in calls) == sorted(filled)
+    # O3's (aX^i bX^j) cX^k has a left factor of degree up to 6, far past any period
+    assert max(m for (m, _), _ in filled) == 6
 
 
 def test_ring_mul_of_degree_one_monomials(algebras):
