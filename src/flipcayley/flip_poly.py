@@ -14,16 +14,16 @@ pi_i^m(e_j) as integer vectors per basis column j, each column only as deep
 as a product asks; the combinatorial sum is the test oracle ``pi_oracle``.
 
 ``mul`` takes every product, whatever the operands' shape, through one
-kernel and keeps none.  The kernel is exact and uses Kronecker substitution
-along the degree axis: it packs the right operand's coefficients of each
-flip parity and basis column into one integer, one slot of w bits per
-degree.  Each pi image then adds a shifted multiple of that integer, and
-each output coordinate is one integer, unpacked once.  The width w comes
-from a bound on every output numerator that is proven from the operands,
-so no slot overflows into the next.  The ring's one product cache,
-``FlipPolyRing._basis``, holds basis-monomial products, the kernel's for one
-``degree_period`` and raised past it; ``check_axioms`` and the oracles of
-``structure_analysis`` read them through ``algebra_core.identity_at``.
+kernel and keeps none.  The kernel is exact and packs both factors by
+Kronecker substitution along the degree axis, one slot of w bits per degree:
+one integer per flip parity and basis column of the right factor, and one
+per basis column and class of degrees mod the ``degree_period`` of the left
+factor, whose degrees all read the class's one pi level.  A bound on every
+output numerator, proven from the operands, sets w, so no slot overflows.
+The ring's one product cache, ``FlipPolyRing._basis``, holds basis-monomial
+products, the kernel's for one ``degree_period`` and raised past it;
+``check_axioms`` and the oracles of ``structure_analysis`` read them through
+``algebra_core.identity_at``.
 """
 
 from __future__ import annotations
@@ -168,9 +168,10 @@ class FlipPolyRing:
     p: level m >= p is level m - p, each i raised by p and the numerators
     scaled by ``_step[0] ** p``.  Columns are published as longer tuples of
     complete levels, so rings can be shared across threads.  ``mul`` clears
-    each operand's denominators once and multiplies by Kronecker substitution
-    along the degrees (``_cleared_product``, which ``_basis`` runs within one
-    ``degree_period``).  Each product is a fresh ``Poly`` the caller may mutate.
+    each operand's denominators once and packs both by Kronecker substitution
+    along the degrees, the left one per class of degrees mod p, each class
+    reading one pi level (``_cleared_product``, which ``_basis`` runs within
+    one period).  Each product is a fresh ``Poly`` the caller may mutate.
     """
 
     __slots__ = (
@@ -263,14 +264,14 @@ class FlipPolyRing:
         over the denominator ``den``: ``rows`` maps each output degree with a
         nonzero coefficient, ascending, to its nonzero numerators ``{k: x}`` over d.
 
-        The right operand is packed along its degrees (Kronecker substitution):
-        B[f, r] (``packed[f][r]``) is the sum of y_(n,r) 2^(w (n - n0)) over
-        the right terms of flip parity f, so slot j of a packed integer holds
-        output degree n0 + i_lo + j once the pi image of level i is shifted by
-        w (i - i_lo).  Every sum is then one big-integer operation per
-        (f, coordinate) in place of one per degree, and each output
-        coordinate is unpacked once.  A product of one term by one term is
-        not packed: each i of the level read is its own output degree.
+        Both operands are packed along their degrees (Kronecker substitution):
+        B[f, r] (``packed[f][r]``) sums y_(n,r) 2^(w (n - n0)) over the right
+        terms of flip parity f, and L_c[r] (``lefts[r]``) sums step^(top-c)
+        a_m[r] 2^(w (m - c)) over the left terms of class c = m mod p (c = m
+        with no ``degree_period`` p), as level m of a column is level c raised
+        by m - c and scaled by step^(m-c).  Slot j holds degree n0 + i_lo + j,
+        and each sum is one big-integer operation per (c, f, coordinate).  A
+        product of one term by one term is not packed: each i is its own degree.
         """
         table, dt = self._table
         top, step = left[-1][0], self._step[0]
@@ -289,23 +290,26 @@ class FlipPolyRing:
                 degree: kept for degree, row in sorted(rows.items())
                 if (kept := {k: v for k, v in row.items() if v})
             }, d
+        p, classes, a1 = degree_period(self), {}, 0  # c -> the left terms a X^m, m = c mod p
+        for term in left:
+            classes.setdefault(c := term[0] % p if p else term[0], []).append(term)
+            a1 += step ** (top - c) * sum(abs(x) for _, x in term[1])
         # r -> column r of the pi cache, held through level top
         columns = {r: self._column(r, top) for r in {r for _, b in right for r, _ in b}}
-        levels = [level for column in columns.values() for m, _ in left if (level := column[m])]
+        levels = [level for column in columns.values() for c in classes if (level := column[c])]
         if not levels:  # every pi image read is zero
             return {}, d
         i_lo, i_hi = min(level[0][0] for level in levels), max(level[-1][0] for level in levels)
         n0 = right[0][0]
-        slots = i_hi - i_lo + right[-1][0] - n0 + 1
-        # A slot of the result sums, over the left terms a X^m (scaled by
-        # step ** (top - m)) and the right entries y of each (r, n), the
-        # products y pi_i^m(e_r)[s] (a e_s)[k], with at most one i per
-        # (r, n) and slot.  So |slot| <= A1 B1 P T, with A1 the sum of
-        # step^(top-m) |a|_1, B1 the sum of |y|, P the largest |pi vector|_1
-        # read and T the largest |table entry|_1, and w = bit_length(A1 B1
-        # P T) + 1 keeps every slot in [-2^(w-1), 2^(w-1)), which the
-        # signed borrow below reads back.
-        a1 = sum(step ** (top - m) * sum(abs(x) for _, x in a) for m, a in left)
+        slots = i_hi - i_lo + right[-1][0] - n0 + max(t[-1][0] - c for c, t in classes.items()) + 1
+        # A slot of the result sums, over the left terms a X^m of each class c
+        # and the right entries y of each (r, n), the products step^(top-c) y
+        # pi_i^c(e_r)[s] (a e_s)[k], with at most one i per (m, r, n) and slot.
+        # So |slot| <= A1 B1 P T, with A1 the sum of step^(top-c) |a|_1, B1
+        # the sum of |y|, P the largest |pi vector|_1 of the class levels read
+        # and T the largest |table entry|_1, and w = bit_length(A1 B1 P T) + 1
+        # keeps every slot in [-2^(w-1), 2^(w-1)), which the signed borrow
+        # below reads back.
         b1 = sum(abs(y) for _, b in right for _, y in b)
         p1 = max(sum(abs(x) for _, x in vec) for level in levels for _, vec in level)
         if self._t1 is None:  # found on the ring's first product of several terms
@@ -314,23 +318,24 @@ class FlipPolyRing:
         packed = {}  # flip -> r -> the right entries of column r, packed along n
         for n, b in right:
             part = packed.setdefault(self.flipped and n % 2 == 1, {})
-            shift = w * (n - n0)
             for r, y in b:
-                part[r] = part.get(r, 0) + (y << shift)
+                part[r] = part.get(r, 0) + (y << w * (n - n0))
         acc = {}  # output coordinate -> packed numerators over step ** top
-        for m, a in left:
-            scale = step ** (top - m)
+        for c, terms in classes.items():
+            scale, lefts = step ** (top - c), {}  # r -> the class's entries packed along m - c
+            for m, a in terms:
+                for r, x in a:
+                    lefts[r] = lefts.get(r, 0) + (x * scale << w * (m - c))
             for f, part in packed.items():
-                sums = {}  # s -> packed sum of y pi_i^m(e_r)[s] over the right terms
+                sums = {}  # s -> packed sum of y pi_i^c(e_r)[s] over the right terms
                 for r, y in part.items():
-                    for i, vec in columns[r][m]:
+                    for i, vec in columns[r][c]:
                         y_i = y << w * (i - i_lo)
                         for s, x in vec:
                             sums[s] = sums.get(s, 0) + x * y_i
                 for s, v in sums.items():
-                    if v:  # add v a e_s, or v e_s a under the flip
-                        v *= scale
-                        for r, x in a:
+                    if v:  # add v L e_s, or v e_s L under the flip
+                        for r, x in lefts.items():
                             for k, t in table[s][r] if f else table[r][s]:
                                 acc[k] = acc.get(k, 0) + v * (x * t)
         rows = {}  # output degree -> {k: numerator}

@@ -604,6 +604,75 @@ def test_packed_slot_at_the_width_bound(algebras):
         assert ring.mul(Poly({1: H.unit}), Poly({0: one.scaled(2**64), 1: one})) == want
 
 
+def _class_rings():
+    """``(ring, proven period)`` pairs that put left degrees into every kind
+    of period class: the star-skew rings (2), the ordinary ring (1, one class
+    for every degree), a sigma of order 3 with and without the flip (6, 3), a
+    sigma of order 2 with Fraction entries (2, so each class is scaled by a
+    power of its denominator) and a nonzero delta (None, a class per degree)."""
+    H = _ALGEBRAS["H"]
+    rings = [(star_skew_ring(A), 2) for A in _ALGEBRAS.values()]
+    rings.append((ordinary_ring(H), 1))
+    rings += [(FlipPolyRing(H, _order_three_sigma(H), AdditiveMap.zero(4), f), 3 + 3 * f)
+              for f in (True, False)]
+    swap = [[1, 0, 0, 0], [0, 0, Fraction(1, 2), 0], [0, 2, 0, 0], [0, 0, 0, 1]]
+    rings.append((FlipPolyRing(H, AdditiveMap(swap, "sigma"), AdditiveMap.zero(4), True), 2))
+    e1 = H.basis()[1]
+    delta = _map_of(H, lambda x: H.mul(x, e1) - H.mul(e1, x), "delta")
+    rings.append((FlipPolyRing(H, AdditiveMap.from_star(H), delta, True), None))
+    return rings
+
+
+_CLASS_RINGS = _class_rings()
+
+
+@st.composite
+def _class_operands(draw):
+    """A ring of ``_class_rings`` and a left operand of 3 to 8 terms of degree
+    <= 12, two of them a period apart (so in one class), with numerators up to
+    2^64 over mixed denominators; the right operand as in ``_rings_and_operands``."""
+    ring, p = draw(st.sampled_from(_CLASS_RINGS))
+    assert degree_period(ring) == p
+    coeff = _coefficients(ring.coeff_algebra.dim) | st.lists(
+        _WIDE, min_size=ring.coeff_algebra.dim, max_size=ring.coeff_algebra.dim
+    ).map(AlgebraElement)
+    base = draw(st.integers(0, 12 - (p or 1)))
+    degrees = {base, base + (p or 1)}
+    others = st.integers(0, 12).filter(lambda m: m not in degrees)
+    degrees |= draw(st.sets(others, min_size=1, max_size=6))
+    left = {m: draw(coeff.filter(lambda a: any(a.coords))) for m in degrees}
+    right = draw(st.dictionaries(st.integers(0, 4), coeff, min_size=1, max_size=2))
+    return ring, Poly(left), Poly(right)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_class_operands())
+def test_left_terms_of_one_period_class_match_pi_oracle_route(case):
+    """The kernel packs the left terms of each class of degrees mod the
+    proven period into one integer per coordinate and reads only the class's
+    pi level; with several terms per class and every kind of class, the
+    product equals the pi_oracle route."""
+    ring, p, q = case
+    assert len(p.coeffs) >= 3
+    assert ring.mul(p, q) == _oracle_product(ring, p, q)
+
+
+def test_one_class_slot_at_the_width_bound(algebras):
+    """Left terms 2^32 X + X^3 of one class (periods 1 and 2) times
+    X^0 + 2^32 X^2: their contributions add to 2^64 + 1 in the slot of degree
+    3, the bound is (2^32 + 1)^2 = 2^64 + 2^33 + 1, and the slot needs all
+    bit_length(bound) + 1 = 66 bits of its signed range, for either sign."""
+    H = algebras["H"]
+    for ring, p in ((ordinary_ring(H), 1), (star_skew_ring(H), 2)):
+        assert degree_period(ring) == p and 1 % p == 3 % p
+        for sign in (1, -1):
+            one = H.unit.scaled(sign)
+            left = Poly({1: one.scaled(2**32), 3: one})
+            right = Poly({0: H.unit, 2: H.unit.scaled(2**32)})
+            want = Poly({1: one.scaled(2**32), 3: one.scaled(2**64 + 1), 5: one.scaled(2**32)})
+            assert ring.mul(left, right) == want
+
+
 def evaluate_identity(kind, values, mul):
     """The identity ``kind`` at ``values`` (for x, b, c), from the product ``mul``:
     the words of ``algebra_core.IDENTITIES`` multiplied out one by one."""
