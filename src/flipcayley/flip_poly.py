@@ -12,16 +12,18 @@ for odd n.  pi_i^m is the sum of all compositions of i copies of sigma and
 m-i copies of delta, so X^m b = sum_i pi_i^m(b) X^i.  A ring caches the
 pi_i^m(e_j) as integer vectors per basis column j, each column only as deep
 as a product asks; the combinatorial sum is the test oracle ``pi_oracle``.
+A ring with a proven degree ``period`` p keeps levels below p only: every
+reader takes level m mod p, raised and scaled.
 
 ``mul`` takes every product, whatever the operands' shape, through one
 kernel and keeps none.  The kernel is exact and packs both factors by
 Kronecker substitution along the degree axis, one slot of w bits per degree:
 one integer per flip parity and basis column of the right factor, and one
-per basis column and class of degrees mod the ``degree_period`` of the left
-factor, whose degrees all read the class's one pi level.  A bound on every
-output numerator, proven from the operands, sets w, so no slot overflows.
-The ring's one product cache, ``FlipPolyRing._basis``, holds basis-monomial
-products, the kernel's for one ``degree_period`` and raised past it;
+per basis column and class of degrees mod p of the left factor, whose
+degrees all read the class's one pi level.  A bound on every output
+numerator, proven from the operands, sets w, so no slot overflows.  The
+ring's one product cache, ``FlipPolyRing._basis``, holds basis-monomial
+products, the kernel's for one period and raised past it;
 ``check_axioms`` and the oracles of ``structure_analysis`` read them through
 ``algebra_core.identity_at``.
 """
@@ -133,7 +135,7 @@ class _BasisProducts(dict):
     """Slot ``(m, i)`` -> slot ``(n, j)`` -> ``(e_i X^m)(e_j X^n)`` as sparse
     ``(((degree, k), coeff), ...)`` on first use, for ``algebra_core.identity_at``:
     ``FlipPolyRing._cleared_product``'s for m, n < p (for all m, n on a ring with
-    no ``degree_period`` p), else the entry at (m mod p, n mod p), each degree
+    no ``period`` p), else the entry at (m mod p, n mod p), each degree
     raised by (m - m mod p) + (n - n mod p)."""
 
     __slots__ = ("ring", "left")
@@ -145,7 +147,7 @@ class _BasisProducts(dict):
         if self.left is None:
             value = self[slot] = _BasisProducts(self.ring, slot)
             return value
-        (m, i), (n, j), p = self.left, slot, degree_period(self.ring)
+        (m, i), (n, j), p = self.left, slot, self.ring.period
         if p and (m >= p or n >= p):  # the entry one period back in each degree, raised
             base, shift = self.ring._basis[m % p, i][n % p, j], m - m % p + n - n % p
             value = self[slot] = tuple(((degree + shift, k), v) for (degree, k), v in base)
@@ -161,26 +163,38 @@ class _BasisProducts(dict):
 class FlipPolyRing:
     """Polynomial ring over a star-algebra, configured by (sigma, delta, flipped).
 
+    ``period`` is the degree period of the products, proven once here, or
+    None.  With delta zero, (e_i X^m)(e_j X^n) = tau_n(e_i, sigma^m(e_j))
+    X^(m+n).  If sigma^k is the identity, a factor at degree m + p in place
+    of m raises the product by p when k | p as a left factor (through
+    sigma^m) and when 2 | p as a right factor under the flip (through tau_n):
+    p is lcm(k, 2) on a flipped ring and k on an unflipped one, k the least
+    order of sigma up to 12, checked exactly.  Up to dim 4, 12 is the largest
+    finite order of a rational matrix; past it sigma may have a longer one (a
+    permutation of e1..e15 over S with cycles of length 3, 5 and 7 has order
+    105), and such a ring gets None.
+
     ``_columns[j][m]`` lists the pairs ``(i, v)`` of the nonzero pi_i^m(e_j),
     v its sparse integer numerators over ``_step[0] ** m``.  A column grows
     only as far as a product asks, by X (c X^k) = sigma(c) X^(k+1) +
-    delta(c) X^k, through one period only on a ring with a ``degree_period``
-    p: level m >= p is level m - p, each i raised by p and the numerators
-    scaled by ``_step[0] ** p``.  Columns are published as longer tuples of
-    complete levels, so rings can be shared across threads.  ``mul`` clears
-    each operand's denominators once and packs both by Kronecker substitution
-    along the degrees, the left one per class of degrees mod p, each class
-    reading one pi level (``_cleared_product``, which ``_basis`` runs within
-    one period).  Each product is a fresh ``Poly`` the caller may mutate.
+    delta(c) X^k.  With a period p no reader asks for a level past p - 1:
+    level m is level c = m mod p, each i raised by m - c and the numerators
+    scaled by ``_step[0] ** (m - c)``.  Columns are published as longer
+    tuples of complete levels, so rings can be shared across threads.  ``mul``
+    clears each operand's denominators once and packs both by Kronecker
+    substitution along the degrees, the left one per class of degrees mod p,
+    each class reading one pi level (``_cleared_product``, which ``_basis``
+    runs within one period).  Each product is a fresh ``Poly`` the caller may
+    mutate.
     """
 
     __slots__ = (
         "coeff_algebra", "sigma", "delta", "flipped", "_table", "_t1", "_step", "_columns",
-        "_basis", "_lock", "_period",
+        "_basis", "_lock", "period",
     )
 
     def __init__(self, coeff_algebra, sigma, delta, flipped):
-        if sigma.kind != "sigma" or delta.kind != "delta":
+        if getattr(sigma, "kind", None) != "sigma" or getattr(delta, "kind", None) != "delta":
             raise ValueError("maps must be passed as (sigma, delta)")
         dim, unit = coeff_algebra.dim, coeff_algebra.unit
         if sigma.dim != dim or delta.dim != dim:
@@ -201,23 +215,21 @@ class FlipPolyRing:
         self._columns = [(((0, ((j, 1),)),),) for j in range(dim)]
         self._basis = _BasisProducts(self)
         self._lock = threading.Lock()  # held to publish a column
+        self.period, power = None, sigma  # lcm(k, 2) or k, k the least order of sigma up to 12
+        for k in range(1, 13) if delta.is_zero() else ():
+            if power.is_identity():
+                self.period = lcm(k, 2) if self.flipped else k
+                break
+            power = sigma.compose(power)
 
     # ------------------------------------------------------------------- kernels
     def _column(self, j, top):
-        """Column j of the pi cache through level ``top``, extending it as needed."""
+        """Column j of the pi cache through level ``top``, grown by the recurrence as needed."""
         column = self._columns[j]
         if top < len(column):
             return column
-        (step, steps), dim, levels = self._step, len(self._columns), list(column)
-        p = degree_period(self)
+        steps, dim, levels = self._step[1], len(self._columns), list(column)
         while len(levels) <= top:
-            if p and len(levels) >= p:  # one period back, shifted by p
-                scale = step ** p
-                levels.append(tuple(
-                    (i + p, v if scale == 1 else tuple((t, c * scale) for t, c in v))
-                    for i, v in levels[-p]
-                ))
-                continue
             nxt = {}
             for i, vec in levels[-1]:
                 for shift, cols, scale in steps:
@@ -237,12 +249,13 @@ class FlipPolyRing:
         return column
 
     def pi_matrix(self, i, m):
-        """pi_i^m as a ``linalg.LinearMap`` assembled from the columns; None when it is zero."""
+        """pi_i^m as a ``linalg.LinearMap`` assembled from the columns; None when it is zero.
+        With a ``period`` p it reads level c = m mod p at i - (m - c), over step^c."""
         if i < 0 or i > m:
             return None
-        dim = len(self._columns)
-        cols = tuple(dict(self._column(j, m)[m]).get(i, ()) for j in range(dim))
-        return linalg.LinearMap(dim, cols, self._step[0] ** m) if any(cols) else None
+        c, dim = m % self.period if self.period else m, len(self._columns)
+        cols = tuple(dict(self._column(j, c)[c]).get(i - m + c, ()) for j in range(dim))
+        return linalg.LinearMap(dim, cols, self._step[0] ** c) if any(cols) else None
 
     def pi_oracle(self, i, m, s):
         """pi_i^m(s) by explicit enumeration of all C(m, i) compositions."""
@@ -268,20 +281,22 @@ class FlipPolyRing:
         B[f, r] (``packed[f][r]``) sums y_(n,r) 2^(w (n - n0)) over the right
         terms of flip parity f, and L_c[r] (``lefts[r]``) sums step^(top-c)
         a_m[r] 2^(w (m - c)) over the left terms of class c = m mod p (c = m
-        with no ``degree_period`` p), as level m of a column is level c raised
-        by m - c and scaled by step^(m-c).  Slot j holds degree n0 + i_lo + j,
+        with no ``period`` p), as level m of a column is level c raised by
+        m - c and scaled by step^(m-c).  Slot j holds degree n0 + i_lo + j,
         and each sum is one big-integer operation per (c, f, coordinate).  A
-        product of one term by one term is not packed: each i is its own degree.
+        product of one term by one term is not packed: each i of level
+        c = top mod p is its own degree, raised by top - c, and d holds
+        step^c in place of step^top.  Columns are read through the largest c.
         """
         table, dt = self._table
-        top, step = left[-1][0], self._step[0]
-        d = den * dt * step ** top
-        if len(left) == 1 == len(right):  # each i of level top is its own degree: no packing
+        top, step, p = left[-1][0], self._step[0], self.period
+        if len(left) == 1 == len(right):  # each i of level c is its own degree: no packing
             (_, a), (n, b) = left[0], right[0]
-            f, rows = self.flipped and n % 2, {}
+            c = top % p if p else top  # level top is level c raised by top - c, over step^c
+            f, rows, raised = self.flipped and n % 2, {}, top - c + n
             for j, y in b:
-                for i, vec in self._column(j, top)[top]:
-                    row = rows.setdefault(i + n, {})
+                for i, vec in self._column(j, c)[c]:
+                    row = rows.setdefault(i + raised, {})
                     for s, v in vec:  # add v y a e_s, or v y e_s a under the flip
                         for r, x in a:
                             for k, t in table[s][r] if f else table[r][s]:
@@ -289,13 +304,14 @@ class FlipPolyRing:
             return {
                 degree: kept for degree, row in sorted(rows.items())
                 if (kept := {k: v for k, v in row.items() if v})
-            }, d
-        p, classes, a1 = degree_period(self), {}, 0  # c -> the left terms a X^m, m = c mod p
+            }, den * dt * step ** c
+        d, classes, a1 = den * dt * step ** top, {}, 0  # c -> the left terms a X^m, m = c mod p
         for term in left:
             classes.setdefault(c := term[0] % p if p else term[0], []).append(term)
             a1 += step ** (top - c) * sum(abs(x) for _, x in term[1])
-        # r -> column r of the pi cache, held through level top
-        columns = {r: self._column(r, top) for r in {r for _, b in right for r, _ in b}}
+        # r -> column r of the pi cache, held through the largest class
+        cmax = max(classes)
+        columns = {r: self._column(r, cmax) for r in {r for _, b in right for r, _ in b}}
         levels = [level for column in columns.values() for c in classes if (level := column[c])]
         if not levels:  # every pi image read is zero
             return {}, d
@@ -414,30 +430,6 @@ def _integer_table(algebra):
     ), den
 
 
-def degree_period(ring):
-    """The proven degree period of the ring's products, or None; found once, on first use.
-
-    With delta zero, (e_i X^m)(e_j X^n) = tau_n(e_i, sigma^m(e_j)) X^(m+n).  If
-    sigma^k is the identity, a factor at degree m + p in place of m raises the
-    product by p when k | p as a left factor (through sigma^m) and when 2 | p
-    as a right factor under the flip (through tau_n), and so every product of
-    products: the period is lcm(k, 2) on a flipped ring and k on an unflipped
-    one, k the least order of sigma up to 12, checked exactly.  Up to dim 4,
-    12 is the largest finite order of a rational matrix; past it sigma may
-    have a longer one (a permutation of e1..e15 over S with cycles of length
-    3, 5 and 7 has order 105), and such a ring gets None and the recurrence.
-    """
-    if not hasattr(ring, "_period"):
-        period, power = None, ring.sigma
-        for k in range(1, 13) if ring.delta.is_zero() else ():
-            if power.is_identity():
-                period = lcm(k, 2) if ring.flipped else k
-                break
-            power = ring.sigma.compose(power)
-        ring._period = period
-    return ring._period
-
-
 def star_skew_ring(algebra):
     """The flipped ring with sigma equal to the involution and delta zero."""
     dim = algebra.dim
@@ -490,7 +482,7 @@ def check_axioms(ring, family, degree_bound):
     ``*1``, ``*2`` and ``F3a`` restate the pi recurrence that defines
     ``FlipPolyRing.mul``, so on a ``FlipPolyRing`` only ``F3b``, ``N3`` and
     ``O3`` can fail; they stay as self-checks of the product kernel.  With a
-    ``degree_period`` p, past p they check the kernel's one period against the
+    ``period`` p, past p they check the kernel's one period against the
     period lemma: F3a at m = p - 1 compares a raised entry with in-period sums.
     """
     if family not in AXIOM_FAMILIES:

@@ -6,14 +6,15 @@ coefficient, depending only on the degree's parity.  ``degreewise_set``
 solves those conditions exactly.  ``degreewise_set_bruteforce`` is the
 independent oracle: it multiplies actual monomials in the ring and solves
 the resulting constraint systems, with the other slots' degrees through one
-``degree_period`` of the star-skew ring, always 2 (sigma is the involution,
-delta is 0; higher degrees only repeat rows).  The tests require the two
-routes to coincide.  The oracles (this one and ``x_in_nucleus_bruteforce``,
-whose loop is family N's) read the commutator and associators from
-``algebra_core.IDENTITIES``, the words behind the criteria's row kinds, with
-``identity_at`` on the ring's basis-monomial memo (the kernel's within one
-period, raised past it); the degreewise one builds and solves its rows as
-the criteria do, with ``identity_rows`` and ``StarAlgebra._nullspace``.
+``period`` of the star-skew ring, which the ring proves at construction:
+always 2, as sigma is the involution and delta is 0 (higher degrees only
+repeat rows).  The tests require the two routes to coincide.  The oracles
+(this one and ``x_in_nucleus_bruteforce``, whose loop is family N's) read
+the commutator and associators from ``algebra_core.IDENTITIES``, the words
+behind the criteria's row kinds, with ``identity_at`` on the ring's
+basis-monomial memo (the kernel's within one period, raised past it); the
+degreewise one builds and solves its rows as the criteria do, with
+``identity_rows`` and ``StarAlgebra._nullspace``.
 
 The map-shape predicates (sigma an endomorphism, delta a left or right
 sigma-derivation) are laws checked on every basis pair by one loop.
@@ -35,7 +36,7 @@ from itertools import product
 
 from . import linalg
 from .algebra_core import identity_at, identity_rows
-from .flip_poly import degree_period, generator_associators, star_skew_ring
+from .flip_poly import generator_associators, star_skew_ring
 
 SET_KINDS = ("commuter", "left_right_nucleus", "middle_nucleus", "nucleus", "center")
 X_SIDES = ("left", "middle", "right")
@@ -281,7 +282,7 @@ def _brute_primitive_rows(ring, key):
     for ``key = (degree, kind)``: one per (degree, coordinate) of its ring value."""
     degree, kind = key
     n = ring.coeff_algebra.dim
-    others = product(range(degree_period(ring)), range(n))
+    others = product(range(ring.period), range(n))
     return identity_rows(ring._basis, kind, [(degree, a) for a in range(n)], others)
 
 

@@ -31,7 +31,6 @@ from flipcayley.algebra_core import _TERMS, IDENTITIES, identity_at
 from flipcayley.flip_poly import (
     AxiomReport,
     _axiom_checks,
-    degree_period,
     even_square_ring,
     poly_to_json,
 )
@@ -206,7 +205,7 @@ def _recurrence_twin(ring):
     """A fresh ring with the same data whose pi columns grow level by level
     by the recurrence alone: its period is set to "none proven"."""
     twin = FlipPolyRing(ring.coeff_algebra, ring.sigma, ring.delta, ring.flipped)
-    twin._period = None
+    twin.period = None
     return twin
 
 
@@ -247,45 +246,41 @@ def test_star_skew_ring_is_parity_periodic(algebras):
     """sigma the star (of order 1 or 2) and delta 0 make every basis-monomial
     product depend on its degrees only through their parities: the lemma
     behind the ``props`` suite's verdicts holding at every degree, and the
-    period that ``degree_period`` proves from the ring's data.  The products
+    period that ``FlipPolyRing`` proves from the ring's data.  The products
     are made by the recurrence, so the lemma is checked, not assumed."""
     for name, A in _star_skew_fixtures(algebras):
         ring = star_skew_ring(A)
-        assert degree_period(ring) == 2, name
+        assert ring.period == 2, name
         assert _is_periodic(_recurrence_twin(ring), 2, 4), name
-    # a nonzero delta breaks the period, and degree_period proves none
+    # a nonzero delta breaks the period, and the ring proves none
     H = algebras["H"]
     e1 = H.basis()[1]
     delta = _map_of(H, lambda x: H.mul(x, e1) - H.mul(e1, x), "delta")
     with_delta = FlipPolyRing(H, AdditiveMap.from_star(H), delta, True)
-    assert degree_period(with_delta) is None
+    assert with_delta.period is None
     assert not _is_periodic(with_delta, 2, 4)
     # a sigma of order 3 breaks the parity period; the flip needs an even
     # period, so the ring is 6-periodic, and 3-periodic without the flip
     flipped, unflipped = (
         FlipPolyRing(H, _order_three_sigma(H), AdditiveMap.zero(4), f) for f in (True, False)
     )
-    assert (degree_period(flipped), degree_period(unflipped)) == (6, 3)
+    assert (flipped.period, unflipped.period) == (6, 3)
     twin = _recurrence_twin(flipped)
     assert not _is_periodic(twin, 2, 4) and not _is_periodic(twin, 3, 4)
     assert _is_periodic(twin, 6, 7)
     assert _is_periodic(_recurrence_twin(unflipped), 3, 5)
     # over a commutative algebra with sigma the identity, no degree matters
     C = algebras["C"]
-    assert degree_period(ordinary_ring(C)) == 1
+    assert ordinary_ring(C).period == 1
     assert _is_periodic(_recurrence_twin(ordinary_ring(C)), 1, 3)
 
 
-def test_periodic_pi_columns_match_the_recurrence(algebras):
-    """On a ring with a proven period each pi column is one period of
-    levels, repeated, shifted and scaled by ``_step[0] ** p``.  Column by
-    column to degree 400 it equals the column the recurrence grows, on S, O,
-    a mixed-mu tower, a flipped ring over H with a fractional sigma of order
-    2, whose step is 2, and the rings of a sigma of order 3 (periods 6 and 3).
-    A sigma of order past 12 proves no period: over S, a permutation of
-    e1..e15 with cycles of length 3, 5 and 7 (order 105), whose ring keeps
-    the recurrence; nor does a nonzero delta
-    (``test_pi_matrix_matches_the_right_recursion``)."""
+def _periodic_rings(algebras):
+    """``(ring, proven period)`` on S, O, a mixed-mu tower, a flipped ring
+    over H with a fractional sigma of order 2, whose step is 2, the rings of
+    a sigma of order 3 (periods 6 and 3), and over S a permutation of
+    e1..e15 with cycles of length 3, 5 and 7: its order 105 is past 12, so
+    the ring proves no period and keeps the recurrence."""
     H = algebras["H"]
     sigma = AdditiveMap(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, Fraction(1, 2), -1, 0], [0, 0, 0, -1]], "sigma"
@@ -304,14 +299,29 @@ def test_periodic_pi_columns_match_the_recurrence(algebras):
             image[a] = b
     order_105 = AdditiveMap([[int(image[j] == i) for j in range(16)] for i in range(16)], "sigma")
     rings.append((FlipPolyRing(algebras["S"], order_105, AdditiveMap.zero(16), True), None))
+    return rings
+
+
+def test_periodic_pi_columns_match_the_recurrence(algebras):
+    """On a ring with a proven period p, ``pi_matrix(i, m)`` reads level
+    m mod p of the columns, and for every m <= 400 it equals the map that
+    the recurrence twin assembles from level m, on the rings of
+    ``_periodic_rings``.  Delta is 0 on each, so pi_i^m vanishes off i = m;
+    i runs a period and more to each side of m.  A nonzero delta proves no
+    period (``test_pi_matrix_matches_the_right_recursion``)."""
+    rings = _periodic_rings(algebras)
     for ring, period in rings:
-        assert degree_period(ring) == period
-        twin = _recurrence_twin(ring)
-        for j in range(ring.coeff_algebra.dim):
-            assert ring._column(j, 400) == twin._column(j, 400), j
+        assert ring.period == period
+        twin, reach = _recurrence_twin(ring), 2 * (period or 1)
+        for m in range(401):
+            for i in range(m - reach, m + 2):
+                assert ring.pi_matrix(i, m) == twin.pi_matrix(i, m), (period, m, i)
+        assert all(len(column) <= (period or 401) for column in ring._columns), period
+    H = algebras["H"]
+    fractional = next(ring for ring, _ in rings if ring._step[0] == 2)
     e1 = H.basis()[1]
     delta = _map_of(H, lambda x: H.mul(x, e1) - H.mul(e1, x), "delta")
-    assert degree_period(FlipPolyRing(H, sigma, delta, flipped=True)) is None
+    assert FlipPolyRing(H, fractional.sigma, delta, flipped=True).period is None
 
 
 def _counting_kernel(monkeypatch):
@@ -329,7 +339,7 @@ def _counting_kernel(monkeypatch):
 
 
 def test_basis_memo_raises_one_period_to_every_degree(algebras, monkeypatch):
-    """On a ring with a ``degree_period`` p, every entry (e_i X^m)(e_j X^n) of
+    """On a ring with a ``period`` p, every entry (e_i X^m)(e_j X^n) of
     ``_basis`` with m, n <= 2p + 1 equals the entry that the kernel makes for
     that very slot on the recurrence twin, and the ring runs the kernel for
     the p^2 dim^2 slots of one period only: on periods 1 (``ordinary_ring(C)``),
@@ -341,10 +351,10 @@ def test_basis_memo_raises_one_period_to_every_degree(algebras, monkeypatch):
     for flipped in (False, True):
         ring = FlipPolyRing(H, _order_three_sigma(H), AdditiveMap.zero(4), flipped)
         rings.append((f"H order-3 sigma, flipped={flipped}", ring))
-    assert sorted({degree_period(ring) for _, ring in rings}) == [1, 2, 3, 6]
+    assert sorted({ring.period for _, ring in rings}) == [1, 2, 3, 6]
     calls = _counting_kernel(monkeypatch)
     for name, ring in rings:
-        p, indices = degree_period(ring), range(ring.coeff_algebra.dim)
+        p, indices = ring.period, range(ring.coeff_algebra.dim)
         twin, degrees = _recurrence_twin(ring), range(2 * p + 2)
         for m, n, i, j in itertools.product(degrees, degrees, indices, indices):
             assert ring._basis[m, i][n, j] == twin._basis[m, i][n, j], (name, m, n, i, j)
@@ -372,7 +382,7 @@ def test_axiom_checks_run_the_kernel_on_one_period(algebras, monkeypatch):
     e1 = H.basis()[1]
     delta = _map_of(H, lambda x: H.mul(x, e1) - H.mul(e1, x), "delta")
     with_delta = FlipPolyRing(H, AdditiveMap.from_star(H), delta, True)
-    assert degree_period(with_delta) is None
+    assert with_delta.period is None
     calls.clear()
     for family in ("O", "N", "F"):
         check_axioms(with_delta, family, 3)
@@ -632,7 +642,7 @@ def _class_operands(draw):
     <= 12, two of them a period apart (so in one class), with numerators up to
     2^64 over mixed denominators; the right operand as in ``_rings_and_operands``."""
     ring, p = draw(st.sampled_from(_CLASS_RINGS))
-    assert degree_period(ring) == p
+    assert ring.period == p
     coeff = _coefficients(ring.coeff_algebra.dim) | st.lists(
         _WIDE, min_size=ring.coeff_algebra.dim, max_size=ring.coeff_algebra.dim
     ).map(AlgebraElement)
@@ -664,7 +674,7 @@ def test_one_class_slot_at_the_width_bound(algebras):
     bit_length(bound) + 1 = 66 bits of its signed range, for either sign."""
     H = algebras["H"]
     for ring, p in ((ordinary_ring(H), 1), (star_skew_ring(H), 2)):
-        assert degree_period(ring) == p and 1 % p == 3 % p
+        assert ring.period == p and 1 % p == 3 % p
         for sign in (1, -1):
             one = H.unit.scaled(sign)
             left = Poly({1: one.scaled(2**32), 3: one})
@@ -761,13 +771,46 @@ def test_monomial_product_cache_is_transparent(ring, data):
 
 
 def test_cold_product_extends_only_the_columns_it_reads(algebras):
-    """A cold degree-400 monomial product over S extends the pi cache's
-    column of the right factor's basis index to level 400 and no other."""
+    """A cold degree-400 product over S, of one term or of several, reads
+    level 400 mod 2 = 0 of the pi cache: no column grows past the period 2,
+    and only the columns of the right factor's basis indices grow at all.
+    With a nonzero delta the ring proves no period, and a cold product
+    extends the columns it reads, and no other, through its left degree."""
     S = algebras["S"]
     e = S.basis()
     ring = star_skew_ring(S)
     assert ring.mul(Poly({400: e[3]}), Poly({400: e[5]})) == Poly({800: S.mul(e[3], e[5])})
-    assert [len(column) - 1 for column in ring._columns] == [400 * (j == 5) for j in range(16)]
+    assert [len(column) for column in ring._columns] == [1] * 16
+    p, q = Poly({399: e[1], 400: e[3]}), Poly({0: e[5], 7: e[6]})
+    got = ring.mul(p, q)
+    assert got == _recurrence_twin(ring).mul(p, q) and got.degree() == 407
+    assert [len(column) for column in ring._columns] == [1 + (j in (5, 6)) for j in range(16)]
+    H = algebras["H"]
+    e1 = H.basis()[1]
+    delta = _map_of(H, lambda x: H.mul(x, e1) - H.mul(e1, x), "delta")
+    with_delta = FlipPolyRing(H, AdditiveMap.from_star(H), delta, True)
+    assert with_delta.period is None
+    with_delta.mul(Poly({40: H.unit}), Poly({3: e1}))
+    assert [len(column) - 1 for column in with_delta._columns] == [0, 40, 0, 0]
+    with_delta.mul(Poly({30: e1, 45: H.unit}), Poly({0: H.basis()[2], 2: e1}))
+    assert [len(column) - 1 for column in with_delta._columns] == [0, 45, 45, 0]
+
+
+def test_single_term_products_past_the_period_match_the_recurrence(algebras):
+    """A single-term product reads level top mod p of the pi cache, raises
+    each degree by top - top mod p and keeps step^(top mod p) in its
+    denominator; with both degrees past the period it equals the recurrence
+    twin's product, on the periodic rings of ``_periodic_rings``, with dense
+    coefficients that have mixed signs and denominators."""
+    for ring, period in _periodic_rings(algebras):
+        dim, twin = ring.coeff_algebra.dim, _recurrence_twin(ring)
+        a, b = (
+            AlgebraElement(Fraction((-1) ** (r + s) * (r + s + 1), s + 2) for r in range(dim))
+            for s in (0, 1)
+        )
+        for m, n in itertools.product(((period or 1) + 1, 23, 40, 41), (13, 40, 41)):
+            p, q = Poly({m: a}), Poly({n: b})
+            assert ring.mul(p, q) == twin.mul(p, q), (period, m, n)
 
 
 def test_deep_degree_product(algebras):
@@ -1220,6 +1263,11 @@ def test_additive_map_is_a_linear_map_with_a_kind(algebras):
     assert ring.delta.matrix == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
     with pytest.raises(ValueError, match=r"maps must be passed as \(sigma, delta\)"):
         FlipPolyRing(H, delta, sigma, flipped=True)
+    # a plain LinearMap has no kind, so it is no sigma or delta either
+    zero = AdditiveMap.zero(4)
+    for maps in (H.involution, zero), (sigma, linalg.LinearMap(4, ((),) * 4)):
+        with pytest.raises(ValueError, match=r"maps must be passed as \(sigma, delta\)"):
+            FlipPolyRing(H, *maps, flipped=True)
 
 
 def test_additive_map_unit_constraints(algebras):

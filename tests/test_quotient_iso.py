@@ -25,6 +25,15 @@ from flipcayley import quotient_iso
 from flipcayley.cayley_dickson import NAMED_TOWERS
 from flipcayley import structure_analysis as sa
 
+from conftest import (
+    exchange_algebras,
+    matrix_algebras,
+    rebased_octonions,
+    sparse_exchange_algebras,
+    triangular_algebras,
+    twisted_group_algebras,
+)
+
 
 def rand_poly(algebra, rng, max_degree):
     return Poly(
@@ -161,23 +170,33 @@ def test_tower_identity_octonions_from_quaternion_quotient(algebras):
 
 
 TOWER_DEPTHS = (0, 1, 2, 4, 5, 6)  # with O, the -1 tower up to A of dim 64
+OFF_TOWER_ALGEBRAS = (
+    matrix_algebras() + triangular_algebras() + exchange_algebras() + sparse_exchange_algebras()
+    + twisted_group_algebras() + [("rebased O", rebased_octonions())]
+)
+OFF_TOWER_MUS = ((-1, "-1"), (1, "1"), (Fraction(2, 3), "2/3"))
 
 
 @pytest.mark.parametrize(
-    "mus, mu",
+    "algebra, mu",
     [((Fraction(1, 2), 3), -1), ((Fraction(1, 2), 3), Fraction(2, 3)), ((-1, -1, -1), -1)]
-    + [((-1,) * k, -1) for k in TOWER_DEPTHS],
+    + [((-1,) * k, -1) for k in TOWER_DEPTHS]
+    + [(A, mu) for _, A in OFF_TOWER_ALGEBRAS for mu, _ in OFF_TOWER_MUS],
     ids=["tower(1/2, 3) mu=-1", "tower(1/2, 3) mu=2/3", "O mu=-1"]
-    + [f"-1 tower of dim {2 ** k} mu=-1" for k in TOWER_DEPTHS],
+    + [f"-1 tower of dim {2 ** k} mu=-1" for k in TOWER_DEPTHS]
+    + [f"{name} mu={text}" for name, _ in OFF_TOWER_ALGEBRAS for _, text in OFF_TOWER_MUS],
 )
-def test_quotient_table_is_the_double(mus, mu):
+def test_quotient_table_is_the_double(algebra, mu):
     # the ring route shares no code with the sparse doubling formula; along
-    # the -1 tower this is Theorem 1 up to a quotient of dim 128
-    A = tower(mus)
+    # the -1 tower this is Theorem 1 up to a quotient of dim 128, and off the
+    # towers it holds on the 14 star-algebras of conftest (the matrix,
+    # triangular, exchange and twisted group algebras and the rebased
+    # octonions, whose star has denominator 3, so their ring's step is 3)
+    A = tower(algebra) if isinstance(algebra, tuple) else algebra
     built = QuotientRing(A, mu).to_star_algebra()
     double = cayley_double(A, mu)
     assert (built.table, built.involution) == (double.table, double.involution)
-    if mus == (-1, -1, -1):
+    if algebra == (-1, -1, -1):
         S = named("S")
         assert (built.table, built.involution) == (S.table, S.involution)
 

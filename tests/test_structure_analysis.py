@@ -16,7 +16,7 @@ from flipcayley import (
 )
 from flipcayley import structure_analysis as sa
 from flipcayley.algebra_core import NUCLEUS_SIDES, identity_at
-from flipcayley.flip_poly import AdditiveMap, FlipPolyRing, check_axioms, degree_period
+from flipcayley.flip_poly import AdditiveMap, FlipPolyRing, check_axioms
 from conftest import (
     exchange_algebras,
     matrix_algebras,
@@ -451,7 +451,7 @@ def test_brute_row_spaces_span_the_raw_rows(algebras):
     # wrong ring identity from a right one
     cases = [(name, star_skew_ring(algebras[name])) for name in ("C'", "H", "H'")]
     cases += [(name, star_skew_ring(A)) for name, A in _off_named_set()]
-    assert [degree_period(ring) for _, ring in cases] == [2] * len(cases)
+    assert [ring.period for _, ring in cases] == [2] * len(cases)
     proper = set()
     for name, ring in cases:
         A = ring.coeff_algebra
