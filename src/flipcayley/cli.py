@@ -7,8 +7,10 @@ e.g. ``[1,0,0,0] + [0,1,0,0]*X^2``.
 
 Exit codes: 0 success, 1 a check or suite failed (witness printed),
 2 usage or parse error (also a ``verify --algebra`` or ``--mu`` that no
-suite run reads).  Degree bounds: ``check`` defaults to 4 and ``analyze``
-to 6, both at most 8; ``--cross-check`` runs to 4.
+suite run reads, and ``verify --all`` with ``--suite``).  Run as a script,
+a closed stdout ends the run by SIGPIPE, with no traceback.  Degree
+bounds: ``check`` defaults to 4 and ``analyze`` to 6, both at most 8;
+``--cross-check`` runs to 4.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import sys
 
 from . import structure_analysis as sa
@@ -313,7 +316,9 @@ def cmd_analyze(args):
 
 
 def cmd_verify(args):
-    names = list(verify_mod.SUITES) if args.run_all or args.suite is None else [args.suite]
+    if args.run_all and args.suite is not None:
+        raise CliError("--all and --suite exclude each other")
+    names = list(verify_mod.SUITES) if args.suite is None else [args.suite]
     for option in ("algebra", "mu"):
         readers = [name for name, read in verify_mod.SUITE_OPTIONS.items() if option in read]
         if getattr(args, option) is not None and not set(names) & set(readers):
@@ -438,6 +443,8 @@ def main(argv=None):
 
 
 def entry():
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the run quietly, as in other filters
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -593,24 +593,6 @@ def generator_associators(ring, sides, degree_bound):
         yield j, k, b, c, side, identity_at(ring._basis, f"nucleus_{side}", (x, (j, b), (k, c)))
 
 
-# ------------------------------------------------------------------------ grading
-def even_square_ring(ring):
-    """The ring the even layer multiplies in: maps squared, no flip.
-
-    The parity grading (``quotient_iso.psi_inv``) requires
-    sigma*delta + delta*sigma = 0, trivially true for delta = 0.
-    """
-    sigma, delta = ring.sigma, ring.delta
-    if not (sigma.compose(delta) + delta.compose(sigma)).is_zero():
-        raise ValueError("grading requires sigma*delta + delta*sigma = 0")
-    return FlipPolyRing(
-        ring.coeff_algebra,
-        AdditiveMap(sigma.compose(sigma), "sigma"),
-        AdditiveMap(delta.compose(delta), "delta"),
-        flipped=False,
-    )
-
-
 # --------------------------------------------------------------------- text forms
 def poly_to_text(p):
     """Render as ``[c0,...] + [c0,...]*X + [c0,...]*X^k``."""

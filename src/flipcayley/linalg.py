@@ -102,17 +102,6 @@ class LinearMap:
             cols.append(tuple(sorted((i, c) for i, c in out.items() if c)))
         return LinearMap(self.dim, tuple(cols), self.den * inner.den)
 
-    def __add__(self, other):
-        den = lcm(self.den, other.den)
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            out = {}
-            for col, scale in ((a, den // self.den), (b, den // other.den)):
-                for i, c in col:
-                    out[i] = out.get(i, 0) + c * scale
-            cols.append(tuple(sorted((i, c) for i, c in out.items() if c)))
-        return LinearMap(self.dim, tuple(cols), den)
-
     def __eq__(self, other):
         if isinstance(other, LinearMap):
             return self.cols == other.cols and self.den == other.den

@@ -121,7 +121,8 @@ def psi(algebra, pair):
 def psi_inv(algebra, p):
     """Split by degree parity into the pair ``(even, odd)``; inverse of ``psi``.
 
-    The even slot is the layer ``flip_poly.even_square_ring`` multiplies in.
+    On the star-skew ring the even slot multiplies in ``ordinary_ring(algebra)``,
+    t = X^2: sigma squares to the identity and delta is zero.
     """
     halves = ({}, {})  # even, odd; each stays sorted and free of zeros
     for degree, coeff in p.coeffs.items():

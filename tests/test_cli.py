@@ -2,11 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flipcayley
 from flipcayley import (
     AlgebraElement,
     cayley_double,
@@ -418,6 +423,7 @@ _BAD_INPUTS = [
     ["verify", "--suite=corollary", "--algebra=H"],
     ["involution", "--algebra=H", "--validate", "[0,0,0,0] - [1,0,0,0]*X", "--json"],
     ["involution", "--algebra=H", "--validate", "[0,0,0,0] - [1,0,0,0]*X", "--which=beta"],
+    ["verify", "--all", "--suite=thm1"],
 ]
 
 
@@ -433,6 +439,25 @@ def test_bad_input_exits_2_with_one_error_line(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_without_a_traceback():
+    # the dim-64 table as JSON is about 3.5 MB, more than a pipe buffer
+    # holds, so the script is still writing when the reader closes its end
+    src = os.path.dirname(os.path.dirname(flipcayley.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = ["table", "--mus=-1,-1,-1,-1,-1,-1", "--json"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "flipcayley.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as run:
+        assert run.stdout.readline() == b"{\n"
+        run.stdout.close()
+        err = run.stderr.read()
+    assert b"Traceback" not in err
+    assert run.returncode != 1
 
 
 _H_TABLE = """\
