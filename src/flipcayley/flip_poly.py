@@ -35,7 +35,7 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .algebra_core import AlgebraElement, identity_at, zero_element
@@ -387,9 +387,7 @@ class FlipPolyRing:
             for k, x in row.items():
                 out[k] = x
             coeffs[degree] = AlgebraElement._trusted(
-                tuple(out) if d == 1
-                else tuple(x // d for x in out) if gcd(d, *out) == d  # integral
-                else tuple(simplify(Fraction(x, d)) for x in out)
+                tuple(out) if d == 1 else tuple(simplify(Fraction(x, d)) for x in out)
             )
         return Poly._trusted(coeffs)
 

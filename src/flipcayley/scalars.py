@@ -5,12 +5,17 @@ The scalar ring is the rationals.  Values are plain ``int`` or
 arithmetic, so no wrapper type is needed.  ``Fraction`` already enforces
 the canonical form (positive denominator, lowest terms) and never rounds.
 Whole numbers are collapsed back to ``int`` at construction boundaries so
-the hot loops stay on machine integers.
+the hot loops stay on machine integers.  The one text form is an optional
+sign and ASCII ``p`` or ``p/q`` (``RATIONAL``, which element literals reuse).
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+RATIONAL = r"[0-9]+(?:/[0-9]+)?"  # p or p/q in ASCII digits; element literals reuse it
+_SIGNED_RATIONAL = re.compile(rf"\s*[+-]?{RATIONAL}\s*")
 
 
 def simplify(value):
@@ -26,10 +31,12 @@ def simplify(value):
 
 
 def parse_rational(text):
-    """Parse the textual form ``p`` or ``p/q``; a malformed text or a zero
-    ``q`` raises ``ValueError``."""
+    """Parse the textual form ``p`` or ``p/q`` (ASCII digits, an optional sign,
+    spaces around); anything else or a zero ``q`` raises ``ValueError``."""
+    if not _SIGNED_RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational p or p/q: {text!r}")
     try:
-        return simplify(Fraction(str(text).strip()))
+        return simplify(Fraction(text))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

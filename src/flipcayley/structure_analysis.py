@@ -8,10 +8,11 @@ independent oracle: it multiplies actual monomials in the ring and solves
 the resulting constraint systems, with the other slots' degrees through one
 ``period`` of the star-skew ring, which the ring proves at construction:
 always 2, as sigma is the involution and delta is 0 (higher degrees only
-repeat rows).  The tests require the two routes to coincide.  The oracles
-(this one and ``x_in_nucleus_bruteforce``, whose loop is family N's) read
-the commutator and associators from ``algebra_core.IDENTITIES``, the words
-behind the criteria's row kinds, with ``identity_at`` on the ring's
+repeat rows).  ``cross_check``, which ``analyze --cross-check`` and the
+``centers`` suite share, compares the two routes to ``BRUTE_BOUND_LIMIT``.  The
+oracles (this one and ``x_in_nucleus_bruteforce``, whose loop is family N's)
+read the commutator and associators from ``algebra_core.IDENTITIES``, the
+words behind the criteria's row kinds, with ``identity_at`` on the ring's
 basis-monomial memo (the kernel's within one period, raised past it); the
 degreewise one builds and solves its rows as the criteria do, with
 ``identity_rows`` and ``StarAlgebra._nullspace``.
@@ -313,3 +314,19 @@ def degreewise_set_bruteforce(algebra, which, bound):
                 )
         per_degree[degree] = first
     return DegreewiseSet(which, bound, per_degree)
+
+
+def cross_check(criteria, algebra):
+    """Compare ``criteria`` with the oracle to ``min(criteria.bound, BRUTE_BOUND_LIMIT)`` and
+    return that bound and None, the oracle's left/right split, or the first differing degree."""
+    bound = min(criteria.bound, BRUTE_BOUND_LIMIT)
+    try:
+        brute = degreewise_set_bruteforce(algebra, criteria.kind, bound).per_degree
+    except ValueError as exc:  # the one-sided systems disagree
+        return bound, str(exc)
+    for degree in range(bound + 1):
+        want, got = criteria.per_degree[degree], brute.get(degree)
+        if got != want:  # a degree the oracle did not return differs too, as None
+            want, got = [e.coords for e in want], got and [e.coords for e in got]
+            return bound, f"degree {degree}: criteria basis {want} != brute-force basis {got}"
+    return bound, None

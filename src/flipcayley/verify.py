@@ -164,23 +164,14 @@ def suite_centers(algebra=None, bound=None):
     """Degreewise structural sets: criteria versus the brute-force oracle."""
     b = min(bound if bound is not None else 4, sa.BRUTE_BOUND_LIMIT)
     for name, A in _algebra_set(CENTERS_ALGEBRAS, algebra):
-        dims = {}
+        summary = []
         for kind in sa.SET_KINDS:
             predicted = sa.degreewise_set(A, kind, b)
-            try:
-                brute = sa.degreewise_set_bruteforce(A, kind, b)
-            except ValueError as error:  # the one-sided systems disagree
-                raise SuiteFailure(f"{name}, {kind}: {error}")
-            if predicted != brute:
-                raise SuiteFailure(
-                    f"{name}, {kind}: criteria dims {predicted.dims()} vs "
-                    f"brute-force dims {brute.dims()}"
-                )
-            dims[kind] = predicted.dims()
-        summary = ", ".join(
-            f"{kind}={list(dims[kind].values())}" for kind in sa.SET_KINDS
-        )
-        yield f"{name} (bound {b}): {summary}"
+            _, failure = sa.cross_check(predicted, A)
+            if failure is not None:
+                raise SuiteFailure(f"{name}, {kind}: {failure}")
+            summary.append(f"{kind}={list(predicted.dims().values())}")
+        yield f"{name} (bound {b}): {', '.join(summary)}"
 
 
 def suite_corollary(bound=None):

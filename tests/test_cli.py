@@ -314,8 +314,7 @@ _BROKEN_SUITES = {
         sa,
         "degreewise_set_bruteforce",
         lambda A, kind, bound: _BRUTE(A, kind, bound - 1),
-        "R, commuter: criteria dims {0: 1, 1: 1, 2: 1, 3: 1, 4: 1} vs "
-        "brute-force dims {0: 1, 1: 1, 2: 1, 3: 1}",
+        "R, commuter: degree 4: criteria basis [(1,)] != brute-force basis None",
     ),
     "corollary": (
         sa,
@@ -375,6 +374,25 @@ def test_disagreeing_one_sided_nuclei_fail_the_centers_suite(capsys, monkeypatch
     assert capsys.readouterr().out.splitlines()[-1] == f"  result: FAIL - {result.failure}"
 
 
+def test_analyze_and_the_centers_suite_give_one_cross_check_witness(capsys, monkeypatch):
+    # an oracle that answers every set with the nucleus's subspaces
+    monkeypatch.setattr(
+        sa, "degreewise_set_bruteforce", lambda A, kind, bound: _BRUTE(A, "nucleus", bound)
+    )
+    failure = verify.run_suite("centers", algebra="C").failure
+    witness = "degree 0: criteria basis [(1, 0)] != brute-force basis [(1, 0), (0, 1)]"
+    assert failure == f"C, commuter: {witness}"
+    argv = ["analyze", "--algebra=C", "--set=commuter", "--bound=6", "--cross-check"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"cross-check FAILED: {witness}"
+    assert main(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["cross_check"] == {
+        "bound": 4,
+        "ok": False,
+        "witness": witness,
+    }
+
+
 def test_a_quotient_that_is_no_star_algebra_fails_the_props_suite(monkeypatch):
     monkeypatch.setattr(verify.QuotientRing, "star", lambda self, u: u.scaled(2))
     result = verify.run_suite("props")
@@ -424,6 +442,13 @@ _BAD_INPUTS = [
     ["involution", "--algebra=H", "--validate", "[0,0,0,0] - [1,0,0,0]*X", "--json"],
     ["involution", "--algebra=H", "--validate", "[0,0,0,0] - [1,0,0,0]*X", "--which=beta"],
     ["verify", "--all", "--suite=thm1"],
+    # rationals outside the one grammar: an exponent, a decimal point, an
+    # underscore, a non-ASCII digit, and both in a polynomial entry
+    ["quotient", "--algebra=H", "--mu=1e2", "mul", "e1", "e2"],
+    ["verify", "--suite=thm1", "--algebra=C", "--mu=0.5"],
+    ["analyze", "--mus=1_0", "--set=center", "--bound=2"],
+    ["table", "--mus=\u0661"],
+    ["involution", "--algebra=C", "[1.5,1e1]*X"],
 ]
 
 

@@ -80,6 +80,22 @@ def test_parse_rational_zero_denominator_is_a_value_error():
             parse_rational(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    # floats' forms, underscores, non-ASCII digits, spaces inside, stray signs
+    ["1e2", "0.5", "1.", ".5", "1_0", "\u0661", "1/\u0662", "1 / 2", "- 1", "+-1", "1/-2"]
+    + ["", "/2", "2/", "inf", "nan"],
+)
+def test_parse_rational_reads_only_p_or_p_over_q(text):
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rational(text)
+
+
+def test_parse_rational_allows_a_sign_and_spaces_around():
+    assert parse_rational(" -3/6 ") == Fraction(-1, 2)
+    assert parse_rational("+4\t") == 4
+
+
 def test_rat_constructor_canonical():
     v = simplify(Fraction(6, -4))
     assert v == Fraction(-3, 2)

@@ -233,6 +233,20 @@ def test_degreewise_cross_validation_small(algebras):
             ), (name, kind)
 
 
+def test_cross_check_reports_the_first_degree_the_oracle_missed(algebras, monkeypatch):
+    H = algebras["H"]
+    # the oracle runs to BRUTE_BOUND_LIMIT at most, and agrees there
+    assert sa.cross_check(sa.degreewise_set(H, "center", 6), H) == (sa.BRUTE_BOUND_LIMIT, None)
+    brute = sa.degreewise_set_bruteforce
+    monkeypatch.setattr(
+        sa, "degreewise_set_bruteforce", lambda A, kind, bound: brute(A, kind, bound - 1)
+    )
+    assert sa.cross_check(sa.degreewise_set(H, "center", 3), H) == (
+        3,
+        "degree 3: criteria basis [] != brute-force basis None",
+    )
+
+
 def test_left_right_nucleus_brute_force_consistency(algebras):
     # the combined set raises if the two one-sided systems ever disagreed
     for name in ("C'", "H"):
