@@ -5,12 +5,12 @@ Every rational (an element coefficient, a polynomial entry, a ``--mus`` or
 of basis symbols, e.g. ``1/2*e0 - e3`` (optionally in brackets); polynomial
 literals are bracketed coordinate vectors per degree, e.g. ``[1,0] + [0,1]*X^2``.
 
-Exit codes: 0 success, 1 a check or suite failed (witness printed),
-2 usage or parse error (also a ``verify --algebra`` or ``--mu`` that no
-suite run reads, and ``verify --all`` with ``--suite``).  Run as a script,
-a closed stdout ends the run by SIGPIPE, with no traceback.  Degree
-bounds: ``check`` defaults to 4 and ``analyze`` to 6, both at most 8;
-``--cross-check`` runs ``structure_analysis.cross_check``, to 4.
+Exit codes: 0 success, 1 a check or suite failed (witness printed), 2 usage or
+parse error (also a ``verify --algebra`` or ``--mu`` that no suite run reads,
+``verify --all`` with ``--suite``, and ``analyze --cross-check`` on a set with
+no oracle).  Run as a script, a closed stdout ends the run by SIGPIPE, with no
+traceback.  Degree bounds: ``check`` defaults to 4 and ``analyze`` to 6, both
+at most 8; ``--cross-check`` runs ``structure_analysis.cross_check``, to 4.
 """
 
 from __future__ import annotations
@@ -251,19 +251,17 @@ def cmd_quotient(args):
 
 
 def cmd_analyze(args):
-    if args.cross_check and args.set == "z_star":
-        raise CliError("--cross-check has no brute-force oracle for --set=z_star")
     algebra = _build_algebra(args)
+    cross_failure = None
     try:
         if args.set == "z_star":
             degree_set = sa.z_star_of_b(algebra, args.bound)
         else:
             degree_set = sa.degreewise_set(algebra, args.set, args.bound)
+        if args.cross_check:
+            checked_to, cross_failure = sa.cross_check(degree_set, algebra)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    cross_failure = None
-    if args.cross_check:
-        checked_to, cross_failure = sa.cross_check(degree_set, algebra)
     if args.json:
         payload = {
             "set": args.set,

@@ -9,7 +9,7 @@ the resulting constraint systems, with the other slots' degrees through one
 ``period`` of the star-skew ring, which the ring proves at construction:
 always 2, as sigma is the involution and delta is 0 (higher degrees only
 repeat rows).  ``cross_check``, which ``analyze --cross-check`` and the
-``centers`` suite share, compares the two routes to ``BRUTE_BOUND_LIMIT``.  The
+``centers`` suite share, owns the oracle's cap, kinds and witness.  The
 oracles (this one and ``x_in_nucleus_bruteforce``, whose loop is family N's)
 read the commutator and associators from ``algebra_core.IDENTITIES``, the
 words behind the criteria's row kinds, with ``identity_at`` on the ring's
@@ -43,6 +43,10 @@ SET_KINDS = ("commuter", "left_right_nucleus", "middle_nucleus", "nucleus", "cen
 X_SIDES = ("left", "middle", "right")
 CRITERIA_BOUND_LIMIT = 8
 BRUTE_BOUND_LIMIT = 4
+
+
+class OracleDisagreement(ValueError):
+    """The brute-force oracle's left and right nucleus systems disagree."""
 
 
 @dataclass(frozen=True)
@@ -292,10 +296,10 @@ def degreewise_set_bruteforce(algebra, which, bound):
 
     For the combined left/right set the two one-sided systems are solved
     separately; a mismatch would contradict the expected equality of the two
-    nuclei and is raised instead of silently merged.
+    nuclei and is raised, as ``OracleDisagreement``, instead of silently merged.
     """
-    if which not in SET_KINDS:
-        raise ValueError(f"which must be one of {SET_KINDS}")
+    if which not in _BRUTE_KINDS:
+        raise ValueError(f"no brute-force oracle for the {which} set")
     if not 0 <= bound <= BRUTE_BOUND_LIMIT:
         raise ValueError(f"bound must be between 0 and {BRUTE_BOUND_LIMIT}")
     ring = algebra.cached("star_skew_ring", lambda: star_skew_ring(algebra))
@@ -308,7 +312,7 @@ def degreewise_set_bruteforce(algebra, which, bound):
         )
         for other in others:
             if other != first:
-                raise ValueError(
+                raise OracleDisagreement(
                     f"left and right nucleus disagree at degree {degree}: "
                     f"{[e.coords for e in first]} vs {[e.coords for e in other]}"
                 )
@@ -317,12 +321,12 @@ def degreewise_set_bruteforce(algebra, which, bound):
 
 
 def cross_check(criteria, algebra):
-    """Compare ``criteria`` with the oracle to ``min(criteria.bound, BRUTE_BOUND_LIMIT)`` and
-    return that bound and None, the oracle's left/right split, or the first differing degree."""
+    """Compare ``criteria`` with the oracle to ``min(criteria.bound, BRUTE_BOUND_LIMIT)``: that
+    bound and None, an ``OracleDisagreement`` or the first differing degree; other errors raise."""
     bound = min(criteria.bound, BRUTE_BOUND_LIMIT)
     try:
         brute = degreewise_set_bruteforce(algebra, criteria.kind, bound).per_degree
-    except ValueError as exc:  # the one-sided systems disagree
+    except OracleDisagreement as exc:
         return bound, str(exc)
     for degree in range(bound + 1):
         want, got = criteria.per_degree[degree], brute.get(degree)

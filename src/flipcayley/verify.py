@@ -7,7 +7,8 @@ that into a ``SuiteResult``, which keeps the lines yielded before the
 failure and renders PASS or FAIL.  A suite's parameters are the options it
 reads (``SUITE_OPTIONS``).  Suites are deterministic: the same inputs always
 produce a byte-identical report.  The ``axioms`` suite reads every ring
-product from the rings' tables of basis-monomial products (``FlipPolyRing._basis``).
+product from the rings' tables of basis-monomial products (``FlipPolyRing._basis``),
+and ``centers`` prints the oracle's bound that ``structure_analysis.cross_check`` returns.
 """
 
 from __future__ import annotations
@@ -162,15 +163,14 @@ def suite_props(algebra=None, mu=None):
 
 def suite_centers(algebra=None, bound=None):
     """Degreewise structural sets: criteria versus the brute-force oracle."""
-    b = min(bound if bound is not None else 4, sa.BRUTE_BOUND_LIMIT)
     for name, A in _algebra_set(CENTERS_ALGEBRAS, algebra):
         summary = []
         for kind in sa.SET_KINDS:
-            predicted = sa.degreewise_set(A, kind, b)
-            _, failure = sa.cross_check(predicted, A)
+            predicted = sa.degreewise_set(A, kind, bound if bound is not None else 4)
+            b, failure = sa.cross_check(predicted, A)
             if failure is not None:
                 raise SuiteFailure(f"{name}, {kind}: {failure}")
-            summary.append(f"{kind}={list(predicted.dims().values())}")
+            summary.append(f"{kind}={list(predicted.dims().values())[: b + 1]}")
         yield f"{name} (bound {b}): {', '.join(summary)}"
 
 

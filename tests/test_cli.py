@@ -374,6 +374,21 @@ def test_disagreeing_one_sided_nuclei_fail_the_centers_suite(capsys, monkeypatch
     assert capsys.readouterr().out.splitlines()[-1] == f"  result: FAIL - {result.failure}"
 
 
+def test_cross_check_of_a_set_with_no_oracle_is_the_librarys_usage_error(capsys):
+    assert main(["analyze", "--algebra=C", "--set=z_star", "--cross-check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no brute-force oracle for the z_star set\n"
+
+
+@pytest.mark.parametrize("name", ("R", "C", "H", "O"))
+def test_the_centers_suite_reports_the_oracle_bound_cross_check_returns(name):
+    # bench runs every suite with bound=6; the oracle stops at 4
+    report = verify.run_suite("centers", algebra=name, bound=6).render()
+    assert report == verify.run_suite("centers", algebra=name, bound=4).render()
+    assert report[1].startswith(f"  {name} (bound 4): ")
+
+
 def test_analyze_and_the_centers_suite_give_one_cross_check_witness(capsys, monkeypatch):
     # an oracle that answers every set with the nucleus's subspaces
     monkeypatch.setattr(

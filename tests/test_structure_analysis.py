@@ -247,6 +247,31 @@ def test_cross_check_reports_the_first_degree_the_oracle_missed(algebras, monkey
     )
 
 
+def test_cross_check_raises_what_it_cannot_compare(algebras):
+    H = algebras["H"]
+    with pytest.raises(ValueError, match="^no brute-force oracle for the z_star set$"):
+        sa.cross_check(sa.z_star_of_b(H, 2), H)
+    with pytest.raises(ValueError, match="^bound must be between 0 and 4$"):
+        sa.cross_check(sa.DegreewiseSet("center", -1, {}), H)
+
+
+def test_only_an_oracle_disagreement_is_a_cross_check_witness(algebras, monkeypatch):
+    C = algebras["C"]
+    monkeypatch.setitem(
+        sa._BRUTE_KINDS, "left_right_nucleus", (("nucleus_right",), ("commuter",))
+    )
+    with pytest.raises(sa.OracleDisagreement):
+        sa.degreewise_set_bruteforce(C, "left_right_nucleus", 2)
+    bound, witness = sa.cross_check(sa.degreewise_set(C, "left_right_nucleus", 3), C)
+    assert bound == 3
+    assert witness.startswith("left and right nucleus disagree at degree ")
+
+
+def test_every_criteria_kind_has_rows_and_an_oracle():
+    # so that cross_check's refusal of a kind with no oracle never meets a criteria kind
+    assert set(sa.SET_KINDS) == set(sa._KIND_ROWS) == set(sa._BRUTE_KINDS)
+
+
 def test_left_right_nucleus_brute_force_consistency(algebras):
     # the combined set raises if the two one-sided systems ever disagreed
     for name in ("C'", "H"):
